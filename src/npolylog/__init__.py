@@ -31,6 +31,7 @@ from .magnus import (
 )
 from .polylog import (
     LinComb,
+    PipelineDisagreement,
     expand_to_products,
     kernel_element,
     magnus_product_identity,
@@ -94,6 +95,7 @@ __all__ = [
     "grade_report",
     "magnus_basis_check",
     "LinComb",
+    "PipelineDisagreement",
     "polylog_rational",
     "polylog_map",
     "series_coeffs",

@@ -8,7 +8,8 @@ product expansion), kernel (functional equations from slot
 permutations, emitted as JSON lines), verify (recheck a relation
 file), and duality-check (basis-change sweeps).  All output is
 byte-deterministic.  Exit codes: 0 success, 1 verification failure,
-2 parse or usage error.
+2 parse or usage error, 3 the two evaluation pipelines disagreed and
+the relation was left undecided.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .freealg import NcPoly, poly_to_json_obj, poly_x_to_y
 from .magnus import grade_report, magnus_poly
 from .polylog import (
     LinComb,
+    PipelineDisagreement,
     expand_to_products,
     kernel_element,
     magnus_product_identity,
@@ -264,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PipelineDisagreement as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -26,7 +26,12 @@ and certify them:
 verify_relation decides kernel membership by exact evaluation and
 cross-checks the rational-function pipeline against an independent
 truncated-series pipeline; disagreement between the two raises
-RuntimeError instead of picking a winner.
+PipelineDisagreement instead of picking a winner.
+
+Every Li value has integer numerator coefficients, so a combination is
+evaluated in integer arithmetic: its coefficients are scaled by the lcm
+L of their denominators, and rationals come back only when the result
+is divided by L at the end.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .freealg import NcPoly, poly_x_to_y
@@ -44,6 +49,7 @@ from .words import MultiIndex
 
 __all__ = [
     "LinComb",
+    "PipelineDisagreement",
     "polylog_rational",
     "polylog_map",
     "series_coeffs",
@@ -187,12 +193,45 @@ def polylog_rational(s: MultiIndex) -> RatFun:
     return _polylog_entries(s.entries)
 
 
+def _clear_denominators(c: LinComb) -> tuple[int, list[tuple[MultiIndex, int]]]:
+    """(L, terms of L*c) with L the lcm of the coefficient denominators."""
+    scale = lcm(*(coef.denominator for coef in c._terms.values()))
+    return scale, [
+        (idx, coef.numerator * (scale // coef.denominator)) for idx, coef in c._terms.items()
+    ]
+
+
+def _integer_value(terms: list[tuple[MultiIndex, int]]) -> RatFun:
+    """Li of an integer combination, in integer arithmetic.
+
+    Numerators that share a denominator power d_i are summed as they
+    are.  Each such sum is then raised once to the common power d by
+    the signed binomial row of (1-z)^(d - d_i), and the total is
+    canonicalised once.
+    """
+    groups: dict[int, list[int]] = {}
+    for idx, a in terms:
+        f = polylog_rational(idx)
+        acc = groups.setdefault(f.dpow, [])
+        if len(acc) < len(f.num):
+            acc.extend([0] * (len(f.num) - len(acc)))
+        for i, p in enumerate(f.num):
+            acc[i] += a * p
+    d = max(groups, default=0)
+    out = [0] * max((len(acc) + d - di for di, acc in groups.items()), default=0)
+    for di, acc in groups.items():
+        row = [(-1) ** k * comb(d - di, k) for k in range(d - di + 1)]
+        for i, p in enumerate(acc):
+            if p:
+                for k, b in enumerate(row):
+                    out[i + k] += p * b
+    return RatFun(out, d)
+
+
 def polylog_map(c: LinComb) -> RatFun:
     """Linear extension of polylog_rational to formal combinations."""
-    out = RatFun.zero()
-    for idx, coef in c.items():
-        out = out + coef * polylog_rational(idx)
-    return out
+    scale, terms = _clear_denominators(c)
+    return _integer_value(terms) * Fraction(1, scale)
 
 
 def series_coeffs(s: MultiIndex, n_max: int) -> list[int]:
@@ -354,29 +393,32 @@ def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:
     return _lincomb_from_y_poly(poly_x_to_y(diff * _X1))
 
 
+class PipelineDisagreement(RuntimeError):
+    """The rational and series pipelines gave different answers."""
+
+
 def verify_relation(c: LinComb, n_check: int = 40) -> tuple[bool, RatFun | None]:
     """Decide whether Li maps the combination to zero, with a witness.
 
-    Evaluates through two independent pipelines: the exact rational
-    form, and integer series coefficients up to n_check combined with
-    the exact coefficients of the combination.  The truncated series of
+    Evaluates L*c, the combination with its denominators cleared,
+    through two independent pipelines: the exact rational form, and
+    integer series coefficients up to n_check.  The truncated series of
     the rational value must agree with the direct series; any mismatch
-    means one of the pipelines is broken and raises RuntimeError.
-    Returns (True, None) on kernel membership, else (False, witness)
-    with the nonzero rational value.
+    means one of the pipelines is broken and raises
+    PipelineDisagreement.  Returns (True, None) on kernel membership,
+    else (False, witness) with the nonzero rational value of c.
     """
-    f = polylog_map(c)
-    direct = [Fraction(0)] * (n_check + 1)
-    for idx, coef in c.items():
-        sc = series_coeffs(idx, n_check)
-        for n in range(n_check + 1):
-            if sc[n]:
-                direct[n] += coef * sc[n]
+    scale, terms = _clear_denominators(c)
+    f = _integer_value(terms)
+    direct = [0] * (n_check + 1)
+    for idx, a in terms:
+        for n, v in enumerate(series_coeffs(idx, n_check)):
+            direct[n] += a * v
     if taylor_coeffs(f, n_check) != direct:
-        raise RuntimeError("rational and series pipelines disagree; refusing to answer")
+        raise PipelineDisagreement("rational and series pipelines disagree; refusing to answer")
     if f.is_zero():
         return True, None
-    return False, f
+    return False, f * Fraction(1, scale)
 
 
 def relation_record(c: LinComb, verified: bool) -> dict[str, object]:
@@ -415,7 +457,9 @@ def relation_from_record(obj: Mapping[str, object]) -> LinComb:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"term {i} has a bad coefficient {item['coef']!r}") from exc
         index = item["index"]
-        if not isinstance(index, list) or not all(isinstance(e, int) for e in index):
+        if not isinstance(index, list) or not all(
+            isinstance(e, int) and not isinstance(e, bool) for e in index
+        ):
             raise ValueError(f"term {i} has a bad index {index!r}")
         out.append((MultiIndex(tuple(index)), coef))
     return LinComb(out)

@@ -2,8 +2,11 @@
 
 Every value this package evaluates lives in the subring of rational
 functions generated by z and 1/(1-z), so a single distinguished
-denominator suffices: a RatFun is P(z)/(1-z)^d with P a dense list of
-Fraction coefficients and d >= 0.  Canonical form requires that P have
+denominator suffices: a RatFun is P(z)/(1-z)^d with P a dense tuple of
+coefficients and d >= 0.  An integral coefficient is stored as an int
+and any other as a Fraction, so each value has one representation and
+integer inputs (every polylogarithm value, for instance) stay in
+integer arithmetic throughout.  Canonical form requires that P have
 no trailing zero coefficients and, when d > 0, that (1-z) not divide
 P, which is equivalent to P(1) != 0.  Reduction therefore never needs
 a gcd: evaluate P at 1 and divide synthetically while it vanishes.
@@ -30,8 +33,14 @@ __all__ = [
 Scalar = Union[int, Fraction]
 
 
-def _mul_one_minus_z(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    out = list(coeffs) + [Fraction(0)]
+def _scalar(c: object) -> Scalar:
+    """c as an int when integral, else as a Fraction."""
+    q = Fraction(c)  # type: ignore[arg-type]
+    return q.numerator if q.denominator == 1 else q
+
+
+def _mul_one_minus_z(coeffs: Sequence[Scalar]) -> list[Scalar]:
+    out = list(coeffs) + [0]
     for i in range(len(out) - 1, 0, -1):
         out[i] -= coeffs[i - 1]
     return out
@@ -45,13 +54,13 @@ class RatFun:
     def __init__(self, num: Iterable[Scalar] = (), dpow: int = 0) -> None:
         if not isinstance(dpow, int) or dpow < 0:
             raise ValueError("denominator power must be an integer >= 0")
-        coeffs = [Fraction(c) for c in num]
+        coeffs = [c if type(c) is int else _scalar(c) for c in num]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         # P(1) == 0 exactly when (1-z) divides P; peel those factors off.
         while dpow > 0 and coeffs and sum(coeffs) == 0:
-            quot: list[Fraction] = []
-            acc = Fraction(0)
+            quot: list[Scalar] = []
+            acc: Scalar = 0
             for c in coeffs[:-1]:
                 acc += c
                 quot.append(acc)
@@ -76,7 +85,7 @@ class RatFun:
 
     @classmethod
     def const(cls, c: Scalar) -> "RatFun":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     # inspection -----------------------------------------------------------
 
@@ -89,8 +98,8 @@ class RatFun:
         return len(self.num) - 1
 
     @property
-    def value_at_zero(self) -> Fraction:
-        return self.num[0] if self.num else Fraction(0)
+    def value_at_zero(self) -> Scalar:
+        return self.num[0] if self.num else 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -104,7 +113,7 @@ class RatFun:
 
     # arithmetic -----------------------------------------------------------
 
-    def _raised_num(self, target_dpow: int) -> list[Fraction]:
+    def _raised_num(self, target_dpow: int) -> list[Scalar]:
         """Numerator after rewriting over the denominator (1-z)^target_dpow."""
         out = list(self.num)
         for _ in range(target_dpow - self.dpow):
@@ -133,20 +142,19 @@ class RatFun:
         return RatFun([-c for c in self.num], self.dpow)
 
     def __sub__(self, other: Union["RatFun", Scalar]) -> "RatFun":
-        return self + (-other if isinstance(other, RatFun) else RatFun.const(-Fraction(other)))
+        return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "RatFun":
         return RatFun.const(other) - self
 
     def __mul__(self, other: Union["RatFun", Scalar]) -> "RatFun":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return RatFun([c * a for a in self.num], self.dpow)
+            return RatFun([other * a for a in self.num], self.dpow)
         if not isinstance(other, RatFun):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RatFun.zero()
-        out = [Fraction(0)] * (len(self.num) + len(other.num) - 1)
+        out: list[Scalar] = [0] * (len(self.num) + len(other.num) - 1)
         for i, a in enumerate(self.num):
             if a:
                 for j, b in enumerate(other.num):
@@ -195,11 +203,10 @@ class RatFun:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, object]) -> "RatFun":
-        num = [Fraction(c) for c in obj["num"]]  # type: ignore[union-attr]
-        return cls(num, int(obj["dpow"]))  # type: ignore[arg-type]
+        return cls(obj["num"], int(obj["dpow"]))  # type: ignore[arg-type]
 
 
-def _term_str(coef: Fraction, deg: int) -> str:
+def _term_str(coef: Scalar, deg: int) -> str:
     if deg == 0:
         return str(coef)
     z = "z" if deg == 1 else f"z^{deg}"
@@ -212,7 +219,7 @@ def _term_str(coef: Fraction, deg: int) -> str:
     return f"({coef}){z}"
 
 
-def _poly_str(coeffs: Sequence[Fraction]) -> str:
+def _poly_str(coeffs: Sequence[Scalar]) -> str:
     chunks: list[str] = []
     for deg, c in enumerate(coeffs):
         if not c:
@@ -235,20 +242,20 @@ def euler_deriv(f: RatFun) -> RatFun:
     dp = [(j + 1) * f.num[j + 1] for j in range(len(f.num) - 1)]
     inner = _mul_one_minus_z(dp)
     if len(inner) < len(f.num):
-        inner += [Fraction(0)] * (len(f.num) - len(inner))
+        inner += [0] * (len(f.num) - len(inner))
     for i, c in enumerate(f.num):
         inner[i] += f.dpow * c
-    return RatFun([Fraction(0)] + inner, f.dpow + 1)
+    return RatFun([0] + inner, f.dpow + 1)
 
 
 def geom_mul(f: RatFun) -> RatFun:
     """Multiply by z/(1-z)."""
     if f.is_zero():
         return RatFun.zero()
-    return RatFun((Fraction(0),) + f.num, f.dpow + 1)
+    return RatFun((0,) + f.num, f.dpow + 1)
 
 
-def taylor_coeffs(f: RatFun, n_max: int) -> list[Fraction]:
+def taylor_coeffs(f: RatFun, n_max: int) -> list[Scalar]:
     """Coefficients of z^0..z^n_max in the expansion around 0.
 
     1/(1-z)^d = sum_n C(n+d-1, d-1) z^n, so the coefficient of z^n is
@@ -257,11 +264,11 @@ def taylor_coeffs(f: RatFun, n_max: int) -> list[Fraction]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if f.dpow == 0:
-        return [f.num[n] if n < len(f.num) else Fraction(0) for n in range(n_max + 1)]
+        return [f.num[n] if n < len(f.num) else 0 for n in range(n_max + 1)]
     d = f.dpow
     out = []
     for n in range(n_max + 1):
-        acc = Fraction(0)
+        acc: Scalar = 0
         for j, c in enumerate(f.num):
             if j > n:
                 break

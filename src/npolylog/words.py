@@ -47,7 +47,7 @@ class MultiIndex:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
         for e in self.entries:
-            if not isinstance(e, int) or e < 0:
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"bad index entry {e!r}: entries are integers >= 0")
         if self.magnus and not self.entries:
             raise ValueError("a magnus index needs at least its tail entry")

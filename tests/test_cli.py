@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import npolylog.polylog as pl
 from npolylog import cli
 
 GOOD_LINE = (
@@ -175,6 +176,33 @@ def test_verify_parse_error(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "-")
     assert code == 2
     assert err.startswith("line 1: parse error:")
+
+
+def test_verify_rejects_bool_index_entries(capsys, monkeypatch):
+    line = '{"terms":[{"coef":"1","index":[true]},{"coef":"-1","index":[1]}]}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 2 and out == ""
+    assert err == "line 1: parse error: term 0 has a bad index [True]\n"
+
+
+def test_pipeline_disagreement_exits_3(capsys, monkeypatch):
+    good = pl.series_coeffs
+
+    def lying(s, n_max):
+        out = list(good(s, n_max))
+        if s.entries == (1, 2):
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(pl, "series_coeffs", lying)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(GOOD_LINE + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 3 and out == ""
+    assert err == "error: rational and series pipelines disagree; refusing to answer\n"
+    code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", "2 1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_bundled(capsys):

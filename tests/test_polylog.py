@@ -9,6 +9,7 @@ import pytest
 import npolylog.polylog as pl
 from npolylog.polylog import (
     LinComb,
+    PipelineDisagreement,
     expand_to_products,
     kernel_element,
     magnus_product_identity,
@@ -35,6 +36,23 @@ def plain_indices(max_depth, max_weight):
     return out
 
 
+def polylog_map_by_terms(c):
+    """Reference for polylog_map: the per-term sum in RatFun arithmetic."""
+    out = RatFun.zero()
+    for idx, coef in c.items():
+        out = out + coef * polylog_rational(idx)
+    return out
+
+
+def eulerian_row(n):
+    """A(n,0..n-1) by A(n,k) = (k+1) A(n-1,k) + (n-k) A(n-1,k-1), with A(0) = (1,)."""
+    row = [1]
+    for m in range(1, n + 1):
+        prev = row + [0]
+        row = [(k + 1) * prev[k] + (m - k) * (prev[k - 1] if k else 0) for k in range(m)]
+    return row
+
+
 def test_closed_forms():
     assert polylog_rational(mpl_index()) == 1
     assert polylog_rational(mpl_index(0)) == RatFun((0, 1), 1)
@@ -42,6 +60,29 @@ def test_closed_forms():
     assert polylog_rational(mpl_index(1, 1)) == RatFun((0, 0, 2, 1), 4)
     for r in range(1, 9):
         assert polylog_rational(mpl_index(*([0] * r))) == RatFun((0, 1), 1) ** r
+
+
+def test_depth_one_matches_eulerian_closed_form():
+    # Li(n) = z A_n(z)/(1-z)^(n+1), a third oracle independent of the
+    # Euler-operator recursion and of the series recursion.
+    assert eulerian_row(3) == [1, 4, 1]
+    for n in range(16):
+        f = polylog_rational(mpl_index(n))
+        assert f == RatFun([0] + eulerian_row(n), n + 1)
+        assert all(type(c) is int for c in f.num)
+
+
+def test_integer_invariants_of_values():
+    count = 0
+    for depth in range(5):
+        for entries in itertools.product(range(7), repeat=depth):
+            f = polylog_rational(mpl_index(*entries))
+            assert all(type(c) is int for c in f.num), entries
+            if depth:
+                assert f.dpow == sum(entries) + depth, entries
+            assert f.degree <= f.dpow, entries
+            count += 1
+    assert count == 2801
 
 
 def test_rational_against_series_dp():
@@ -71,6 +112,52 @@ def test_polylog_map_is_linear():
     want = Fraction(1, 2) * polylog_rational(a) - 3 * polylog_rational(b)
     assert polylog_map(c) == want
     assert polylog_map(LinComb()).is_zero()
+
+
+def random_rational_combination(rng, pool, n_terms):
+    terms = {}
+    for idx in rng.sample(pool, n_terms):
+        terms[idx] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))
+    return LinComb(terms)
+
+
+def test_polylog_map_matches_per_term_sum():
+    rng = random.Random(475)
+    pool = plain_indices(3, 5)
+    mixed = 0
+    for _ in range(60):
+        c = random_rational_combination(rng, pool, rng.randint(1, 6))
+        mixed += len({polylog_rational(idx).dpow for idx, _ in c.items()}) > 1
+        assert polylog_map(c) == polylog_map_by_terms(c)
+    assert mixed > 30
+    # mixed denominator powers, integer and rational coefficients
+    c = LinComb({mpl_index(): 2, mpl_index(0): Fraction(1, 3), mpl_index(2, 3): Fraction(-7, 4)})
+    assert polylog_map(c) == polylog_map_by_terms(c)
+
+
+def test_polylog_map_cancellations():
+    # full cancellation of a rescaled kernel element
+    rel = Fraction(5, 6) * kernel_element(magnus_index(0, 1, 2), (2, 3, 1))
+    assert polylog_map(rel).is_zero() and polylog_map_by_terms(rel).is_zero()
+    assert polylog_map(rel).dpow == 0
+    # the d = 6 parts cancel and leave -(5/4) z/(1-z) with d = 1
+    c = rel + LinComb({mpl_index(0): Fraction(-5, 4)})
+    assert polylog_map(c) == polylog_map_by_terms(c) == RatFun((0, Fraction(-5, 4)), 1)
+    # z/(1-z)^2 - z^2/(1-z)^2 = z/(1-z): both terms have d = 2
+    c = LinComb({mpl_index(1): Fraction(1, 2), mpl_index(0, 0): Fraction(-1, 2)})
+    assert polylog_map(c) == polylog_map_by_terms(c) == RatFun((0, Fraction(1, 2)), 1)
+
+
+def test_verify_relation_witness_matches_per_term_sum():
+    rng = random.Random(476)
+    pool = plain_indices(3, 4)
+    for _ in range(30):
+        c = random_rational_combination(rng, pool, rng.randint(1, 5))
+        ok, witness = verify_relation(c)
+        assert not ok
+        assert witness == polylog_map_by_terms(c)
+    ok, witness = verify_relation(Fraction(2, 9) * kernel_element(magnus_index(1, 2), (2, 1)))
+    assert ok and witness is None
 
 
 def test_lincomb_basics():
@@ -277,8 +364,9 @@ def test_verify_relation_refuses_on_pipeline_disagreement(monkeypatch):
         return out
 
     monkeypatch.setattr(pl, "series_coeffs", lying)
-    with pytest.raises(RuntimeError, match="refusing to answer"):
+    with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
+    assert issubclass(PipelineDisagreement, RuntimeError)
 
 
 def test_relation_record_round_trip():
@@ -311,3 +399,10 @@ def test_relation_from_record_rejects_malformed_input():
         relation_from_record({"terms": "nope"})
     with pytest.raises(ValueError):
         relation_from_record({"terms": [{"coef": "1", "index": [1, -2]}]})
+
+
+def test_relation_from_record_rejects_bool_entries():
+    with pytest.raises(ValueError, match="term 0 has a bad index"):
+        relation_from_record({"terms": [{"coef": "1", "index": [True]}, {"coef": "-1", "index": [1]}]})
+    with pytest.raises(ValueError, match="term 1 has a bad index"):
+        relation_from_record({"terms": [{"coef": "1", "index": [1]}, {"coef": "-1", "index": [2, False]}]})

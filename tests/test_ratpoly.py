@@ -46,6 +46,20 @@ def test_equality_and_scalars():
     assert RatFun((0, 1), 1) != 1
 
 
+def test_integral_coefficients_are_stored_as_int():
+    c = RatFun.const(Fraction(4, 2))
+    assert c.num == (2,) and type(c.num[0]) is int
+    f = RatFun((Fraction(1, 2), Fraction(6, 3), 5), 1)
+    assert [type(x) for x in f.num] == [Fraction, int, int]
+    assert RatFun.from_json_obj({"num": ["0", "3", "1/3"], "dpow": 2}).num == (0, 3, Fraction(1, 3))
+    # scaling a rational function back to integers drops the Fractions
+    g = RatFun((Fraction(1, 3), Fraction(2, 3)), 2) * 3
+    assert g.num == (1, 2) and all(type(x) is int for x in g.num)
+    h = euler_deriv(geom_mul(RatFun.one()))
+    assert all(type(x) is int for x in h.num)
+    assert all(type(x) is int for x in taylor_coeffs(h, 6))
+
+
 def test_arithmetic_small_cases():
     g = RatFun((0, 1), 1)  # z/(1-z)
     assert g + 1 == RatFun((1,), 1)  # 1/(1-z)

@@ -40,6 +40,14 @@ def test_index_validation():
         MultiIndex((), magnus=True)
 
 
+def test_index_rejects_bool_entries():
+    for entries in [(True,), (1, False)]:
+        with pytest.raises(ValueError, match="bad index entry"):
+            MultiIndex(entries)
+        with pytest.raises(ValueError, match="bad index entry"):
+            MultiIndex(entries + (2,), magnus=True)
+
+
 def test_index_notation_round_trip():
     for text in ["(1,2,3)", "()", "(1;2)", "(;2)", "(0,1;2)", "(0)"]:
         assert str(parse_index(text)) == text
