@@ -1,11 +1,15 @@
 """Noncommutative polynomials over the word algebras Q<X> and Q<Y>.
 
 An NcPoly is a finite Q-linear combination of words, stored as a
-mapping from letter tuples to Fraction coefficients.  Zero
-coefficients are dropped eagerly, so equality is plain dictionary
-equality and membership tests against the kernel of the polylogarithm
-map stay exact.  Display and serialization order terms by word length
-and then lexicographically by letter codes, which keeps every output
+mapping from letter tuples to coefficients.  An integral coefficient
+is stored as an int and any other as a Fraction (the rule of
+ratpoly), so each polynomial has one representation and integer
+inputs (every Magnus polynomial and basis change, for instance) stay
+in integer arithmetic throughout.  Zero coefficients are dropped
+eagerly, so equality is plain dictionary equality and membership
+tests against the kernel of the polylogarithm map stay exact.
+Display and serialization order terms by word length and then
+lexicographically by letter codes, which keeps every output
 byte-deterministic.
 
 The module also provides the Lie bracket [u, v] = uv - vu and the
@@ -18,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
+from .ratpoly import _scalar
 from .words import Word, parse_word_json, word_display, word_json
 
 __all__ = [
@@ -53,6 +58,15 @@ def _term_key(alphabet: str, letters: Letters) -> tuple[int, Letters]:
     return (len(letters), letters)
 
 
+def _add_term(out: dict[Letters, Scalar], letters: Letters, coef: Scalar) -> None:
+    """out[letters] += coef in place, keeping the int rule and dropping zeros."""
+    s = out.get(letters, 0) + coef
+    if s:
+        out[letters] = s if type(s) is int else _scalar(s)
+    else:
+        out.pop(letters, None)
+
+
 class NcPoly:
     """A noncommutative polynomial over the alphabet "X" or "Y"."""
 
@@ -62,18 +76,25 @@ class NcPoly:
         if alphabet not in ("X", "Y"):
             raise ValueError(f"unknown alphabet {alphabet!r}")
         self.alphabet = alphabet
-        clean: dict[Letters, Fraction] = {}
+        clean: dict[Letters, Scalar] = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for letters, coef in items:
                 letters = tuple(letters)
                 _check_letters(alphabet, letters)
-                c = clean.get(letters, Fraction(0)) + Fraction(coef)
-                if c:
-                    clean[letters] = c
-                elif letters in clean:
-                    del clean[letters]
+                _add_term(clean, letters, _scalar(coef))
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, alphabet: str, terms: dict[Letters, Scalar]) -> "NcPoly":
+        """Wrap terms as they are: valid letters, no zero, int when integral.
+
+        The dict is taken over, not copied.
+        """
+        p = cls.__new__(cls)
+        p.alphabet = alphabet
+        p._terms = terms
+        return p
 
     # construction helpers ------------------------------------------------
 
@@ -83,25 +104,25 @@ class NcPoly:
 
     @classmethod
     def one(cls, alphabet: str) -> "NcPoly":
-        return cls(alphabet, {(): Fraction(1)})
+        return cls(alphabet, {(): 1})
 
     @classmethod
     def monomial(cls, alphabet: str, letters: Iterable[int], coef: Scalar = 1) -> "NcPoly":
-        return cls(alphabet, {tuple(letters): Fraction(coef)})
+        return cls(alphabet, {tuple(letters): coef})
 
     @classmethod
     def from_word(cls, w: Word, coef: Scalar = 1) -> "NcPoly":
-        return cls(w.alphabet, {w.letters: Fraction(coef)})
+        return cls(w.alphabet, {w.letters: coef})
 
     # inspection -----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, letters: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(letters), Fraction(0))
+    def coefficient(self, letters: Iterable[int]) -> Scalar:
+        return self._terms.get(tuple(letters), 0)
 
-    def sorted_terms(self) -> list[tuple[Letters, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Letters, Scalar]]:
         """Terms in the canonical order: graded lexicographic by word length,
         then letter codes, with Y-words measured through their X-embedding."""
         return sorted(self._terms.items(), key=lambda kv: _term_key(self.alphabet, kv[0]))
@@ -109,7 +130,7 @@ class NcPoly:
     def support(self) -> list[Word]:
         return [Word(self.alphabet, ls) for ls, _ in self.sorted_terms()]
 
-    def __iter__(self) -> Iterator[tuple[Letters, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Letters, Scalar]]:
         return iter(self.sorted_terms())
 
     def __len__(self) -> int:
@@ -134,15 +155,11 @@ class NcPoly:
         self._require_same(other)
         out = dict(self._terms)
         for w, c in other._terms.items():
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return NcPoly(self.alphabet, out)
+            _add_term(out, w, c)
+        return NcPoly._trusted(self.alphabet, out)
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly(self.alphabet, {w: -c for w, c in self._terms.items()})
+        return NcPoly._trusted(self.alphabet, {w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         if not isinstance(other, NcPoly):
@@ -151,21 +168,15 @@ class NcPoly:
 
     def __mul__(self, other: Union["NcPoly", Scalar]) -> "NcPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return NcPoly(self.alphabet, {w: c * v for w, v in self._terms.items()})
+            return _combine(self.alphabet, ((other, self),))
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._require_same(other)
-        out: dict[Letters, Fraction] = {}
+        out: dict[Letters, Scalar] = {}
         for u, cu in self._terms.items():
             for v, cv in other._terms.items():
-                w = u + v
-                s = out.get(w, Fraction(0)) + cu * cv
-                if s:
-                    out[w] = s
-                elif w in out:
-                    del out[w]
-        return NcPoly(self.alphabet, out)
+                _add_term(out, u + v, cu * cv)
+        return NcPoly._trusted(self.alphabet, out)
 
     def __rmul__(self, other: Scalar) -> "NcPoly":
         if isinstance(other, (int, Fraction)):
@@ -202,6 +213,19 @@ class NcPoly:
         return f"NcPoly({self.alphabet!r}, {self._terms!r})"
 
 
+def _combine(alphabet: str, pairs: Iterable[tuple[Scalar, NcPoly]]) -> NcPoly:
+    """sum c*p over (c, p) in pairs, accumulated in place in one dict.
+
+    Every p must be over alphabet; no polynomial is built per pair.
+    """
+    out: dict[Letters, Scalar] = {}
+    for c, p in pairs:
+        if c:
+            for w, v in p._terms.items():
+                _add_term(out, w, c * v)
+    return NcPoly._trusted(alphabet, out)
+
+
 def lie_bracket(u: NcPoly, v: NcPoly) -> NcPoly:
     """[u, v] = uv - vu."""
     return u * v - v * u
@@ -216,7 +240,7 @@ def poly_x_to_y(a: NcPoly) -> NcPoly:
     """
     if a.alphabet != "X":
         raise ValueError("expected a polynomial over X")
-    out: dict[Letters, Fraction] = {}
+    out: dict[Letters, Scalar] = {}
     for letters, coef in a._terms.items():
         if not letters or letters[-1] != 1:
             raise ValueError(f"not in <X>x1: {word_display(Word('X', letters))}")
@@ -229,21 +253,21 @@ def poly_x_to_y(a: NcPoly) -> NcPoly:
                 ys.append(run)
                 run = 0
         out[tuple(ys)] = coef
-    return NcPoly("Y", out)
+    return NcPoly._trusted("Y", out)
 
 
 def poly_y_to_x(b: NcPoly) -> NcPoly:
     """Inverse of poly_x_to_y; the empty Y-word maps to the empty X-word."""
     if b.alphabet != "Y":
         raise ValueError("expected a polynomial over Y")
-    out: dict[Letters, Fraction] = {}
+    out: dict[Letters, Scalar] = {}
     for letters, coef in b._terms.items():
         xs: list[int] = []
         for s in letters:
             xs.extend([0] * s)
             xs.append(1)
         out[tuple(xs)] = coef
-    return NcPoly("X", out)
+    return NcPoly._trusted("X", out)
 
 
 def poly_to_json_obj(a: NcPoly) -> list[dict[str, str]]:

@@ -26,11 +26,10 @@ graded piece up to given bounds.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from .freealg import NcPoly, lie_bracket
+from .freealg import NcPoly, _combine, lie_bracket
 from .words import MultiIndex
 
 __all__ = [
@@ -56,11 +55,8 @@ def lie_power(n: int) -> NcPoly:
     """x1^(n) via the closed form sum_k (-1)^k C(n,k) x0^(n-k) x1 x0^k."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("bracket order must be an integer >= 0")
-    terms = {
-        (0,) * (n - k) + (1,) + (0,) * k: Fraction((-1) ** k * comb(n, k))
-        for k in range(n + 1)
-    }
-    return NcPoly("X", terms)
+    terms = {(0,) * (n - k) + (1,) + (0,) * k: (-1) ** k * comb(n, k) for k in range(n + 1)}
+    return NcPoly._trusted("X", terms)
 
 
 def lie_power_by_brackets(n: int) -> NcPoly:
@@ -88,7 +84,7 @@ def magnus_poly(k: MultiIndex) -> NcPoly:
     exactly prod_j (k_j + 1).
     """
     _require_magnus(k)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for choices in itertools.product(*(range(kj + 1) for kj in k.prefix)):
         coef = 1
         letters: list[int] = []
@@ -99,8 +95,8 @@ def magnus_poly(k: MultiIndex) -> NcPoly:
             letters.append(1)
             carry = ij
         letters.extend([0] * (k.tail + carry))
-        terms[tuple(letters)] = Fraction(coef)
-    return NcPoly("X", terms)
+        terms[tuple(letters)] = coef
+    return NcPoly._trusted("X", terms)
 
 
 def magnus_poly_by_products(k: MultiIndex) -> NcPoly:
@@ -120,7 +116,7 @@ def basis_word(s: MultiIndex) -> NcPoly:
         letters.extend([0] * e)
         letters.append(1)
     letters.extend([0] * s.tail)
-    return NcPoly.monomial("X", letters)
+    return NcPoly._trusted("X", {tuple(letters): 1})
 
 
 def array_binom(s: MultiIndex, k: MultiIndex) -> int:
@@ -134,9 +130,14 @@ def array_binom(s: MultiIndex, k: MultiIndex) -> int:
     _require_magnus(k)
     if s.depth != k.depth or s.weight != k.weight:
         return 0
+    return _array_binom(s.prefix, k.prefix)
+
+
+def _array_binom(s: tuple[int, ...], k: tuple[int, ...]) -> int:
+    """array_binom on the prefixes of two indices of equal depth and weight."""
     budget = 0
     val = 1
-    for sj, kj in zip(s.prefix, k.prefix):
+    for sj, kj in zip(s, k):
         budget += sj
         if budget < kj:
             return 0
@@ -156,10 +157,15 @@ def dual_array_binom(k: MultiIndex, s: MultiIndex) -> int:
     _require_magnus(s)
     if k.depth != s.depth or k.weight != s.weight:
         return 0
+    return _dual_array_binom(k.prefix, s.prefix)
+
+
+def _dual_array_binom(k: tuple[int, ...], s: tuple[int, ...]) -> int:
+    """dual_array_binom on the prefixes of two indices of equal depth and weight."""
     c = 0
     total = 0
     val = 1
-    for kj, sj in zip(k.prefix, s.prefix):
+    for kj, sj in zip(k, s):
         c += kj - sj
         if c < 0 or c > kj:
             return 0
@@ -212,38 +218,32 @@ def grade_report(max_depth: int, max_weight: int) -> list[dict[str, object]]:
     For each piece this verifies that the two coefficient matrices are
     mutually inverse (duality) and that the polynomial identities
     w(s) = sum_k <s,k> M(k) and M(k) = sum_s <<k,s>> w(s) hold term by
-    term (inversion).  Returns one record per piece.
+    term (inversion).  Returns one record per piece.  Raises ValueError
+    when a bound is negative.
     """
+    if max_depth < 0 or max_weight < 0:
+        raise ValueError(f"max depth and max weight must be >= 0, got {max_depth} and {max_weight}")
     cells: list[dict[str, object]] = []
     for depth in range(max_depth + 1):
         for weight in range(max_weight + 1):
             idx = magnus_indices(depth, weight)
-            n = len(idx)
-            a = [[array_binom(s, k) for k in idx] for s in idx]
-            b = [[dual_array_binom(k, s) for s in idx] for k in idx]
+            prefixes = [k.prefix for k in idx]
+            a = [[_array_binom(s, k) for k in prefixes] for s in prefixes]
+            b = [[_dual_array_binom(k, s) for s in prefixes] for k in prefixes]
             duality_ok = _is_identity(_mat_mul(a, b)) and _is_identity(_mat_mul(b, a))
-            inversion_ok = True
             mp = [magnus_poly(k) for k in idx]
             bw = [basis_word(s) for s in idx]
-            for i, s in enumerate(idx):
-                acc = NcPoly.zero("X")
-                for j in range(n):
-                    if a[i][j]:
-                        acc = acc + a[i][j] * mp[j]
-                if acc != bw[i]:
-                    inversion_ok = False
-            for i, k in enumerate(idx):
-                acc = NcPoly.zero("X")
-                for j in range(n):
-                    if b[i][j]:
-                        acc = acc + b[i][j] * bw[j]
-                if acc != mp[i]:
-                    inversion_ok = False
+            # Row i of a expands bw[i] over mp; row i of b expands mp[i] over bw.
+            inversion_ok = all(
+                _combine("X", zip(row, source)) == target
+                for matrix, source, targets in ((a, mp, bw), (b, bw, mp))
+                for row, target in zip(matrix, targets)
+            )
             cells.append(
                 {
                     "depth": depth,
                     "weight": weight,
-                    "size": n,
+                    "size": len(idx),
                     "duality_ok": duality_ok,
                     "inversion_ok": inversion_ok,
                     "ok": duality_ok and inversion_ok,
@@ -259,16 +259,16 @@ def magnus_basis_check(max_depth: int, max_weight: int) -> bool:
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        for t in range(n):
-            v = row[t]
+    # Both matrices are mostly zeros: walk only the nonzero entries of b.
+    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b]
+    out = []
+    for row in a:
+        oi = [0] * n
+        for t, v in enumerate(row):
             if v:
-                bt = b[t]
-                oi = out[i]
-                for j in range(n):
-                    oi[j] += v * bt[j]
+                for j, w in b_rows[t]:
+                    oi[j] += v * w
+        out.append(oi)
     return out
 
 

@@ -225,6 +225,29 @@ def test_duality_check(capsys):
     )
 
 
+def test_duality_check_rejects_negative_bounds(capsys):
+    for flag, value in (("--max-depth", "-1"), ("--max-weight", "-2")):
+        code, out, err = run(capsys, "duality-check", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be >= 0" in err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    # Options of one call must not leak into the next through the shared parser.
+    with pytest.raises(SystemExit):
+        cli.main(["eval", "(1)", "--series", "x"])
+    capsys.readouterr()
+    code, out, _ = run(capsys, "eval", "(1)", "--series", "2")
+    assert code == 0 and out == "z/(1-z)^2\nseries: 0, 1, 2\n"
+    code, out, _ = run(capsys, "eval", "(1)")
+    assert code == 0 and out == "z/(1-z)^2\n"
+    code, out, _ = run(capsys, "duality-check", "--max-depth", "0", "--max-weight", "0")
+    assert code == 0 and out == "depth=0 weight=0 size=1 ok\nall graded pieces ok\n"
+
+
 def test_usage_errors_exit_2(capsys):
     code, out, err = run(capsys, "eval", "(a)")
     assert code == 2

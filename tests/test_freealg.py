@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npolylog.freealg import (
     NcPoly,
@@ -143,3 +145,92 @@ def test_json_round_trip():
     assert poly_from_json_obj("X", obj) == p
     q = NcPoly("Y", {(1, 2): Fraction(1, 3), (): -2})
     assert poly_from_json_obj("Y", poly_to_json_obj(q)) == q
+
+
+def assert_canonical(p):
+    """No zero is stored, and every integral coefficient is an int."""
+    for coef in p._terms.values():
+        assert coef != 0
+        assert type(coef) is int or (type(coef) is Fraction and coef.denominator != 1)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = NcPoly("X", {(1,): Fraction(4, 2)})
+    assert p.coefficient((1,)) == 2 and type(p.coefficient((1,))) is int
+    half = NcPoly("X", {(0,): Fraction(1, 2), (1,): 3})
+    assert (half + half).coefficient((0,)) == 1
+    assert_canonical(half + half)
+    assert_canonical(half * half)
+    q = p * Fraction(1, 2)
+    assert q.coefficient((1,)) == 1 and type(q.coefficient((1,))) is int
+    r = half * Fraction(1, 2)
+    assert r.coefficient((0,)) == Fraction(1, 4) and r.coefficient((1,)) == Fraction(3, 2)
+    assert_canonical(r)
+    for zero in (0, Fraction(0)):
+        assert (half * zero).is_zero() and len(half * zero) == 0
+        assert len(zero * half) == 0
+
+
+def test_output_bytes_do_not_depend_on_int_or_fraction_input():
+    as_int = NcPoly("X", {(0, 1): 3, (1,): -1, (): Fraction(1, 2)})
+    as_fraction = NcPoly("X", {(0, 1): Fraction(3, 1), (1,): Fraction(-2, 2), (): Fraction(1, 2)})
+    assert repr(as_int) == repr(as_fraction)
+    assert str(as_int) == str(as_fraction) == "1/2 - x1 + 3*x0x1"
+    assert poly_to_json_obj(as_int) == poly_to_json_obj(as_fraction)
+    assert [item["coef"] for item in poly_to_json_obj(as_fraction)] == ["1/2", "-1", "3"]
+
+
+def test_public_constructor_validates_letters():
+    with pytest.raises(ValueError, match="bad letter 2 for alphabet X"):
+        NcPoly("X", {(0, 2): 1})
+    with pytest.raises(ValueError, match="bad letter -1 for alphabet Y"):
+        NcPoly("Y", {(3, -1): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="unknown alphabet"):
+        NcPoly("Z")
+
+
+# Property tests over mixed int/Fraction coefficients, next to the seeded
+# loops above; derandomized so that every run checks the same examples.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+COEFS = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-4, 4).map(lambda n: Fraction(n, 1)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+
+
+def polys(alphabet="X", ending_in_x1=False, min_len=0):
+    if ending_in_x1:
+        words = st.lists(st.integers(0, 1), max_size=4).map(lambda ls: tuple(ls) + (1,))
+    else:
+        letter = st.integers(0, 1) if alphabet == "X" else st.integers(0, 4)
+        words = st.lists(letter, min_size=min_len, max_size=4).map(tuple)
+    return st.dictionaries(words, COEFS, max_size=4).map(lambda terms: NcPoly(alphabet, terms))
+
+
+@PROPERTY
+@given(polys(), polys(), polys())
+def test_ring_axioms_property(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    for p in (a * b, a + b, a - b, -a, a * (b + c)):
+        assert_canonical(p)
+    assert (a - a).is_zero() and len(a - a) == 0
+
+
+@PROPERTY
+@given(polys(), COEFS)
+def test_scalar_multiple_matches_public_constructor(a, q):
+    expect = NcPoly("X", [(w, q * v) for w, v in a.sorted_terms()])
+    assert a * q == q * a == expect
+    assert_canonical(a * q)
+
+
+@PROPERTY
+@given(polys(ending_in_x1=True), polys("Y", min_len=1))
+def test_splitting_round_trip_property(a, b):
+    y = poly_x_to_y(a)
+    assert_canonical(y)
+    assert poly_y_to_x(y) == a
+    assert poly_x_to_y(poly_y_to_x(b)) == b

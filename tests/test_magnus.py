@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from npolylog import magnus
 from npolylog.freealg import NcPoly, lie_bracket
 from npolylog.magnus import (
     array_binom,
@@ -189,6 +190,53 @@ def test_grade_report_cells():
     assert by_key[(2, 4)] == 15
     assert by_key[(3, 6)] == comb(9, 3)
     assert len(rep) == 4 * 7
+
+
+def test_grade_report_rejects_negative_bounds():
+    for bounds in ((-1, 3), (2, -2), (-1, -1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            grade_report(*bounds)
+    assert len(grade_report(0, 0)) == 1
+
+
+def test_grade_report_catches_a_wrong_magnus_term(monkeypatch):
+    target = magnus_index(1, 1)
+    exact = magnus.magnus_poly
+
+    def perturbed(k):
+        p = exact(k)
+        if k == target:
+            letters, coef = p.sorted_terms()[0]
+            p = p + NcPoly.monomial("X", letters)
+        return p
+
+    monkeypatch.setattr(magnus, "magnus_poly", perturbed)
+    for cell in grade_report(2, 3):
+        assert cell["duality_ok"]
+        bad = (cell["depth"], cell["weight"]) == (1, 2)
+        assert cell["inversion_ok"] is not bad
+        assert cell["ok"] is not bad
+
+
+def test_grade_report_catches_a_wrong_matrix_entry(monkeypatch):
+    # The prefixes (2, 1) and (1, 2) meet only in the piece of depth 2,
+    # weight 3 within these bounds.
+    exact = magnus._array_binom
+
+    def perturbed(s, k):
+        return exact(s, k) + (1 if (s, k) == ((2, 1), (1, 2)) else 0)
+
+    monkeypatch.setattr(magnus, "_array_binom", perturbed)
+    for cell in grade_report(2, 3):
+        bad = (cell["depth"], cell["weight"]) == (2, 3)
+        assert cell["duality_ok"] is not bad
+        assert cell["ok"] is not bad
+
+
+def test_polynomials_store_integer_coefficients():
+    for k in small_indices(2, 3):
+        for p in (magnus_poly(k), basis_word(k), lie_power(k.tail)):
+            assert p.sorted_terms() and all(type(c) is int and c for _, c in p.sorted_terms())
 
 
 def test_magnus_basis_check():
