@@ -21,11 +21,9 @@ from .magnus import (
     dual_array_binom,
     grade_report,
     lie_power,
-    lie_power_by_brackets,
     magnus_basis_check,
     magnus_indices,
     magnus_poly,
-    magnus_poly_by_products,
     magnus_to_word,
     word_to_magnus,
 )
@@ -42,7 +40,6 @@ from .polylog import (
     relation_from_record,
     relation_record,
     series_coeffs,
-    series_coeffs_by_chains,
     verify_relation,
 )
 from .ratpoly import RatFun, euler_deriv, geom_mul, taylor_coeffs
@@ -83,9 +80,7 @@ __all__ = [
     "geom_mul",
     "taylor_coeffs",
     "lie_power",
-    "lie_power_by_brackets",
     "magnus_poly",
-    "magnus_poly_by_products",
     "basis_word",
     "array_binom",
     "dual_array_binom",
@@ -99,7 +94,6 @@ __all__ = [
     "polylog_rational",
     "polylog_map",
     "series_coeffs",
-    "series_coeffs_by_chains",
     "expand_to_products",
     "product_letter_word",
     "nfold_product",

@@ -24,8 +24,8 @@ from importlib import resources
 from .freealg import NcPoly, poly_to_json_obj, poly_x_to_y
 from .magnus import grade_report, magnus_poly
 from .polylog import (
-    LinComb,
     PipelineDisagreement,
+    _relation_terms,
     expand_to_products,
     kernel_element,
     magnus_product_identity,
@@ -53,10 +53,6 @@ def _parse_magnus(text: str) -> MultiIndex:
     if not idx.magnus:
         raise ValueError(f"expected a magnus index like (1;2), got {text!r}")
     return idx
-
-
-def _lincomb_terms(c: LinComb) -> list[dict[str, object]]:
-    return [{"coef": str(coef), "index": list(idx.entries)} for idx, coef in c.items()]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -87,7 +83,7 @@ def cmd_magnus(args: argparse.Namespace) -> int:
             "index": str(k),
             "magnus": poly_to_json_obj(mp),
             "image": poly_to_json_obj(image),
-            "product": {"factors": list(factors), "terms": _lincomb_terms(expansion)},
+            "product": {"factors": list(factors), "terms": _relation_terms(expansion)},
         }
         print(json.dumps(obj))
     else:
@@ -115,7 +111,7 @@ def cmd_product(args: argparse.Namespace) -> int:
     c = nfold_product(args.factors)
     label = "*".join(f"Li({f})" for f in args.factors)
     if args.json:
-        print(json.dumps({"factors": list(args.factors), "terms": _lincomb_terms(c)}))
+        print(json.dumps({"factors": list(args.factors), "terms": _relation_terms(c)}))
     else:
         print(f"{label} = {c}")
     return 0

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 from .ratpoly import _scalar
-from .words import Word, parse_word_json, word_display, word_json
+from .words import Word, _letters_x_to_y, _letters_y_to_x, parse_word_json, word_display, word_json
 
 __all__ = [
     "NcPoly",
@@ -50,11 +50,7 @@ def _term_key(alphabet: str, letters: Letters) -> tuple[int, Letters]:
     # image of a polynomial under the splitting isomorphism keeps the
     # term order of its preimage.
     if alphabet == "Y":
-        xs: list[int] = []
-        for c in letters:
-            xs.extend([0] * c)
-            xs.append(1)
-        return (len(xs), tuple(xs))
+        letters = _letters_y_to_x(letters)
     return (len(letters), letters)
 
 
@@ -156,10 +152,10 @@ class NcPoly:
         out = dict(self._terms)
         for w, c in other._terms.items():
             _add_term(out, w, c)
-        return NcPoly._trusted(self.alphabet, out)
+        return self._trusted(self.alphabet, out)
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly._trusted(self.alphabet, {w: -c for w, c in self._terms.items()})
+        return self._trusted(self.alphabet, {w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         if not isinstance(other, NcPoly):
@@ -168,7 +164,7 @@ class NcPoly:
 
     def __mul__(self, other: Union["NcPoly", Scalar]) -> "NcPoly":
         if isinstance(other, (int, Fraction)):
-            return _combine(self.alphabet, ((other, self),))
+            return self._trusted(self.alphabet, _combine(((other, self),)))
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._require_same(other)
@@ -176,7 +172,7 @@ class NcPoly:
         for u, cu in self._terms.items():
             for v, cv in other._terms.items():
                 _add_term(out, u + v, cu * cv)
-        return NcPoly._trusted(self.alphabet, out)
+        return self._trusted(self.alphabet, out)
 
     def __rmul__(self, other: Scalar) -> "NcPoly":
         if isinstance(other, (int, Fraction)):
@@ -186,7 +182,7 @@ class NcPoly:
     def __pow__(self, n: int) -> "NcPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be an integer >= 0")
-        out = NcPoly.one(self.alphabet)
+        out = self._trusted(self.alphabet, {(): 1})
         for _ in range(n):
             out = out * self
         return out
@@ -210,20 +206,20 @@ class NcPoly:
         return "".join(chunks)
 
     def __repr__(self) -> str:
-        return f"NcPoly({self.alphabet!r}, {self._terms!r})"
+        return f"{type(self).__name__}({self.alphabet!r}, {self._terms!r})"
 
 
-def _combine(alphabet: str, pairs: Iterable[tuple[Scalar, NcPoly]]) -> NcPoly:
-    """sum c*p over (c, p) in pairs, accumulated in place in one dict.
+def _combine(pairs: Iterable[tuple[Scalar, NcPoly]]) -> dict[Letters, Scalar]:
+    """The terms of sum c*p over (c, p) in pairs, accumulated in place in one dict.
 
-    Every p must be over alphabet; no polynomial is built per pair.
+    Every p must be over the same alphabet; no polynomial is built per pair.
     """
     out: dict[Letters, Scalar] = {}
     for c, p in pairs:
         if c:
             for w, v in p._terms.items():
                 _add_term(out, w, c * v)
-    return NcPoly._trusted(alphabet, out)
+    return out
 
 
 def lie_bracket(u: NcPoly, v: NcPoly) -> NcPoly:
@@ -242,17 +238,9 @@ def poly_x_to_y(a: NcPoly) -> NcPoly:
         raise ValueError("expected a polynomial over X")
     out: dict[Letters, Scalar] = {}
     for letters, coef in a._terms.items():
-        if not letters or letters[-1] != 1:
-            raise ValueError(f"not in <X>x1: {word_display(Word('X', letters))}")
-        ys: list[int] = []
-        run = 0
-        for c in letters:
-            if c == 0:
-                run += 1
-            else:
-                ys.append(run)
-                run = 0
-        out[tuple(ys)] = coef
+        if not letters:
+            raise ValueError("not in <X>x1: eps")
+        out[_letters_x_to_y(letters)] = coef
     return NcPoly._trusted("Y", out)
 
 
@@ -260,14 +248,7 @@ def poly_y_to_x(b: NcPoly) -> NcPoly:
     """Inverse of poly_x_to_y; the empty Y-word maps to the empty X-word."""
     if b.alphabet != "Y":
         raise ValueError("expected a polynomial over Y")
-    out: dict[Letters, Scalar] = {}
-    for letters, coef in b._terms.items():
-        xs: list[int] = []
-        for s in letters:
-            xs.extend([0] * s)
-            xs.append(1)
-        out[tuple(xs)] = coef
-    return NcPoly._trusted("X", out)
+    return NcPoly._trusted("X", {_letters_y_to_x(ys): coef for ys, coef in b._terms.items()})
 
 
 def poly_to_json_obj(a: NcPoly) -> list[dict[str, str]]:

@@ -29,14 +29,12 @@ import itertools
 from math import comb
 from typing import Iterator
 
-from .freealg import NcPoly, _combine, lie_bracket
-from .words import MultiIndex
+from .freealg import NcPoly, _combine
+from .words import MultiIndex, _letters_y_to_x
 
 __all__ = [
     "lie_power",
-    "lie_power_by_brackets",
     "magnus_poly",
-    "magnus_poly_by_products",
     "basis_word",
     "array_binom",
     "dual_array_binom",
@@ -47,9 +45,6 @@ __all__ = [
     "magnus_basis_check",
 ]
 
-_X0 = NcPoly.monomial("X", (0,))
-_X1 = NcPoly.monomial("X", (1,))
-
 
 def lie_power(n: int) -> NcPoly:
     """x1^(n) via the closed form sum_k (-1)^k C(n,k) x0^(n-k) x1 x0^k."""
@@ -57,16 +52,6 @@ def lie_power(n: int) -> NcPoly:
         raise ValueError("bracket order must be an integer >= 0")
     terms = {(0,) * (n - k) + (1,) + (0,) * k: (-1) ** k * comb(n, k) for k in range(n + 1)}
     return NcPoly._trusted("X", terms)
-
-
-def lie_power_by_brackets(n: int) -> NcPoly:
-    """x1^(n) by iterating the bracket recursion; oracle for lie_power."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("bracket order must be an integer >= 0")
-    out = _X1
-    for _ in range(n):
-        out = lie_bracket(_X0, out)
-    return out
 
 
 def _require_magnus(k: MultiIndex) -> None:
@@ -87,36 +72,20 @@ def magnus_poly(k: MultiIndex) -> NcPoly:
     terms: dict[tuple[int, ...], int] = {}
     for choices in itertools.product(*(range(kj + 1) for kj in k.prefix)):
         coef = 1
-        letters: list[int] = []
+        blocks: list[int] = []
         carry = 0
         for kj, ij in zip(k.prefix, choices):
             coef *= (-1) ** ij * comb(kj, ij)
-            letters.extend([0] * (kj - ij + carry))
-            letters.append(1)
+            blocks.append(kj - ij + carry)
             carry = ij
-        letters.extend([0] * (k.tail + carry))
-        terms[tuple(letters)] = coef
+        terms[_letters_y_to_x(blocks) + (0,) * (k.tail + carry)] = coef
     return NcPoly._trusted("X", terms)
-
-
-def magnus_poly_by_products(k: MultiIndex) -> NcPoly:
-    """M(k) as an actual product of lie powers; oracle for magnus_poly."""
-    _require_magnus(k)
-    out = NcPoly.one("X")
-    for kj in k.prefix:
-        out = out * lie_power(kj)
-    return out * NcPoly.monomial("X", (0,) * k.tail)
 
 
 def basis_word(s: MultiIndex) -> NcPoly:
     """The monomial w(s) = x0^(s1) x1 ... x0^(sn) x1 x0^(sinf)."""
     _require_magnus(s)
-    letters: list[int] = []
-    for e in s.prefix:
-        letters.extend([0] * e)
-        letters.append(1)
-    letters.extend([0] * s.tail)
-    return NcPoly._trusted("X", {tuple(letters): 1})
+    return NcPoly._trusted("X", {_letters_y_to_x(s.prefix) + (0,) * s.tail: 1})
 
 
 def array_binom(s: MultiIndex, k: MultiIndex) -> int:
@@ -235,7 +204,7 @@ def grade_report(max_depth: int, max_weight: int) -> list[dict[str, object]]:
             bw = [basis_word(s) for s in idx]
             # Row i of a expands bw[i] over mp; row i of b expands mp[i] over bw.
             inversion_ok = all(
-                _combine("X", zip(row, source)) == target
+                _combine(zip(row, source)) == target._terms
                 for matrix, source, targets in ((a, mp, bw), (b, bw, mp))
                 for row, target in zip(matrix, targets)
             )

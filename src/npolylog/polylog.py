@@ -13,9 +13,11 @@ recursion is the definition used here; every expansion theorem is
 verified against it, never used to define it.
 
 The linear extension of s -> Li(s) to formal Q-combinations of indices
-(LinComb) has a large kernel, i.e. the indices satisfy many Q-linear
-functional equations.  Two constructions from the Magnus basis produce
-and certify them:
+has a large kernel, i.e. the indices satisfy many Q-linear functional
+equations.  Such a combination is a LinComb: an NcPoly over Y whose
+words are read as indices, (s1,...,sr) <-> y_s1...y_sr, so it shares
+the arithmetic, the int/Fraction rule and the term order of Q<Y>.  Two
+constructions from the Magnus basis produce and certify them:
 
   * expand_to_products / magnus_product_identity relate a single Li
     value to products of depth-one values through the basis change,
@@ -23,10 +25,11 @@ and certify them:
     polynomial and a slot permutation of it through the word-splitting
     isomorphism; the result is always annihilated by Li.
 
-verify_relation decides kernel membership by exact evaluation and
-cross-checks the rational-function pipeline against an independent
-truncated-series pipeline; disagreement between the two raises
-PipelineDisagreement instead of picking a winner.
+verify_relation decides kernel membership by exact evaluation, twice:
+through the rational-function pipeline and through an independent
+series pipeline whose truncation bound comes from the input indices
+and decides the verdict on its own.  Disagreement between the two
+raises PipelineDisagreement instead of picking a winner.
 
 Every Li value has integer numerator coefficients, so a combination is
 evaluated in integer arithmetic: its coefficients are scaled by the lcm
@@ -42,9 +45,9 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .freealg import NcPoly, poly_x_to_y
-from .magnus import magnus_poly, word_to_magnus
-from .ratpoly import RatFun, euler_deriv, geom_mul, taylor_coeffs
+from .freealg import NcPoly, Scalar, _add_term, poly_x_to_y
+from .magnus import _require_magnus, magnus_poly, word_to_magnus
+from .ratpoly import RatFun, _scalar, euler_deriv, geom_mul, taylor_coeffs
 from .words import MultiIndex
 
 __all__ = [
@@ -53,7 +56,6 @@ __all__ = [
     "polylog_rational",
     "polylog_map",
     "series_coeffs",
-    "series_coeffs_by_chains",
     "expand_to_products",
     "product_letter_word",
     "nfold_product",
@@ -64,8 +66,6 @@ __all__ = [
     "relation_from_record",
 ]
 
-Scalar = Union[int, Fraction]
-
 _X1 = NcPoly.monomial("X", (1,))
 
 
@@ -74,86 +74,38 @@ def _require_plain(s: MultiIndex) -> None:
         raise ValueError(f"expected a plain index like (1,2), got {s}")
 
 
-def _index_key(idx: MultiIndex) -> tuple[int, tuple[int, ...]]:
-    # Same order as the corresponding Y-words in freealg: graded
-    # lexicographic through the embedding y_k -> x0^k x1.
-    xs: list[int] = []
-    for e in idx.entries:
-        xs.extend([0] * e)
-        xs.append(1)
-    return (len(xs), tuple(xs))
+class LinComb(NcPoly):
+    """A formal Q-linear combination of plain indices.
 
+    An NcPoly over Y with the index (s1,...,sr) stored as the Y-word
+    y_s1...y_sr, so arithmetic, equality and term order are those of
+    Q<Y>; only construction, lookup and display speak in indices.
+    """
 
-class LinComb:
-    """A formal Q-linear combination of plain indices."""
-
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(
         self,
         terms: Union[Mapping[MultiIndex, Scalar], Iterable[tuple[MultiIndex, Scalar]], None] = None,
     ) -> None:
-        clean: dict[MultiIndex, Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for idx, coef in items:
                 _require_plain(idx)
-                c = clean.get(idx, Fraction(0)) + Fraction(coef)
-                if c:
-                    clean[idx] = c
-                elif idx in clean:
-                    del clean[idx]
+                _add_term(clean, idx.entries, _scalar(coef))
+        self.alphabet = "Y"
         self._terms = clean
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    def coefficient(self, idx: MultiIndex) -> Scalar:
+        return self._terms.get(idx.entries, 0)
 
-    def coefficient(self, idx: MultiIndex) -> Fraction:
-        return self._terms.get(idx, Fraction(0))
+    def items(self) -> list[tuple[MultiIndex, Scalar]]:
+        """Terms in the order of their Y-words (graded lex via the X-embedding)."""
+        return [(MultiIndex(entries), coef) for entries, coef in self.sorted_terms()]
 
-    def items(self) -> list[tuple[MultiIndex, Fraction]]:
-        """Terms sorted like their Y-word images (graded lex via the X-embedding)."""
-        return sorted(self._terms.items(), key=lambda kv: _index_key(kv[0]))
-
-    def __iter__(self) -> Iterator[tuple[MultiIndex, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[MultiIndex, Scalar]]:
         return iter(self.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        out = dict(self._terms)
-        for idx, c in other._terms.items():
-            s = out.get(idx, Fraction(0)) + c
-            if s:
-                out[idx] = s
-            elif idx in out:
-                del out[idx]
-        return LinComb(out)
-
-    def __neg__(self) -> "LinComb":
-        return LinComb({idx: -c for idx, c in self._terms.items()})
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Scalar) -> "LinComb":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return LinComb({idx: Fraction(other) * c for idx, c in self._terms.items()})
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self._terms:
@@ -167,9 +119,6 @@ class LinComb:
             else:
                 chunks.append(f" - {body}" if coef < 0 else f" + {body}")
         return "".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"LinComb({self._terms!r})"
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +146,8 @@ def _clear_denominators(c: LinComb) -> tuple[int, list[tuple[MultiIndex, int]]]:
     """(L, terms of L*c) with L the lcm of the coefficient denominators."""
     scale = lcm(*(coef.denominator for coef in c._terms.values()))
     return scale, [
-        (idx, coef.numerator * (scale // coef.denominator)) for idx, coef in c._terms.items()
+        (MultiIndex(entries), coef.numerator * (scale // coef.denominator))
+        for entries, coef in c._terms.items()
     ]
 
 
@@ -261,31 +211,6 @@ def series_coeffs(s: MultiIndex, n_max: int) -> list[int]:
     return g
 
 
-def series_coeffs_by_chains(s: MultiIndex, n_max: int) -> list[int]:
-    """Same coefficients by enumerating the chains n > n2 > ... > nr > 0.
-
-    Exponential in the depth; kept as an independent oracle for small
-    inputs, not for production use.
-    """
-    _require_plain(s)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if not s.entries:
-        return [1] + [0] * n_max
-    r = s.depth
-    out = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        total = 0
-        for lower in itertools.combinations(range(1, n), r - 1):
-            chain = (n,) + tuple(sorted(lower, reverse=True))
-            prod = 1
-            for ni, si in zip(chain, s.entries):
-                prod *= ni**si
-            total += prod
-        out[n] = total
-    return out
-
-
 def expand_to_products(s: MultiIndex) -> dict[MultiIndex, int]:
     """Write Li(s1,...,sr) as a sum of r-fold products of depth-one values.
 
@@ -313,11 +238,10 @@ def product_letter_word(m: int, w: MultiIndex) -> LinComb:
     if not w.entries:
         raise ValueError("w must be non-empty; multiply by Li(()) = 1 directly")
     r, rest = w.entries[0], w.entries[1:]
-    terms = {
-        MultiIndex((m - k, r + k) + rest): Fraction((-1) ** k * comb(m, k))
-        for k in range(m + 1)
-    }
-    return LinComb(terms)
+    terms: dict[tuple[int, ...], Scalar] = {}
+    for k in range(m + 1):
+        _add_term(terms, (m - k, r + k) + rest, (-1) ** k * comb(m, k))
+    return LinComb._trusted("Y", terms)
 
 
 def nfold_product(factors: Sequence[int]) -> LinComb:
@@ -336,8 +260,8 @@ def nfold_product(factors: Sequence[int]) -> LinComb:
             raise ValueError(f"bad factor {f!r}: factors are integers >= 0")
     n = len(fac)
     if n == 1:
-        return LinComb({MultiIndex((fac[0],)): Fraction(1)})
-    terms: dict[MultiIndex, Fraction] = {}
+        return LinComb._trusted("Y", {fac: 1})
+    terms: dict[tuple[int, ...], Scalar] = {}
     for ks in itertools.product(*(range(s + 1) for s in fac[:-1])):
         coef = 1
         entries = [fac[0] - ks[0]]
@@ -346,17 +270,8 @@ def nfold_product(factors: Sequence[int]) -> LinComb:
         entries.append(fac[-1] + ks[-1])
         for s, k in zip(fac, ks):
             coef *= (-1) ** k * comb(s, k)
-        idx = MultiIndex(tuple(entries))
-        acc = terms.get(idx, Fraction(0)) + coef
-        if acc:
-            terms[idx] = acc
-        elif idx in terms:
-            del terms[idx]
-    return LinComb(terms)
-
-
-def _lincomb_from_y_poly(p: NcPoly) -> LinComb:
-    return LinComb((MultiIndex(letters), coef) for letters, coef in p.sorted_terms())
+        _add_term(terms, tuple(entries), coef)
+    return LinComb._trusted("Y", terms)
 
 
 def magnus_product_identity(k: MultiIndex) -> tuple[LinComb, LinComb]:
@@ -367,10 +282,9 @@ def magnus_product_identity(k: MultiIndex) -> tuple[LinComb, LinComb]:
     The two are equal term by term, which is exactly what makes the
     permutation construction below land in the kernel.
     """
-    if not isinstance(k, MultiIndex) or not k.magnus:
-        raise ValueError(f"expected a magnus index like (1;2), got {k}")
+    _require_magnus(k)
     left = nfold_product(k.prefix + (k.tail,))
-    right = _lincomb_from_y_poly(poly_x_to_y(magnus_poly(k) * _X1))
+    right = LinComb._trusted("Y", poly_x_to_y(magnus_poly(k) * _X1)._terms)
     return left, right
 
 
@@ -382,43 +296,52 @@ def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:
     The image under Li is zero because both Magnus polynomials expand
     the same (commutative) product of depth-one values.
     """
-    if not isinstance(k, MultiIndex) or not k.magnus:
-        raise ValueError(f"expected a magnus index like (1;2), got {k}")
+    _require_magnus(k)
     r = k.depth + 1
     sig = tuple(int(x) for x in sigma)
     if sorted(sig) != list(range(1, r + 1)):
         raise ValueError(f"sigma must be a permutation of 1..{r} in one-line notation, got {sig}")
     permuted = MultiIndex(tuple(k.entries[i - 1] for i in sig), magnus=True)
     diff = magnus_poly(k) - magnus_poly(permuted)
-    return _lincomb_from_y_poly(poly_x_to_y(diff * _X1))
+    return LinComb._trusted("Y", poly_x_to_y(diff * _X1)._terms)
 
 
 class PipelineDisagreement(RuntimeError):
     """The rational and series pipelines gave different answers."""
 
 
-def verify_relation(c: LinComb, n_check: int = 40) -> tuple[bool, RatFun | None]:
+def verify_relation(c: LinComb) -> tuple[bool, RatFun | None]:
     """Decide whether Li maps the combination to zero, with a witness.
 
     Evaluates L*c, the combination with its denominators cleared,
     through two independent pipelines: the exact rational form, and
-    integer series coefficients up to n_check.  The truncated series of
-    the rational value must agree with the direct series; any mismatch
-    means one of the pipelines is broken and raises
+    integer series coefficients of z^0..z^D, D the largest weight +
+    depth over the terms.  Every Li(s) is P(z)/(1-z)^d with
+    deg P <= d <= weight + depth, so these coefficients decide on their
+    own whether the value is zero.  The bound is read off the indices,
+    not off the rational result.  The truncated series of the rational
+    value must equal the direct series and give the same verdict; any
+    mismatch means one of the pipelines is broken and raises
     PipelineDisagreement.  Returns (True, None) on kernel membership,
     else (False, witness) with the nonzero rational value of c.
     """
     scale, terms = _clear_denominators(c)
     f = _integer_value(terms)
-    direct = [0] * (n_check + 1)
+    bound = max((idx.weight + idx.depth for idx, _ in terms), default=0)
+    direct = [0] * (bound + 1)
     for idx, a in terms:
-        for n, v in enumerate(series_coeffs(idx, n_check)):
+        for n, v in enumerate(series_coeffs(idx, bound)):
             direct[n] += a * v
-    if taylor_coeffs(f, n_check) != direct:
+    if taylor_coeffs(f, bound) != direct or f.is_zero() == any(direct):
         raise PipelineDisagreement("rational and series pipelines disagree; refusing to answer")
     if f.is_zero():
         return True, None
     return False, f * Fraction(1, scale)
+
+
+def _relation_terms(c: LinComb) -> list[dict[str, object]]:
+    """The JSON term list of a combination, in display order."""
+    return [{"coef": str(coef), "index": list(letters)} for letters, coef in c.sorted_terms()]
 
 
 def relation_record(c: LinComb, verified: bool) -> dict[str, object]:
@@ -428,13 +351,10 @@ def relation_record(c: LinComb, verified: bool) -> dict[str, object]:
     when the combination is not homogeneous (products of depth-one
     values reduce to lower weight, so mixed records are legitimate).
     """
-    terms = [
-        {"coef": str(coef), "index": list(idx.entries)} for idx, coef in c.items()
-    ]
-    weights = {idx.weight for idx, _ in c.items()}
-    depths = {idx.depth for idx, _ in c.items()}
+    weights = {sum(entries) for entries in c._terms}
+    depths = {len(entries) for entries in c._terms}
     return {
-        "terms": terms,
+        "terms": _relation_terms(c),
         "verified": verified,
         "weight": weights.pop() if len(weights) == 1 else None,
         "depth": depths.pop() if len(depths) == 1 else None,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = [
     "MultiIndex",
@@ -156,32 +157,42 @@ def to_index(w: Word) -> MultiIndex:
     return MultiIndex(w.letters)
 
 
+def _letters_y_to_x(letters: Iterable[int]) -> tuple[int, ...]:
+    """The embedding y_s -> x0^s x1 on letter codes, extended to words."""
+    out: list[int] = []
+    for s in letters:
+        out.extend([0] * s)
+        out.append(1)
+    return tuple(out)
+
+
+def _letters_x_to_y(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of _letters_y_to_x: X-words ending in x1, and the empty word."""
+    if letters and letters[-1] != 1:
+        raise ValueError(f"not in <X>x1: {word_display(Word('X', letters))}")
+    out: list[int] = []
+    run = 0
+    for c in letters:
+        if c == 0:
+            run += 1
+        else:
+            out.append(run)
+            run = 0
+    return tuple(out)
+
+
 def word_y_to_x(w: Word) -> Word:
     """The monoid embedding y_s -> x0^s x1, extended multiplicatively."""
     if w.alphabet != "Y":
         raise ValueError("expected a Y-word")
-    out: list[int] = []
-    for s in w.letters:
-        out.extend([0] * s)
-        out.append(1)
-    return Word("X", tuple(out))
+    return Word("X", _letters_y_to_x(w.letters))
 
 
 def word_x_to_y(w: Word) -> Word:
     """Inverse of word_y_to_x on its image (X-words ending in x1, plus the empty word)."""
     if w.alphabet != "X":
         raise ValueError("expected an X-word")
-    if w.letters and w.letters[-1] != 1:
-        raise ValueError(f"not in <X>x1: {word_display(w)}")
-    out: list[int] = []
-    run = 0
-    for c in w.letters:
-        if c == 0:
-            run += 1
-        else:
-            out.append(run)
-            run = 0
-    return Word("Y", tuple(out))
+    return Word("Y", _letters_x_to_y(w.letters))
 
 
 def word_display(w: Word) -> str:

@@ -1,0 +1,58 @@
+"""Slow, independent constructions that the fast library code is checked against.
+
+Each follows its definition literally and is meant for small inputs only.
+"""
+
+import itertools
+
+from npolylog.freealg import NcPoly, lie_bracket
+from npolylog.magnus import lie_power
+from npolylog.words import MultiIndex
+
+_X0 = NcPoly.monomial("X", (0,))
+_X1 = NcPoly.monomial("X", (1,))
+
+
+def lie_power_by_brackets(n: int) -> NcPoly:
+    """x1^(n) by iterating the bracket recursion; oracle for lie_power."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("bracket order must be an integer >= 0")
+    out = _X1
+    for _ in range(n):
+        out = lie_bracket(_X0, out)
+    return out
+
+
+def magnus_poly_by_products(k: MultiIndex) -> NcPoly:
+    """M(k) as an actual product of lie powers; oracle for magnus_poly."""
+    if not isinstance(k, MultiIndex) or not k.magnus:
+        raise ValueError(f"expected a magnus index like (1;2), got {k}")
+    out = NcPoly.one("X")
+    for kj in k.prefix:
+        out = out * lie_power(kj)
+    return out * NcPoly.monomial("X", (0,) * k.tail)
+
+
+def series_coeffs_by_chains(s: MultiIndex, n_max: int) -> list[int]:
+    """Coefficients of z^0..z^n_max of Li(s) by enumerating the chains n > n2 > ... > nr > 0.
+
+    Exponential in the depth; an oracle for series_coeffs on small inputs.
+    """
+    if not isinstance(s, MultiIndex) or s.magnus:
+        raise ValueError(f"expected a plain index like (1,2), got {s}")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if not s.entries:
+        return [1] + [0] * n_max
+    r = s.depth
+    out = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        total = 0
+        for lower in itertools.combinations(range(1, n), r - 1):
+            chain = (n,) + tuple(sorted(lower, reverse=True))
+            prod = 1
+            for ni, si in zip(chain, s.entries):
+                prod *= ni**si
+            total += prod
+        out[n] = total
+    return out

@@ -15,15 +15,14 @@ from npolylog.magnus import (
     dual_array_binom,
     grade_report,
     lie_power,
-    lie_power_by_brackets,
     magnus_basis_check,
     magnus_indices,
     magnus_poly,
-    magnus_poly_by_products,
     magnus_to_word,
     word_to_magnus,
 )
 from npolylog.words import magnus_index
+from oracles import lie_power_by_brackets, magnus_poly_by_products
 
 
 def small_indices(max_depth, max_entry):

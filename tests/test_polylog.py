@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import npolylog.polylog as pl
+from npolylog.freealg import NcPoly
 from npolylog.polylog import (
     LinComb,
     PipelineDisagreement,
@@ -20,11 +21,11 @@ from npolylog.polylog import (
     relation_from_record,
     relation_record,
     series_coeffs,
-    series_coeffs_by_chains,
     verify_relation,
 )
 from npolylog.ratpoly import RatFun, taylor_coeffs
 from npolylog.words import magnus_index, mpl_index
+from oracles import series_coeffs_by_chains
 
 
 def plain_indices(max_depth, max_weight):
@@ -170,6 +171,36 @@ def test_lincomb_basics():
     assert 2 * c - c == c
     assert str(LinComb({b: Fraction(-1, 2)})) == "-1/2*Li(0,3)"
     assert list(LinComb({b: 1, a: 1}).items())[0][0] == a
+
+
+def test_lincomb_arithmetic_stays_lincomb():
+    a = LinComb({mpl_index(1, 2): 1, mpl_index(0, 3): Fraction(-1, 2)})
+    b = kernel_element(magnus_index(1, 2), (2, 1))
+    for c in (a + b, a - b, 2 * a, a * Fraction(1, 3), -a, b * 0, a**2):
+        assert type(c) is LinComb
+    assert (b * 0).is_zero() and len(b * 0) == 0
+    with pytest.raises(ValueError, match="plain index"):
+        LinComb({magnus_index(1, 2): 1})
+
+
+def test_lincomb_coefficients_follow_the_int_rule():
+    idx = mpl_index(2, 1)
+    c = LinComb({idx: Fraction(4, 2)})
+    assert c.coefficient(idx) == 2 and type(c.coefficient(idx)) is int
+    assert c.coefficient(mpl_index(1, 2)) == 0
+    for k, sigma in [((1, 2), (2, 1)), ((0, 1, 2), (2, 3, 1)), ((2, 0, 3, 1), (4, 1, 3, 2))]:
+        assert all(type(coef) is int for _, coef in kernel_element(magnus_index(*k), sigma))
+    for factors in ([3], [2, 1], [4, 0, 3], [1, 2, 3, 1]):
+        assert all(type(coef) is int for _, coef in nfold_product(factors))
+    assert all(type(coef) is int for _, coef in product_letter_word(3, mpl_index(1, 2)))
+
+
+def test_lincomb_items_follow_the_y_word_order():
+    c = nfold_product([4, 5]) + kernel_element(magnus_index(0, 1, 2), (2, 3, 1))
+    c = c + LinComb({mpl_index(9): -1, mpl_index(): 3, mpl_index(0, 0, 0): Fraction(1, 2)})
+    words = NcPoly("Y", {idx.entries: coef for idx, coef in c.items()}).sorted_terms()
+    assert [(idx.entries, coef) for idx, coef in c.items()] == words
+    assert list(c) == c.items()
 
 
 def test_plain_and_magnus_indices_are_kept_apart():
@@ -367,6 +398,47 @@ def test_verify_relation_refuses_on_pipeline_disagreement(monkeypatch):
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
     assert issubclass(PipelineDisagreement, RuntimeError)
+
+
+def corrupt_series(monkeypatch, index, position):
+    """Make series_coeffs add 1 to the z^position coefficient of Li(index)."""
+    good = pl.series_coeffs
+    bounds = []
+
+    def lying(s, n_max):
+        bounds.append(n_max)
+        out = list(good(s, n_max))
+        if s == index and n_max >= position:
+            out[position] += 1
+        return out
+
+    monkeypatch.setattr(pl, "series_coeffs", lying)
+    return bounds
+
+
+def test_verify_relation_checks_past_forty_coefficients(monkeypatch):
+    # Li(45) has d = 46, so z^46 takes part in the verdict.
+    corrupt_series(monkeypatch, mpl_index(45), 46)
+    with pytest.raises(PipelineDisagreement, match="refusing to answer"):
+        verify_relation(LinComb({mpl_index(45): 1, mpl_index(2, 1): -3}))
+
+
+def test_verify_relation_bound_is_weight_plus_depth(monkeypatch):
+    # The terms of this relation have weight 3 and depth 2, so D = 5:
+    # z^5 is read, and nothing past it.
+    bounds = corrupt_series(monkeypatch, mpl_index(1, 2), 5)
+    with pytest.raises(PipelineDisagreement, match="refusing to answer"):
+        verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
+    assert set(bounds) == {5}
+
+
+def test_verify_relation_refuses_a_nonzero_value_with_a_zero_series(monkeypatch):
+    # z^6 vanishes to order D = 5 but is not zero: the rational verdict
+    # would be "false relation", the series verdict "true relation".
+    good = pl._integer_value
+    monkeypatch.setattr(pl, "_integer_value", lambda terms: good(terms) + RatFun((0,) * 6 + (1,)))
+    with pytest.raises(PipelineDisagreement, match="refusing to answer"):
+        verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
 
 
 def test_relation_record_round_trip():
