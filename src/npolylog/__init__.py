@@ -32,6 +32,7 @@ from .polylog import (
     PipelineDisagreement,
     expand_to_products,
     kernel_element,
+    kernel_elements,
     magnus_product_identity,
     nfold_product,
     polylog_map,
@@ -41,6 +42,7 @@ from .polylog import (
     relation_record,
     series_coeffs,
     verify_relation,
+    verify_relations,
 )
 from .ratpoly import RatFun, euler_deriv, geom_mul, taylor_coeffs
 from .words import (
@@ -99,7 +101,9 @@ __all__ = [
     "nfold_product",
     "magnus_product_identity",
     "kernel_element",
+    "kernel_elements",
     "verify_relation",
+    "verify_relations",
     "relation_record",
     "relation_from_record",
     "__version__",

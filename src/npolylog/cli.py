@@ -21,19 +21,20 @@ import json
 import sys
 from importlib import resources
 
-from .freealg import NcPoly, poly_to_json_obj, poly_x_to_y
+from .freealg import NcPoly, poly_to_json_obj
 from .magnus import grade_report, magnus_poly
 from .polylog import (
     PipelineDisagreement,
     _relation_terms,
+    _y_image,
     expand_to_products,
-    kernel_element,
-    magnus_product_identity,
+    kernel_elements,
     nfold_product,
     polylog_rational,
     relation_from_record,
     relation_record,
     verify_relation,
+    verify_relations,
 )
 from .ratpoly import taylor_coeffs
 from .words import MultiIndex, parse_index
@@ -74,8 +75,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_magnus(args: argparse.Namespace) -> int:
     k = _parse_magnus(args.index)
     mp = magnus_poly(k)
-    image = poly_x_to_y(mp * NcPoly.monomial("X", (1,)))
-    _, expansion = magnus_product_identity(k)
+    expansion = _y_image(mp)
+    image = NcPoly._trusted("Y", expansion._terms)
     factors = k.prefix + (k.tail,)
     label = "*".join(f"Li({f})" for f in factors)
     if args.json:
@@ -121,16 +122,17 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     k = _parse_magnus(args.index)
     r = k.depth + 1
     if args.all_sigma:
-        sigmas = list(itertools.permutations(range(1, r + 1)))
+        sigmas = itertools.permutations(range(1, r + 1))
     else:
         try:
             sigmas = [tuple(int(t) for t in args.sigma.split())]
         except ValueError as exc:
             raise ValueError(f"bad permutation {args.sigma!r}") from exc
     rc = 0
-    for sig in sigmas:
-        c = kernel_element(k, sig)
-        ok, _ = verify_relation(c)
+    # Both copies advance in step, so each record is printed as soon as
+    # its relation is verified.
+    cs, fed = itertools.tee(kernel_elements(k, sigmas))
+    for c, (ok, _) in zip(cs, verify_relations(fed)):
         print(json.dumps(relation_record(c, ok)))
         if not ok:
             rc = 1

@@ -39,6 +39,11 @@ Scalar = Union[int, Fraction]
 TermsLike = Union[Mapping[Letters, Scalar], Iterable[tuple[Letters, Scalar]], None]
 
 
+def _check_alphabet(alphabet: str) -> None:
+    if alphabet not in ("X", "Y"):
+        raise ValueError(f"unknown alphabet {alphabet!r}")
+
+
 def _check_letters(alphabet: str, letters: Letters) -> None:
     for c in letters:
         if not isinstance(c, int) or c < 0 or (alphabet == "X" and c > 1):
@@ -69,8 +74,7 @@ class NcPoly:
     __slots__ = ("alphabet", "_terms")
 
     def __init__(self, alphabet: str, terms: TermsLike = None) -> None:
-        if alphabet not in ("X", "Y"):
-            raise ValueError(f"unknown alphabet {alphabet!r}")
+        _check_alphabet(alphabet)
         self.alphabet = alphabet
         clean: dict[Letters, Scalar] = {}
         if terms is not None:
@@ -94,21 +98,30 @@ class NcPoly:
 
     # construction helpers ------------------------------------------------
 
+    # These build through _trusted, not the constructor, so that they
+    # also serve subclasses whose constructor takes other arguments.
+
     @classmethod
     def zero(cls, alphabet: str) -> "NcPoly":
-        return cls(alphabet)
+        _check_alphabet(alphabet)
+        return cls._trusted(alphabet, {})
 
     @classmethod
     def one(cls, alphabet: str) -> "NcPoly":
-        return cls(alphabet, {(): 1})
+        _check_alphabet(alphabet)
+        return cls._trusted(alphabet, {(): 1})
 
     @classmethod
     def monomial(cls, alphabet: str, letters: Iterable[int], coef: Scalar = 1) -> "NcPoly":
-        return cls(alphabet, {tuple(letters): coef})
+        _check_alphabet(alphabet)
+        letters = tuple(letters)
+        _check_letters(alphabet, letters)
+        coef = _scalar(coef)
+        return cls._trusted(alphabet, {letters: coef} if coef else {})
 
     @classmethod
     def from_word(cls, w: Word, coef: Scalar = 1) -> "NcPoly":
-        return cls(w.alphabet, {w.letters: coef})
+        return cls.monomial(w.alphabet, w.letters, coef)
 
     # inspection -----------------------------------------------------------
 

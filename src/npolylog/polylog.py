@@ -35,13 +35,19 @@ Every Li value has integer numerator coefficients, so a combination is
 evaluated in integer arithmetic: its coefficients are scaled by the lcm
 L of their denominators, and rationals come back only when the result
 is divided by L at the end.
+
+The relations of one graded piece share most of their work, and each
+shared piece is built once.  Li values are cached with every tail, and
+a new value is built from the cached value of its longest cached tail,
+iteratively.  verify_relations keeps the series rows of a batch of
+relations for the life of that batch, and kernel_elements expands each
+permuted Magnus image once per sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -61,7 +67,9 @@ __all__ = [
     "nfold_product",
     "magnus_product_identity",
     "kernel_element",
+    "kernel_elements",
     "verify_relation",
+    "verify_relations",
     "relation_record",
     "relation_from_record",
 ]
@@ -121,13 +129,30 @@ class LinComb(NcPoly):
         return "".join(chunks)
 
 
-@lru_cache(maxsize=None)
+# Li values by entry tuple, kept for the life of the process.  Every
+# tail of a computed index is stored too: the values of one graded piece
+# share their tails, and each new value is built from its longest one.
+_LI: dict[tuple[int, ...], RatFun] = {(): RatFun.one()}
+
+
 def _polylog_entries(entries: tuple[int, ...]) -> RatFun:
-    f = RatFun.one()
-    for e in reversed(entries):
+    """Li at plain entries: E^s1 (z/(1-z) * Li(rest)) from the cached Li(rest).
+
+    Walks in to the longest cached tail and back out, filling the cache
+    as it goes, so no call recurses however deep the index is.
+    """
+    f = _LI.get(entries)
+    if f is not None:
+        return f
+    start = 1
+    while entries[start:] not in _LI:
+        start += 1
+    f = _LI[entries[start:]]
+    for i in range(start - 1, -1, -1):
         f = geom_mul(f)
-        for _ in range(e):
+        for _ in range(entries[i]):
             f = euler_deriv(f)
+        _LI[entries[i:]] = f
     return f
 
 
@@ -136,23 +161,24 @@ def polylog_rational(s: MultiIndex) -> RatFun:
 
     Built right to left: start from 1 and, for each entry from the
     innermost out, multiply by z/(1-z) and apply the Euler operator
-    entry-many times.  Vanishes at z = 0 whenever the depth is >= 1.
+    entry-many times, starting from the longest tail already cached.
+    Vanishes at z = 0 whenever the depth is >= 1.
     """
     _require_plain(s)
     return _polylog_entries(s.entries)
 
 
-def _clear_denominators(c: LinComb) -> tuple[int, list[tuple[MultiIndex, int]]]:
+def _clear_denominators(c: LinComb) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """(L, terms of L*c) with L the lcm of the coefficient denominators."""
     scale = lcm(*(coef.denominator for coef in c._terms.values()))
     return scale, [
-        (MultiIndex(entries), coef.numerator * (scale // coef.denominator))
+        (entries, coef.numerator * (scale // coef.denominator))
         for entries, coef in c._terms.items()
     ]
 
 
-def _integer_value(terms: list[tuple[MultiIndex, int]]) -> RatFun:
-    """Li of an integer combination, in integer arithmetic.
+def _integer_value(terms: list[tuple[tuple[int, ...], int]]) -> RatFun:
+    """Li of an integer combination of entry tuples, in integer arithmetic.
 
     Numerators that share a denominator power d_i are summed as they
     are.  Each such sum is then raised once to the common power d by
@@ -160,8 +186,8 @@ def _integer_value(terms: list[tuple[MultiIndex, int]]) -> RatFun:
     canonicalised once.
     """
     groups: dict[int, list[int]] = {}
-    for idx, a in terms:
-        f = polylog_rational(idx)
+    for entries, a in terms:
+        f = _polylog_entries(entries)
         acc = groups.setdefault(f.dpow, [])
         if len(acc) < len(f.num):
             acc.extend([0] * (len(f.num) - len(acc)))
@@ -274,6 +300,11 @@ def nfold_product(factors: Sequence[int]) -> LinComb:
     return LinComb._trusted("Y", terms)
 
 
+def _y_image(mp: NcPoly) -> LinComb:
+    """M x1 read through the word-splitting isomorphism, as a combination."""
+    return LinComb._trusted("Y", poly_x_to_y(mp * _X1)._terms)
+
+
 def magnus_product_identity(k: MultiIndex) -> tuple[LinComb, LinComb]:
     """Both expansions of Li(k1)...Li(kn)Li(kinf) for a magnus index k.
 
@@ -283,9 +314,36 @@ def magnus_product_identity(k: MultiIndex) -> tuple[LinComb, LinComb]:
     permutation construction below land in the kernel.
     """
     _require_magnus(k)
-    left = nfold_product(k.prefix + (k.tail,))
-    right = LinComb._trusted("Y", poly_x_to_y(magnus_poly(k) * _X1)._terms)
-    return left, right
+    return nfold_product(k.entries), _y_image(magnus_poly(k))
+
+
+def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[LinComb]:
+    """kernel_element(k, sigma) for each sigma in turn, lazily.
+
+    The Y-image of M(j) x1 is expanded once per distinct permuted index
+    j (k itself included) and kept only while the generator lives, so
+    the r! relations of one index need one expansion per distinct
+    arrangement of its entries.
+    """
+    _require_magnus(k)
+    r = k.depth + 1
+    images: dict[tuple[int, ...], dict[tuple[int, ...], Scalar]] = {}
+
+    def image(entries: tuple[int, ...]) -> dict[tuple[int, ...], Scalar]:
+        terms = images.get(entries)
+        if terms is None:
+            terms = images[entries] = _y_image(magnus_poly(MultiIndex(entries, magnus=True)))._terms
+        return terms
+
+    base = image(k.entries)
+    for sigma in sigmas:
+        sig = tuple(int(x) for x in sigma)
+        if sorted(sig) != list(range(1, r + 1)):
+            raise ValueError(f"sigma must be a permutation of 1..{r} in one-line notation, got {sig}")
+        diff = dict(base)
+        for letters, coef in image(tuple(k.entries[i - 1] for i in sig)).items():
+            _add_term(diff, letters, -coef)
+        yield LinComb._trusted("Y", diff)
 
 
 def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:
@@ -296,21 +354,29 @@ def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:
     The image under Li is zero because both Magnus polynomials expand
     the same (commutative) product of depth-one values.
     """
-    _require_magnus(k)
-    r = k.depth + 1
-    sig = tuple(int(x) for x in sigma)
-    if sorted(sig) != list(range(1, r + 1)):
-        raise ValueError(f"sigma must be a permutation of 1..{r} in one-line notation, got {sig}")
-    permuted = MultiIndex(tuple(k.entries[i - 1] for i in sig), magnus=True)
-    diff = magnus_poly(k) - magnus_poly(permuted)
-    return LinComb._trusted("Y", poly_x_to_y(diff * _X1)._terms)
+    return next(kernel_elements(k, (sigma,)))
 
 
 class PipelineDisagreement(RuntimeError):
     """The rational and series pipelines gave different answers."""
 
 
-def verify_relation(c: LinComb) -> tuple[bool, RatFun | None]:
+def verify_relations(cs: Iterable[LinComb]) -> Iterator[tuple[bool, RatFun | None]]:
+    """verify_relation(c) for each c in turn, lazily, sharing series rows.
+
+    One dict of series rows lives as long as the generator, so each
+    row z^0..z^D of Li(s) is read from series_coeffs once per (s, D) in
+    the batch: the relations of a kernel sweep all lie in one graded
+    piece and share their rows.  No row outlives the batch.
+    """
+    rows: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    for c in cs:
+        yield verify_relation(c, rows=rows)
+
+
+def verify_relation(
+    c: LinComb, *, rows: dict[tuple[tuple[int, ...], int], list[int]] | None = None
+) -> tuple[bool, RatFun | None]:
     """Decide whether Li maps the combination to zero, with a witness.
 
     Evaluates L*c, the combination with its denominators cleared,
@@ -324,13 +390,23 @@ def verify_relation(c: LinComb) -> tuple[bool, RatFun | None]:
     mismatch means one of the pipelines is broken and raises
     PipelineDisagreement.  Returns (True, None) on kernel membership,
     else (False, witness) with the nonzero rational value of c.
+
+    rows maps (entries, D) to the series row of Li(entries) up to z^D;
+    rows missing from it are read from series_coeffs and added.  Alone,
+    a call reads every row afresh; verify_relations passes one dict to
+    all the calls of a batch.
     """
+    if rows is None:
+        rows = {}
     scale, terms = _clear_denominators(c)
     f = _integer_value(terms)
-    bound = max((idx.weight + idx.depth for idx, _ in terms), default=0)
+    bound = max((sum(entries) + len(entries) for entries, _ in terms), default=0)
     direct = [0] * (bound + 1)
-    for idx, a in terms:
-        for n, v in enumerate(series_coeffs(idx, bound)):
+    for entries, a in terms:
+        row = rows.get((entries, bound))
+        if row is None:
+            row = rows[entries, bound] = series_coeffs(MultiIndex(entries), bound)
+        for n, v in enumerate(row):
             direct[n] += a * v
     if taylor_coeffs(f, bound) != direct or f.is_zero() == any(direct):
         raise PipelineDisagreement("rational and series pipelines disagree; refusing to answer")

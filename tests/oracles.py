@@ -7,6 +7,7 @@ import itertools
 
 from npolylog.freealg import NcPoly, lie_bracket
 from npolylog.magnus import lie_power
+from npolylog.ratpoly import RatFun, euler_deriv, geom_mul
 from npolylog.words import MultiIndex
 
 _X0 = NcPoly.monomial("X", (0,))
@@ -56,3 +57,17 @@ def series_coeffs_by_chains(s: MultiIndex, n_max: int) -> list[int]:
             total += prod
         out[n] = total
     return out
+
+
+def polylog_by_fold(s: MultiIndex) -> RatFun:
+    """Li(s) folded from 1 over the entries, innermost first, caching nothing.
+
+    An oracle for polylog_rational, which builds each value from the
+    cached value of its tail.
+    """
+    f = RatFun.one()
+    for e in reversed(s.entries):
+        f = geom_mul(f)
+        for _ in range(e):
+            f = euler_deriv(f)
+    return f

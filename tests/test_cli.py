@@ -1,6 +1,7 @@
 """Command line surface: text goldens, JSON shapes, and exit codes."""
 
 import io
+import itertools
 import json
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 import npolylog.polylog as pl
 from npolylog import cli
+from npolylog.polylog import nfold_product, relation_from_record
 
 GOOD_LINE = (
     '{"terms": [{"coef": "-1", "index": [2, 1]}, {"coef": "3", "index": [1, 2]},'
@@ -81,6 +83,26 @@ def test_magnus_json(capsys):
     }
 
 
+def test_magnus_expands_the_magnus_polynomial_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(name, good):
+        def wrapper(arg):
+            calls.append(name)
+            return good(arg)
+
+        return wrapper
+
+    for module in (cli, pl):
+        for name in ("magnus_poly", "poly_x_to_y"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, out, err = run(capsys, "magnus", "(1,2,3;4)")
+    assert code == 0 and err == ""
+    assert sorted(calls) == ["magnus_poly", "poly_x_to_y"]
+    assert out.startswith("magnus: ") and "\nproduct: Li(1)*Li(2)*Li(3)*Li(4) = " in out
+
+
 def test_expand(capsys):
     code, out, err = run(capsys, "expand", "(2,1)")
     assert code == 0
@@ -133,6 +155,36 @@ def test_kernel_all_sigma(capsys):
     assert len(records[1]["terms"]) == 3
 
 
+def test_kernel_all_sigma_records_are_nfold_differences(capsys):
+    code, out, err = run(capsys, "kernel", "(1,2,3;4)", "--all-sigma")
+    assert code == 0 and err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    sigmas = list(itertools.permutations(range(1, 5)))
+    assert len(records) == len(sigmas) == 24
+    for sigma, rec in zip(sigmas, records):
+        permuted = [(1, 2, 3, 4)[i - 1] for i in sigma]
+        assert rec["verified"] is True
+        assert relation_from_record(rec) == nfold_product([1, 2, 3, 4]) - nfold_product(permuted)
+
+
+def test_kernel_prints_each_record_before_the_next_is_verified(capsys, monkeypatch):
+    # Li(2,2,2) first occurs in the fourth relation of (1,2;3): the three
+    # records before it are out when its corrupted row stops the sweep.
+    good = pl.series_coeffs
+
+    def lying(s, n_max):
+        out = list(good(s, n_max))
+        if s.entries == (2, 2, 2):
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(pl, "series_coeffs", lying)
+    code, out, err = run(capsys, "kernel", "(1,2;3)", "--all-sigma")
+    assert code == 3
+    assert err == "error: rational and series pipelines disagree; refusing to answer\n"
+    assert [json.loads(line)["verified"] for line in out.splitlines()] == [True, True, True]
+
+
 def test_kernel_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "kernel", "(0,1;2)", "--all-sigma")
     _, second, _ = run(capsys, "kernel", "(0,1;2)", "--all-sigma")
@@ -169,6 +221,15 @@ def test_verify_json_verdicts(capsys, monkeypatch):
         {"line": 1, "ok": True, "witness": None},
         {"line": 2, "ok": False, "witness": "z/(1-z)"},
     ]
+
+
+def test_verify_of_a_deep_index_exits_1_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(pl, "_LI", {(): pl.RatFun.one()})
+    line = json.dumps({"terms": [{"coef": "1", "index": [0] * 1200}]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 1 and err == ""
+    assert out == "line 1: FAIL witness=z^1200/(1-z)^1200\nchecked 1 relations: 0 ok, 1 failed\n"
 
 
 def test_verify_parse_error(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Evaluation, series oracles, product expansions, and relation generation."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from npolylog.polylog import (
     PipelineDisagreement,
     expand_to_products,
     kernel_element,
+    kernel_elements,
     magnus_product_identity,
     nfold_product,
     polylog_map,
@@ -22,10 +24,11 @@ from npolylog.polylog import (
     relation_record,
     series_coeffs,
     verify_relation,
+    verify_relations,
 )
 from npolylog.ratpoly import RatFun, taylor_coeffs
 from npolylog.words import magnus_index, mpl_index
-from oracles import series_coeffs_by_chains
+from oracles import polylog_by_fold, series_coeffs_by_chains
 
 
 def plain_indices(max_depth, max_weight):
@@ -89,6 +92,17 @@ def test_integer_invariants_of_values():
 def test_rational_against_series_dp():
     for s in plain_indices(2, 4):
         assert taylor_coeffs(polylog_rational(s), 25) == series_coeffs(s, 25)
+
+
+def test_tail_built_values_match_the_fold(monkeypatch):
+    # A fresh cache, filled in a shuffled order, so that some tails are
+    # cached when their index is reached and some are not.
+    monkeypatch.setattr(pl, "_LI", {(): RatFun.one()})
+    indices = [mpl_index(*e) for r in range(5) for e in itertools.product(range(7), repeat=r)]
+    random.Random(6).shuffle(indices)
+    for s in indices:
+        assert polylog_rational(s) == polylog_by_fold(s)
+    assert len(pl._LI) == len(indices)
 
 
 def test_series_dp_against_chain_enumeration():
@@ -181,6 +195,21 @@ def test_lincomb_arithmetic_stays_lincomb():
     assert (b * 0).is_zero() and len(b * 0) == 0
     with pytest.raises(ValueError, match="plain index"):
         LinComb({magnus_index(1, 2): 1})
+
+
+def test_lincomb_zero_one_and_monomial():
+    assert LinComb.zero("Y") == LinComb()
+    assert type(LinComb.zero("Y")) is LinComb
+    assert type(LinComb.one("Y")) is LinComb
+    assert LinComb.one("Y") == LinComb({mpl_index(): 1})
+    m = LinComb.monomial("Y", (1, 2), Fraction(6, 3))
+    assert type(m) is LinComb and m == LinComb({mpl_index(1, 2): 2})
+    assert type(m.coefficient(mpl_index(1, 2))) is int
+    assert LinComb.monomial("Y", (1,), 0) == LinComb()
+    with pytest.raises(ValueError, match="bad letter"):
+        LinComb.monomial("Y", (-1,))
+    with pytest.raises(ValueError, match="unknown alphabet"):
+        NcPoly.zero("Z")
 
 
 def test_lincomb_coefficients_follow_the_int_rule():
@@ -439,6 +468,93 @@ def test_verify_relation_refuses_a_nonzero_value_with_a_zero_series(monkeypatch)
     monkeypatch.setattr(pl, "_integer_value", lambda terms: good(terms) + RatFun((0,) * 6 + (1,)))
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call is counted; returns the counter."""
+    good = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return good(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_kernel_elements_expand_each_permuted_index_once(monkeypatch):
+    calls = count_calls(monkeypatch, pl, "magnus_poly")
+    for entries, distinct in [((1, 2, 3, 4), 24), ((1, 2, 1, 2, 1, 1), 15), ((1, 1, 2), 3)]:
+        calls.clear()
+        k = magnus_index(*entries)
+        cs = list(kernel_elements(k, itertools.permutations(range(1, len(entries) + 1))))
+        assert len(calls) == distinct
+        assert {args[0] for args in calls} == {
+            magnus_index(*p) for p in itertools.permutations(entries)
+        }
+        assert len(cs) == math.factorial(len(entries))
+
+
+def test_kernel_elements_are_nfold_differences():
+    for entries in [(1, 2, 3, 4), (1, 0, 2, 1, 1)]:
+        k = magnus_index(*entries)
+        sigmas = list(itertools.permutations(range(1, len(entries) + 1)))
+        for sigma, c in zip(sigmas, kernel_elements(k, sigmas)):
+            permuted = tuple(entries[i - 1] for i in sigma)
+            assert c == nfold_product(entries) - nfold_product(permuted)
+            assert c == kernel_element(k, sigma)
+
+
+def test_verify_relations_reads_each_row_once_per_batch(monkeypatch):
+    k = magnus_index(1, 2, 3, 4)
+    cs = list(kernel_elements(k, itertools.permutations(range(1, 5))))
+    calls = count_calls(monkeypatch, pl, "series_coeffs")
+    assert all(ok for ok, _ in verify_relations(cs))
+    indices = {idx for c in cs for idx, _ in c.items()}
+    assert sorted(s.entries for s, _ in calls) == sorted(s.entries for s in indices)
+    assert {n for _, n in calls} == {k.weight + k.depth + 1}
+    calls.clear()
+    for c in cs:
+        verify_relation(c)
+    assert len(calls) == sum(len(c) for c in cs) > len(indices)
+
+
+def test_verify_relations_consumes_its_input_lazily():
+    pulled = []
+
+    def relations():
+        for sigma in itertools.permutations(range(1, 4)):
+            pulled.append(sigma)
+            yield kernel_element(magnus_index(1, 1, 2), sigma)
+
+    results = verify_relations(relations())
+    assert pulled == []
+    assert next(results) == (True, None)
+    assert len(pulled) == 1
+    assert next(results) == (True, None)
+    assert len(pulled) == 2
+
+
+def test_verify_relations_refuses_every_relation_with_a_corrupted_row(monkeypatch):
+    k = magnus_index(1, 2, 3)
+    cs = list(kernel_elements(k, itertools.permutations(range(1, 4))))
+    bad = mpl_index(2, 2, 2)
+    corrupt_series(monkeypatch, bad, 7)
+    hit = [c for c in cs if c.coefficient(bad)]
+    clean = [c for c in cs if not c.coefficient(bad)]
+    assert len(hit) >= 2 and clean
+    # The clean relations fill the rows of one batch first; each relation
+    # that holds the corrupted index is then refused, not only the first.
+    for c in hit:
+        results = verify_relations(clean + [c])
+        assert [ok for ok, _ in itertools.islice(results, len(clean))] == [True] * len(clean)
+        with pytest.raises(PipelineDisagreement, match="refusing to answer"):
+            next(results)
+    # Rows never outlive their batch: once the corruption is undone,
+    # a new batch reads fresh rows and verifies cleanly.
+    monkeypatch.undo()
+    assert all(ok for ok, _ in verify_relations(cs))
 
 
 def test_relation_record_round_trip():
