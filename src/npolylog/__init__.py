@@ -10,7 +10,6 @@ among them.  Everything is exact; no floating point anywhere.
 from .freealg import (
     NcPoly,
     lie_bracket,
-    poly_from_json_obj,
     poly_to_json_obj,
     poly_x_to_y,
     poly_y_to_x,
@@ -21,7 +20,6 @@ from .magnus import (
     dual_array_binom,
     grade_report,
     lie_power,
-    magnus_basis_check,
     magnus_indices,
     magnus_poly,
     magnus_to_word,
@@ -45,38 +43,20 @@ from .polylog import (
     verify_relations,
 )
 from .ratpoly import RatFun, euler_deriv, geom_mul, taylor_coeffs
-from .words import (
-    MultiIndex,
-    Word,
-    magnus_index,
-    mpl_index,
-    parse_index,
-    parse_y_word,
-    to_index,
-    to_y_word,
-    word_x_to_y,
-    word_y_to_x,
-)
+from .words import MultiIndex, magnus_index, mpl_index, parse_index
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MultiIndex",
-    "Word",
     "mpl_index",
     "magnus_index",
     "parse_index",
-    "parse_y_word",
-    "to_y_word",
-    "to_index",
-    "word_y_to_x",
-    "word_x_to_y",
     "NcPoly",
     "lie_bracket",
     "poly_x_to_y",
     "poly_y_to_x",
     "poly_to_json_obj",
-    "poly_from_json_obj",
     "RatFun",
     "euler_deriv",
     "geom_mul",
@@ -90,7 +70,6 @@ __all__ = [
     "word_to_magnus",
     "magnus_to_word",
     "grade_report",
-    "magnus_basis_check",
     "LinComb",
     "PipelineDisagreement",
     "polylog_rational",

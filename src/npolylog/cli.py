@@ -157,10 +157,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        # json.loads recurses once per nesting level, so a deeply nested
+        # line raises RecursionError: a parse error like any other.
         try:
             record = json.loads(line)
             c = relation_from_record(record)
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (json.JSONDecodeError, ValueError, RecursionError) as exc:
             print(f"line {lineno}: parse error: {exc}", file=sys.stderr)
             return 2
         ok, witness = verify_relation(c)

@@ -1,16 +1,17 @@
 """Noncommutative polynomials over the word algebras Q<X> and Q<Y>.
 
 An NcPoly is a finite Q-linear combination of words, stored as a
-mapping from letter tuples to coefficients.  An integral coefficient
-is stored as an int and any other as a Fraction (the rule of
-ratpoly), so each polynomial has one representation and integer
+mapping from words to coefficients.  A word is a tuple of letter
+codes (see words), the only word type of the package.  An integral
+coefficient is stored as an int and any other as a Fraction (the rule
+of ratpoly), so each polynomial has one representation and integer
 inputs (every Magnus polynomial and basis change, for instance) stay
 in integer arithmetic throughout.  Zero coefficients are dropped
 eagerly, so equality is plain dictionary equality and membership
 tests against the kernel of the polylogarithm map stay exact.
 Display and serialization order terms by word length and then
-lexicographically by letter codes, which keeps every output
-byte-deterministic.
+lexicographically by letter codes, a Y-word as its X-embedding would
+sort, which keeps every output byte-deterministic.
 
 The module also provides the Lie bracket [u, v] = uv - vu and the
 splitting isomorphism between Q<X>x1 and Q<Y>: a word that ends in x1
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 from .ratpoly import _scalar
-from .words import Word, _letters_x_to_y, _letters_y_to_x, parse_word_json, word_display, word_json
+from .words import _letters_x_to_y, _letters_y_to_x, _word_display, _word_json
 
 __all__ = [
     "NcPoly",
@@ -31,7 +32,6 @@ __all__ = [
     "poly_x_to_y",
     "poly_y_to_x",
     "poly_to_json_obj",
-    "poly_from_json_obj",
 ]
 
 Letters = tuple[int, ...]
@@ -51,11 +51,12 @@ def _check_letters(alphabet: str, letters: Letters) -> None:
 
 
 def _term_key(alphabet: str, letters: Letters) -> tuple[int, Letters]:
-    # Y-words sort through their X-embedding y_k -> x0^k x1 so that the
-    # image of a polynomial under the splitting isomorphism keeps the
-    # term order of its preimage.
+    # Y-words sort as their X-embeddings y_k -> x0^k x1 would, so that the
+    # image of a polynomial under the splitting isomorphism keeps the term
+    # order of its preimage: by embedded length, then by the larger letter
+    # first, since x0^a x1 precedes x0^b x1 in X exactly when a > b.
     if alphabet == "Y":
-        letters = _letters_y_to_x(letters)
+        return (sum(letters) + len(letters), tuple([-c for c in letters]))
     return (len(letters), letters)
 
 
@@ -119,10 +120,6 @@ class NcPoly:
         coef = _scalar(coef)
         return cls._trusted(alphabet, {letters: coef} if coef else {})
 
-    @classmethod
-    def from_word(cls, w: Word, coef: Scalar = 1) -> "NcPoly":
-        return cls.monomial(w.alphabet, w.letters, coef)
-
     # inspection -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -135,9 +132,6 @@ class NcPoly:
         """Terms in the canonical order: graded lexicographic by word length,
         then letter codes, with Y-words measured through their X-embedding."""
         return sorted(self._terms.items(), key=lambda kv: _term_key(self.alphabet, kv[0]))
-
-    def support(self) -> list[Word]:
-        return [Word(self.alphabet, ls) for ls, _ in self.sorted_terms()]
 
     def __iter__(self) -> Iterator[tuple[Letters, Scalar]]:
         return iter(self.sorted_terms())
@@ -200,18 +194,19 @@ class NcPoly:
             out = out * self
         return out
 
+    def _term_str(self, letters: Letters, mag: Scalar) -> str:
+        """One term of the display without its sign; mag is positive."""
+        if not letters:
+            return str(mag)
+        word = _word_display(self.alphabet, letters)
+        return word if mag == 1 else f"{mag}*{word}"
+
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         chunks: list[str] = []
         for letters, coef in self.sorted_terms():
-            mag = abs(coef)
-            if not letters:
-                body = str(mag)
-            elif mag == 1:
-                body = word_display(Word(self.alphabet, letters))
-            else:
-                body = f"{mag}*{word_display(Word(self.alphabet, letters))}"
+            body = self._term_str(letters, abs(coef))
             if not chunks:
                 chunks.append(f"-{body}" if coef < 0 else body)
             else:
@@ -267,14 +262,7 @@ def poly_y_to_x(b: NcPoly) -> NcPoly:
 def poly_to_json_obj(a: NcPoly) -> list[dict[str, str]]:
     """Canonically ordered [{"coef": "num/den", "word": ...}, ...]."""
     return [
-        {"coef": str(coef), "word": word_json(Word(a.alphabet, letters))}
+        {"coef": str(coef), "word": _word_json(a.alphabet, letters)}
         for letters, coef in a.sorted_terms()
     ]
 
-
-def poly_from_json_obj(alphabet: str, obj: Iterable[Mapping[str, str]]) -> NcPoly:
-    terms = []
-    for item in obj:
-        w = parse_word_json(alphabet, item["word"])
-        terms.append((w.letters, Fraction(item["coef"])))
-    return NcPoly(alphabet, terms)

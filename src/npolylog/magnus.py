@@ -18,9 +18,9 @@ cumulative budgets ("array binomials").  In one direction
 w(s) = sum_k binom<s,k> M(k); in the other M(k) = sum_s binom<<k,s>> w(s)
 with a signed dual coefficient.  Both vanish unless depth and weight
 agree, so each graded piece is a finite square matrix and the two
-coefficient families are inverse matrices; magnus_basis_check verifies
-this, together with the polynomial identities themselves, on every
-graded piece up to given bounds.
+coefficient families are inverse matrices; grade_report verifies this,
+together with the polynomial identities themselves, on every graded
+piece up to given bounds.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "word_to_magnus",
     "magnus_to_word",
     "grade_report",
-    "magnus_basis_check",
 ]
 
 
@@ -219,11 +218,6 @@ def grade_report(max_depth: int, max_weight: int) -> list[dict[str, object]]:
                 }
             )
     return cells
-
-
-def magnus_basis_check(max_depth: int, max_weight: int) -> bool:
-    """True when every graded piece in range passes grade_report."""
-    return all(cell["ok"] for cell in grade_report(max_depth, max_weight))
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -115,18 +115,9 @@ class LinComb(NcPoly):
     def __iter__(self) -> Iterator[tuple[MultiIndex, Scalar]]:
         return iter(self.items())
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for idx, coef in self.items():
-            mag = abs(coef)
-            body = f"Li{idx}" if mag == 1 else f"{mag}*Li{idx}"
-            if not chunks:
-                chunks.append(f"-{body}" if coef < 0 else body)
-            else:
-                chunks.append(f" - {body}" if coef < 0 else f" + {body}")
-        return "".join(chunks)
+    def _term_str(self, letters: tuple[int, ...], mag: Scalar) -> str:
+        li = f"Li{MultiIndex(letters)}"
+        return li if mag == 1 else f"{mag}*{li}"
 
 
 # Li values by entry tuple, kept for the life of the process.  Every

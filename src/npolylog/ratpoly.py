@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "RatFun",
@@ -96,10 +96,6 @@ class RatFun:
     def degree(self) -> int:
         """Degree of the numerator; -1 for the zero function."""
         return len(self.num) - 1
-
-    @property
-    def value_at_zero(self) -> Scalar:
-        return self.num[0] if self.num else 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -188,11 +184,6 @@ class RatFun:
         den = "(1-z)" if self.dpow == 1 else f"(1-z)^{self.dpow}"
         return f"{top}/{den}"
 
-    def coeff_str(self) -> str:
-        """Machine-oriented form ((c0,c1,...,ck))/(1-z)^d."""
-        body = ",".join(str(c) for c in self.num) if self.num else "0"
-        return f"(({body}))/(1-z)^{self.dpow}"
-
     def __repr__(self) -> str:
         return f"RatFun({self.num!r}, {self.dpow!r})"
 
@@ -200,10 +191,6 @@ class RatFun:
 
     def to_json_obj(self) -> dict[str, object]:
         return {"num": [str(c) for c in self.num], "dpow": self.dpow}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping[str, object]) -> "RatFun":
-        return cls(obj["num"], int(obj["dpow"]))  # type: ignore[arg-type]
 
 
 def _term_str(coef: Scalar, deg: int) -> str:

@@ -3,7 +3,9 @@
 Two alphabets appear throughout.  X = {x0, x1} generates the free
 associative algebra whose Magnus-type basis drives all expansions, and
 the countable alphabet Y = {y0, y1, ...} encodes polylogarithm indices
-letter by letter.  A plain index (s1,...,sr) stands for the nested
+letter by letter.  A word is a tuple of letter codes, 0 and 1 for x0
+and x1 and n for y_n, so the Y-word y_s1...y_sr is the entry tuple of
+the plain index (s1,...,sr).  A plain index stands for the nested
 series sum_{n1>...>nr>0} n1^s1 ... nr^sr z^n1.  An index written in
 tail form (k1,...,kn;kinf) labels a Magnus polynomial; its last entry
 is the exponent of a trailing x0 block and does not count toward the
@@ -11,8 +13,9 @@ depth.  The two kinds are kept apart by an explicit flag instead of a
 caller-side convention.
 
 Text notation: "(1,2,3)" plain, "()" the empty index, "(1;2)" tail
-form, "(;2)" tail form of depth 0.  Y-words read "y1y2" or "y1 y2",
-with "eps" for the empty word.
+form, "(;2)" tail form of depth 0.  Words display as "x0x1x0^2" or
+"y1y2" and serialize as "x0x1x0x0" or "y1 y2", with "eps" for the
+empty word.
 """
 
 from __future__ import annotations
@@ -21,21 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = [
-    "MultiIndex",
-    "Word",
-    "mpl_index",
-    "magnus_index",
-    "parse_index",
-    "to_y_word",
-    "to_index",
-    "word_y_to_x",
-    "word_x_to_y",
-    "word_display",
-    "word_json",
-    "parse_word_json",
-    "parse_y_word",
-]
+__all__ = ["MultiIndex", "mpl_index", "magnus_index", "parse_index"]
 
 
 @dataclass(frozen=True)
@@ -114,49 +103,6 @@ def parse_index(text: str) -> MultiIndex:
     return MultiIndex(tuple(_parse_int(p, text) for p in body.split(",")))
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word over X (letter codes 0, 1) or Y (codes n >= 0 meaning y_n)."""
-
-    alphabet: str
-    letters: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.alphabet not in ("X", "Y"):
-            raise ValueError(f"unknown alphabet {self.alphabet!r}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for c in self.letters:
-            if not isinstance(c, int) or c < 0 or (self.alphabet == "X" and c > 1):
-                raise ValueError(f"bad letter {c!r} for alphabet {self.alphabet}")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        return Word(self.alphabet, self.letters + other.letters)
-
-    def __str__(self) -> str:
-        return word_display(self)
-
-
-def to_y_word(s: MultiIndex) -> Word:
-    """(s1,...,sr) -> y_{s1}...y_{sr}; the empty index maps to the empty word."""
-    if s.magnus:
-        raise ValueError("only plain indices encode Y-words")
-    return Word("Y", s.entries)
-
-
-def to_index(w: Word) -> MultiIndex:
-    """Inverse of to_y_word."""
-    if w.alphabet != "Y":
-        raise ValueError("expected a Y-word")
-    return MultiIndex(w.letters)
-
-
 def _letters_y_to_x(letters: Iterable[int]) -> tuple[int, ...]:
     """The embedding y_s -> x0^s x1 on letter codes, extended to words."""
     out: list[int] = []
@@ -169,7 +115,7 @@ def _letters_y_to_x(letters: Iterable[int]) -> tuple[int, ...]:
 def _letters_x_to_y(letters: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse of _letters_y_to_x: X-words ending in x1, and the empty word."""
     if letters and letters[-1] != 1:
-        raise ValueError(f"not in <X>x1: {word_display(Word('X', letters))}")
+        raise ValueError(f"not in <X>x1: {_word_display('X', letters)}")
     out: list[int] = []
     run = 0
     for c in letters:
@@ -181,63 +127,26 @@ def _letters_x_to_y(letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def word_y_to_x(w: Word) -> Word:
-    """The monoid embedding y_s -> x0^s x1, extended multiplicatively."""
-    if w.alphabet != "Y":
-        raise ValueError("expected a Y-word")
-    return Word("X", _letters_y_to_x(w.letters))
-
-
-def word_x_to_y(w: Word) -> Word:
-    """Inverse of word_y_to_x on its image (X-words ending in x1, plus the empty word)."""
-    if w.alphabet != "X":
-        raise ValueError("expected an X-word")
-    return Word("Y", _letters_x_to_y(w.letters))
-
-
-def word_display(w: Word) -> str:
-    """Compact human form: "x0x1x0^2", "y1y2", "eps"."""
-    if not w.letters:
-        return "eps"
-    if w.alphabet == "Y":
-        return "".join(f"y{c}" for c in w.letters)
+def _word_display(alphabet: str, letters: tuple[int, ...]) -> str:
+    """Compact form of a non-empty word: "x0x1x0^2", "y1y2"."""
+    if alphabet == "Y":
+        return "".join(f"y{c}" for c in letters)
     parts: list[str] = []
     i = 0
-    while i < len(w.letters):
+    while i < len(letters):
         j = i
-        while j < len(w.letters) and w.letters[j] == w.letters[i]:
+        while j < len(letters) and letters[j] == letters[i]:
             j += 1
         run = j - i
-        parts.append(f"x{w.letters[i]}" + (f"^{run}" if run > 1 else ""))
+        parts.append(f"x{letters[i]}" + (f"^{run}" if run > 1 else ""))
         i = j
     return "".join(parts)
 
 
-def word_json(w: Word) -> str:
+def _word_json(alphabet: str, letters: tuple[int, ...]) -> str:
     """Serialized form: "x0x1x0x0" for X, "y1 y2" for Y, "eps" when empty."""
-    if not w.letters:
+    if not letters:
         return "eps"
-    if w.alphabet == "X":
-        return "".join(f"x{c}" for c in w.letters)
-    return " ".join(f"y{c}" for c in w.letters)
-
-
-def parse_word_json(alphabet: str, text: str) -> Word:
-    t = text.strip()
-    if t == "eps":
-        return Word(alphabet, ())
     if alphabet == "X":
-        if not re.fullmatch(r"(?:x[01])+", t):
-            raise ValueError(f"bad X-word {text!r}")
-        return Word("X", tuple(int(c) for c in re.findall(r"x([01])", t)))
-    return parse_y_word(t)
-
-
-def parse_y_word(text: str) -> Word:
-    """Parse "y1y2", "y1 y2" or "eps"."""
-    t = text.strip()
-    if t == "eps":
-        return Word("Y", ())
-    if not re.fullmatch(r"(?:\s*y\d+)+", t):
-        raise ValueError(f"bad Y-word {text!r}")
-    return Word("Y", tuple(int(n) for n in re.findall(r"y(\d+)", t)))
+        return "".join(f"x{c}" for c in letters)
+    return " ".join(f"y{c}" for c in letters)

@@ -239,6 +239,21 @@ def test_verify_parse_error(capsys, monkeypatch):
     assert err.startswith("line 1: parse error:")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[" * 200000,
+        '{"terms": [{"coef": "1", "index": [1]}], "note": ' + "[" * 200000 + "]" * 200000 + "}",
+    ],
+    ids=["unclosed-arrays", "nested-extra-field"],
+)
+def test_verify_reports_deep_nesting_as_a_parse_error(capsys, monkeypatch, line):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(GOOD_LINE + "\n" + line + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 2 and out == "line 1: ok\n"
+    assert err.startswith("line 2: parse error: ") and err.count("\n") == 1
+
+
 def test_verify_rejects_bool_index_entries(capsys, monkeypatch):
     line = '{"terms":[{"coef":"1","index":[true]},{"coef":"-1","index":[1]}]}'
     monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))

@@ -1,5 +1,6 @@
 """Ring structure of the word algebras and the splitting isomorphism."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from npolylog.freealg import (
     NcPoly,
+    _term_key,
     lie_bracket,
-    poly_from_json_obj,
     poly_to_json_obj,
     poly_x_to_y,
     poly_y_to_x,
 )
+from npolylog.words import _letters_y_to_x
 
 
 def random_poly(rng, alphabet, max_terms=5, max_len=6, min_len=0, ending_in_x1=False):
@@ -135,6 +137,17 @@ def test_display_order_and_strings():
     assert str(NcPoly("X", {(): Fraction(-1, 2), (0,): 2})) == "-1/2 + 2*x0"
 
 
+def test_y_term_order_is_the_order_of_the_x_embeddings():
+    # _term_key orders Y-words without building their X-embeddings; the
+    # graded lex order of the embeddings is the reference.
+    words = [w for n in range(6) for w in itertools.product(range(7), repeat=n)]
+    assert len(words) == 19608
+    embedded = sorted(words, key=lambda w: (len(_letters_y_to_x(w)), _letters_y_to_x(w)))
+    assert sorted(words, key=lambda w: _term_key("Y", w)) == embedded
+    p = NcPoly("Y", {w: i + 1 for i, w in enumerate(words[:400])})
+    assert [w for w, _ in poly_y_to_x(p).sorted_terms()] == [_letters_y_to_x(w) for w, _ in p.sorted_terms()]
+
+
 def test_json_round_trip():
     p = NcPoly("X", {(0, 1, 0, 0): 1, (1, 0, 0, 0): -1})
     obj = poly_to_json_obj(p)
@@ -142,9 +155,13 @@ def test_json_round_trip():
         {"coef": "1", "word": "x0x1x0x0"},
         {"coef": "-1", "word": "x1x0x0x0"},
     ]
-    assert poly_from_json_obj("X", obj) == p
+    # an X-word serializes as its letter codes, each after an "x"
+    assert NcPoly("X", {tuple(map(int, t["word"][1::2])): Fraction(t["coef"]) for t in obj}) == p
     q = NcPoly("Y", {(1, 2): Fraction(1, 3), (): -2})
-    assert poly_from_json_obj("Y", poly_to_json_obj(q)) == q
+    assert poly_to_json_obj(q) == [
+        {"coef": "-2", "word": "eps"},
+        {"coef": "1/3", "word": "y1 y2"},
+    ]
 
 
 def assert_canonical(p):

@@ -15,7 +15,6 @@ from npolylog.magnus import (
     dual_array_binom,
     grade_report,
     lie_power,
-    magnus_basis_check,
     magnus_indices,
     magnus_poly,
     magnus_to_word,
@@ -239,9 +238,8 @@ def test_polynomials_store_integer_coefficients():
 
 
 def test_magnus_basis_check():
-    assert magnus_basis_check(2, 4)
-    assert magnus_basis_check(0, 3)
-    assert magnus_basis_check(3, 6)
+    for max_depth, max_weight in [(2, 4), (0, 3), (3, 6)]:
+        assert all(cell["ok"] for cell in grade_report(max_depth, max_weight))
 
 
 def test_magnus_polys_span_by_gaussian_rank():

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import npolylog.polylog as pl
 from npolylog.freealg import NcPoly
@@ -328,6 +330,12 @@ def test_products_commute_after_evaluation():
             a = polylog_map(nfold_product([m, n]))
             b = polylog_map(nfold_product([n, m]))
             assert a == b
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 5), st.integers(0, 5))
+def test_product_commutator_is_a_relation_property(u, v):
+    assert verify_relation(nfold_product([u, v]) - nfold_product([v, u])) == (True, None)
 
 
 def test_magnus_product_identity_examples():
