@@ -7,83 +7,13 @@ letters, and generates and verifies Q-linear functional equations
 among them.  Everything is exact; no floating point anywhere.
 """
 
-from .freealg import (
-    NcPoly,
-    lie_bracket,
-    poly_to_json_obj,
-    poly_x_to_y,
-    poly_y_to_x,
-)
-from .magnus import (
-    array_binom,
-    basis_word,
-    dual_array_binom,
-    grade_report,
-    lie_power,
-    magnus_indices,
-    magnus_poly,
-    magnus_to_word,
-    word_to_magnus,
-)
-from .polylog import (
-    LinComb,
-    PipelineDisagreement,
-    expand_to_products,
-    kernel_element,
-    kernel_elements,
-    magnus_product_identity,
-    nfold_product,
-    polylog_map,
-    polylog_rational,
-    product_letter_word,
-    relation_from_record,
-    relation_record,
-    series_coeffs,
-    verify_relation,
-    verify_relations,
-)
-from .ratpoly import RatFun, euler_deriv, geom_mul, taylor_coeffs
-from .words import MultiIndex, magnus_index, mpl_index, parse_index
+from . import freealg, magnus, polylog, ratpoly, words
+from .freealg import *  # noqa: F401,F403
+from .magnus import *  # noqa: F401,F403
+from .polylog import *  # noqa: F401,F403
+from .ratpoly import *  # noqa: F401,F403
+from .words import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MultiIndex",
-    "mpl_index",
-    "magnus_index",
-    "parse_index",
-    "NcPoly",
-    "lie_bracket",
-    "poly_x_to_y",
-    "poly_y_to_x",
-    "poly_to_json_obj",
-    "RatFun",
-    "euler_deriv",
-    "geom_mul",
-    "taylor_coeffs",
-    "lie_power",
-    "magnus_poly",
-    "basis_word",
-    "array_binom",
-    "dual_array_binom",
-    "magnus_indices",
-    "word_to_magnus",
-    "magnus_to_word",
-    "grade_report",
-    "LinComb",
-    "PipelineDisagreement",
-    "polylog_rational",
-    "polylog_map",
-    "series_coeffs",
-    "expand_to_products",
-    "product_letter_word",
-    "nfold_product",
-    "magnus_product_identity",
-    "kernel_element",
-    "kernel_elements",
-    "verify_relation",
-    "verify_relations",
-    "relation_record",
-    "relation_from_record",
-    "__version__",
-]
+__all__ = [*words.__all__, *freealg.__all__, *ratpoly.__all__, *magnus.__all__, *polylog.__all__, "__version__"]

@@ -149,6 +149,8 @@ def _read_relation_lines(args: argparse.Namespace) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.bundled and args.file is not None:
+        raise ValueError("give either a relation file or --bundled, not both")
     if not args.bundled and args.file is None:
         raise ValueError("give a relation file, '-' for stdin, or --bundled")
     text = _read_relation_lines(args)
@@ -265,10 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PipelineDisagreement as exc:

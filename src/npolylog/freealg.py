@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .ratpoly import _scalar
+from .ratpoly import Scalar, _scalar
 from .words import _letters_x_to_y, _letters_y_to_x, _word_display, _word_json
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 Letters = tuple[int, ...]
-Scalar = Union[int, Fraction]
 TermsLike = Union[Mapping[Letters, Scalar], Iterable[tuple[Letters, Scalar]], None]
 
 
@@ -156,13 +155,10 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._require_same(other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            _add_term(out, w, c)
-        return self._trusted(self.alphabet, out)
+        return self._trusted(self.alphabet, _combine(((1, self), (1, other))))
 
     def __neg__(self) -> "NcPoly":
-        return self._trusted(self.alphabet, {w: -c for w, c in self._terms.items()})
+        return self * -1
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         if not isinstance(other, NcPoly):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .freealg import NcPoly, _combine
 from .words import MultiIndex, _letters_y_to_x
@@ -158,26 +158,25 @@ def magnus_indices(depth: int, weight: int) -> list[MultiIndex]:
     return [MultiIndex(c, magnus=True) for c in _compositions(weight, depth + 1)]
 
 
+def _row(entry: Callable[[tuple[int, ...], tuple[int, ...]], int], a: MultiIndex) -> dict[MultiIndex, int]:
+    """Nonzero entry(a.prefix, b.prefix) over every b in the graded piece of a."""
+    _require_magnus(a)
+    out: dict[MultiIndex, int] = {}
+    for b in magnus_indices(a.depth, a.weight):
+        v = entry(a.prefix, b.prefix)
+        if v:
+            out[b] = v
+    return out
+
+
 def word_to_magnus(s: MultiIndex) -> dict[MultiIndex, int]:
     """Nonzero coefficients of w(s) in the Magnus basis."""
-    _require_magnus(s)
-    out: dict[MultiIndex, int] = {}
-    for k in magnus_indices(s.depth, s.weight):
-        v = array_binom(s, k)
-        if v:
-            out[k] = v
-    return out
+    return _row(_array_binom, s)
 
 
 def magnus_to_word(k: MultiIndex) -> dict[MultiIndex, int]:
     """Nonzero coefficients of M(k) in the monomial basis."""
-    _require_magnus(k)
-    out: dict[MultiIndex, int] = {}
-    for s in magnus_indices(k.depth, k.weight):
-        v = dual_array_binom(k, s)
-        if v:
-            out[s] = v
-    return out
+    return _row(_dual_array_binom, k)
 
 
 def grade_report(max_depth: int, max_weight: int) -> list[dict[str, object]]:

@@ -51,9 +51,9 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .freealg import NcPoly, Scalar, _add_term, poly_x_to_y
+from .freealg import NcPoly, _add_term, poly_x_to_y
 from .magnus import _require_magnus, magnus_poly, word_to_magnus
-from .ratpoly import RatFun, _scalar, euler_deriv, geom_mul, taylor_coeffs
+from .ratpoly import RatFun, Scalar, _scalar, euler_deriv, geom_mul, taylor_coeffs
 from .words import MultiIndex
 
 __all__ = [
@@ -204,27 +204,22 @@ def polylog_map(c: LinComb) -> RatFun:
 def series_coeffs(s: MultiIndex, n_max: int) -> list[int]:
     """Coefficients of z^0..z^n_max of Li(s), by the triangular recursion.
 
-    Summing over the innermost index first: with g_r(m) = m^(s_r) and
-    g_j(m) = m^(s_j) * sum_{m > l > 0} g_(j+1)(l), the coefficient of
-    z^n is g_1(n).  Prefix sums keep the cost at depth * n_max.
+    Summing over the innermost index first: with g_(r+1) the series
+    [1, 0, ..., 0] of Li(()) = 1 and g_j(m) = m^(s_j) * sum_{m > l >= 0}
+    g_(j+1)(l), the coefficient of z^n is g_1(n).  Prefix sums keep the
+    cost at depth * n_max.
     """
     _require_plain(s)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if not s.entries:
-        return [1] + [0] * n_max
-    g: list[int] | None = None
+    g = [1] + [0] * n_max
     for e in reversed(s.entries):
-        if g is None:
-            g = [0] + [m**e for m in range(1, n_max + 1)]
-        else:
-            prefix = 0
-            new = [0] * (n_max + 1)
-            for m in range(1, n_max + 1):
-                prefix += g[m - 1]
-                new[m] = m**e * prefix
-            g = new
-    assert g is not None
+        prefix = 0
+        new = [0] * (n_max + 1)
+        for m in range(1, n_max + 1):
+            prefix += g[m - 1]
+            new[m] = m**e * prefix
+        g = new
     return g
 
 

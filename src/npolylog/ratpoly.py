@@ -148,8 +148,6 @@ class RatFun:
             return RatFun([other * a for a in self.num], self.dpow)
         if not isinstance(other, RatFun):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RatFun.zero()
         out: list[Scalar] = [0] * (len(self.num) + len(other.num) - 1)
         for i, a in enumerate(self.num):
             if a:
@@ -224,8 +222,6 @@ def euler_deriv(f: RatFun) -> RatFun:
 
     z d/dz (P/(1-z)^d) = z (P'(z)(1-z) + d P(z)) / (1-z)^(d+1).
     """
-    if f.is_zero():
-        return RatFun.zero()
     dp = [(j + 1) * f.num[j + 1] for j in range(len(f.num) - 1)]
     inner = _mul_one_minus_z(dp)
     if len(inner) < len(f.num):
@@ -237,8 +233,6 @@ def euler_deriv(f: RatFun) -> RatFun:
 
 def geom_mul(f: RatFun) -> RatFun:
     """Multiply by z/(1-z)."""
-    if f.is_zero():
-        return RatFun.zero()
     return RatFun((0,) + f.num, f.dpow + 1)
 
 

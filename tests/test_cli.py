@@ -289,6 +289,13 @@ def test_verify_bundled(capsys):
     assert all(line.endswith("ok") for line in lines[:-1])
 
 
+def test_verify_refuses_a_file_together_with_bundled(capsys):
+    for path in ("/nonexistent/path.jsonl", "-"):
+        code, out, err = run(capsys, "verify", path, "--bundled")
+        assert code == 2 and out == ""
+        assert err == "error: give either a relation file or --bundled, not both\n"
+
+
 def test_duality_check(capsys):
     code, out, err = run(capsys, "duality-check", "--max-depth", "1", "--max-weight", "1")
     assert code == 0

@@ -110,6 +110,14 @@ def test_euler_deriv_examples():
     assert euler_deriv(RatFun((0, 1), 1)) == RatFun((0, 1), 2)
 
 
+def test_operators_map_zero_to_the_canonical_zero():
+    zero = RatFun()
+    f = RatFun((1, 2), 3)
+    for got in (euler_deriv(zero), geom_mul(zero), zero * f, f * zero, zero * zero):
+        assert got == zero
+        assert got.num == () and got.dpow == 0
+
+
 def test_euler_deriv_leibniz_rule():
     rng = random.Random(434)
     for _ in range(20):
