@@ -63,7 +63,8 @@ def _add_term(out: dict[Letters, Scalar], letters: Letters, coef: Scalar) -> Non
     """out[letters] += coef in place, keeping the int rule and dropping zeros."""
     s = out.get(letters, 0) + coef
     if s:
-        out[letters] = s if type(s) is int else _scalar(s)
+        # A Fraction sum is already in lowest terms.
+        out[letters] = s if type(s) is int or s.denominator != 1 else s.numerator
     else:
         out.pop(letters, None)
 

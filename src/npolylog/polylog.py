@@ -423,16 +423,20 @@ def relation_record(c: LinComb, verified: bool) -> dict[str, object]:
     }
 
 
-def relation_from_record(obj: Mapping[str, object]) -> LinComb:
-    """Parse the terms of a relation record; raises ValueError when malformed."""
-    if not isinstance(obj, Mapping) or "terms" not in obj:
+def relation_from_record(obj: dict[str, object]) -> LinComb:
+    """Parse the terms of a relation record; raises ValueError when malformed.
+
+    One pass over the parsed JSON: each term is checked and added to
+    the combination as it is read.
+    """
+    if not isinstance(obj, dict) or "terms" not in obj:
         raise ValueError("relation record must be an object with a 'terms' array")
-    terms = obj["terms"]
-    if not isinstance(terms, list):
+    items = obj["terms"]
+    if not isinstance(items, list):
         raise ValueError("'terms' must be an array")
-    out: list[tuple[MultiIndex, Fraction]] = []
-    for i, item in enumerate(terms):
-        if not isinstance(item, Mapping) or "coef" not in item or "index" not in item:
+    terms: dict[tuple[int, ...], Scalar] = {}
+    for i, item in enumerate(items):
+        if not isinstance(item, dict) or "coef" not in item or "index" not in item:
             raise ValueError(f"term {i} must be an object with 'coef' and 'index'")
         try:
             coef = Fraction(str(item["coef"]))
@@ -443,5 +447,8 @@ def relation_from_record(obj: Mapping[str, object]) -> LinComb:
             isinstance(e, int) and not isinstance(e, bool) for e in index
         ):
             raise ValueError(f"term {i} has a bad index {index!r}")
-        out.append((MultiIndex(tuple(index)), coef))
-    return LinComb(out)
+        negative = [e for e in index if e < 0]
+        if negative:
+            raise ValueError(f"bad index entry {negative[0]!r}: entries are integers >= 0")
+        _add_term(terms, tuple(index), coef.numerator if coef.denominator == 1 else coef)
+    return LinComb._trusted("Y", terms)

@@ -14,13 +14,18 @@ a gcd: evaluate P at 1 and divide synthetically while it vanishes.
 Beyond the ring operations the module provides the two operators that
 generate all polylogarithm values here: the Euler operator z d/dz and
 multiplication by z/(1-z), plus exact Taylor coefficient extraction
-via coeff(z^n, 1/(1-z)^d) = C(n+d-1, d-1).
+via coeff(z^n, 1/(1-z)^d) = C(n+d-1, d-1).  The Euler operator builds
+each numerator coefficient from two neighbouring ones in a single
+pass, and on a canonical input with d >= 1 its result is canonical
+once trailing zeros are trimmed, as is z/(1-z) times it, so both skip
+the (1-z) reduction.  The Taylor coefficients convolve P with the row
+C(m+d-1, d-1), m = 0..n, built once by the ratio (m+d-1)/m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -72,6 +77,18 @@ class RatFun:
             dpow = 0
         self.num = tuple(coeffs)
         self.dpow = dpow
+
+    @classmethod
+    def _trusted(cls, num: tuple[Scalar, ...], dpow: int) -> "RatFun":
+        """Wrap num/(1-z)^dpow as it is, already canonical.
+
+        num must hold ints where integral, end in a nonzero coefficient,
+        and have num(1) != 0 when dpow > 0; nothing is checked.
+        """
+        f = cls.__new__(cls)
+        f.num = num
+        f.dpow = dpow
+        return f
 
     # construction ---------------------------------------------------------
 
@@ -220,40 +237,45 @@ def _poly_str(coeffs: Sequence[Scalar]) -> str:
 def euler_deriv(f: RatFun) -> RatFun:
     """The Euler operator z d/dz, exact on P/(1-z)^d.
 
-    z d/dz (P/(1-z)^d) = z (P'(z)(1-z) + d P(z)) / (1-z)^(d+1).
+    z d/dz (P/(1-z)^d) = z (P'(z)(1-z) + d P(z)) / (1-z)^(d+1), whose
+    numerator has z^(i+1) coefficient (i+1) P_(i+1) + (d-i) P_i, built
+    in one pass.  For d >= 1 that numerator takes the value d P(1) != 0
+    at z = 1, so the result is canonical once trailing zeros are gone;
+    for d = 0 the constructor still divides out the factors (1-z).
     """
-    dp = [(j + 1) * f.num[j + 1] for j in range(len(f.num) - 1)]
-    inner = _mul_one_minus_z(dp)
-    if len(inner) < len(f.num):
-        inner += [0] * (len(f.num) - len(inner))
-    for i, c in enumerate(f.num):
-        inner[i] += f.dpow * c
-    return RatFun([0] + inner, f.dpow + 1)
+    p, d = f.num, f.dpow
+    out = [0]
+    out += [(i + 1) * b + (d - i) * a for i, (a, b) in enumerate(zip(p, p[1:] + (0,)))]
+    if d == 0:
+        return RatFun(out, 1)
+    while not out[-1]:
+        out.pop()
+    return RatFun._trusted(tuple([c if type(c) is int else _scalar(c) for c in out]), d + 1)
 
 
 def geom_mul(f: RatFun) -> RatFun:
     """Multiply by z/(1-z)."""
-    return RatFun((0,) + f.num, f.dpow + 1)
+    if f.dpow:
+        # z P keeps P(1) != 0 and the leading coefficient of P.
+        return RatFun._trusted((0,) + f.num, f.dpow + 1)
+    return RatFun((0,) + f.num, 1)
 
 
 def taylor_coeffs(f: RatFun, n_max: int) -> list[Scalar]:
     """Coefficients of z^0..z^n_max in the expansion around 0.
 
-    1/(1-z)^d = sum_n C(n+d-1, d-1) z^n, so the coefficient of z^n is
-    sum_j P_j C(n-j+d-1, d-1).
+    1/(1-z)^d = sum_m C(m+d-1, d-1) z^m, so the coefficient of z^n is
+    sum_j P_j C(n-j+d-1, d-1).  The binomial row is built once, each
+    entry from the one before, and convolved with P.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if f.dpow == 0:
-        return [f.num[n] if n < len(f.num) else 0 for n in range(n_max + 1)]
-    d = f.dpow
-    out = []
-    for n in range(n_max + 1):
-        acc: Scalar = 0
-        for j, c in enumerate(f.num):
-            if j > n:
-                break
-            if c:
-                acc += c * comb(n - j + d - 1, d - 1)
-        out.append(acc)
-    return out
+    p, d = f.num, f.dpow
+    if d == 0:
+        return [p[n] if n < len(p) else 0 for n in range(n_max + 1)]
+    # rev[n_max - m] = C(m+d-1, d-1), so coefficient n pairs P_j with rev[n_max - n + j].
+    rev = [1]
+    for m in range(1, n_max + 1):
+        rev.append(rev[-1] * (m + d - 1) // m)
+    rev.reverse()
+    return [sum(map(mul, p[: n + 1], rev[n_max - n :])) for n in range(n_max + 1)]

@@ -4,6 +4,7 @@ Each follows its definition literally and is meant for small inputs only.
 """
 
 import itertools
+from math import comb
 
 from npolylog.freealg import NcPoly, lie_bracket
 from npolylog.magnus import lie_power
@@ -71,3 +72,34 @@ def polylog_by_fold(s: MultiIndex) -> RatFun:
         for _ in range(e):
             f = euler_deriv(f)
     return f
+
+
+def euler_deriv_by_formula(f: RatFun) -> RatFun:
+    """z d/dz (P/(1-z)^d) = z (P'(z)(1-z) + d P(z)) / (1-z)^(d+1), term by term.
+
+    Forms P', multiplies it by (1-z), adds d P and hands the numerator
+    to the canonicalising constructor; an oracle for euler_deriv.
+    """
+    dp = [(j + 1) * f.num[j + 1] for j in range(len(f.num) - 1)]
+    inner = dp + [0]
+    for i in range(len(dp)):
+        inner[i + 1] -= dp[i]
+    inner += [0] * (len(f.num) - len(inner))
+    for i, c in enumerate(f.num):
+        inner[i] += f.dpow * c
+    return RatFun([0] + inner, f.dpow + 1)
+
+
+def taylor_coeffs_by_comb(f: RatFun, n_max: int) -> list:
+    """Coefficient n as sum_j P_j C(n-j+d-1, d-1), one comb per term; oracle for taylor_coeffs."""
+    if f.dpow == 0:
+        return [f.num[n] if n < len(f.num) else 0 for n in range(n_max + 1)]
+    d = f.dpow
+    out = []
+    for n in range(n_max + 1):
+        acc = 0
+        for j, c in enumerate(f.num[: n + 1]):
+            if c:
+                acc += c * comb(n - j + d - 1, d - 1)
+        out.append(acc)
+    return out

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -201,6 +202,22 @@ def test_kernel_verify_round_trip(tmp_path, capsys):
     assert out == "line 1: ok\nline 2: ok\nchecked 2 relations: 2 ok, 0 failed\n"
 
 
+def test_verify_reads_each_series_row_once_per_file(capsys, monkeypatch):
+    _, sweep, _ = run(capsys, "kernel", "(1,2;1)", "--all-sigma")
+    wanted = set()
+    for line in sweep.splitlines():
+        entries = relation_from_record(json.loads(line))._terms
+        bound = max((sum(e) + len(e) for e in entries), default=0)
+        wanted |= {(e, bound) for e in entries}
+    read = []
+    good = pl.series_coeffs
+    monkeypatch.setattr(pl, "series_coeffs", lambda s, n: read.append((s.entries, n)) or good(s, n))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(sweep))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 0 and out.endswith("checked 6 relations: 6 ok, 0 failed\n")
+    assert sorted(read) == sorted(wanted)
+
+
 def test_verify_stdin_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(GOOD_LINE + "\n" + BAD_LINE + "\n"))
     code, out, err = run(capsys, "verify", "-")
@@ -260,6 +277,68 @@ def test_verify_rejects_bool_index_entries(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "-")
     assert code == 2 and out == ""
     assert err == "line 1: parse error: term 0 has a bad index [True]\n"
+
+
+# verify reads a coefficient as Fraction(str(value)), from a JSON string
+# or number alike, so it takes Fraction's string syntax.  Underscores
+# belong to that syntax from Python 3.11 on, spaces around the slash
+# from 3.12 on.
+UNDERSCORE = ('"1_0"', 10, "10z/(1-z)^2")
+SPACED = ('"1 / 3"', Fraction(1, 3), "(1/3)z/(1-z)^2")
+ACCEPTED_COEFFICIENTS = [
+    ('" 2 "', 2, "2z/(1-z)^2"),
+    ('"1.5"', Fraction(3, 2), "(3/2)z/(1-z)^2"),
+    ('"1e-7"', Fraction(1, 10**7), "(1/10000000)z/(1-z)^2"),
+    ('"-3/9"', Fraction(-1, 3), "(-1/3)z/(1-z)^2"),
+    ('"4/2"', 2, "2z/(1-z)^2"),
+    ("1.5", Fraction(3, 2), "(3/2)z/(1-z)^2"),
+]
+REJECTED_TERMS = [
+    ('"0x10"', "[1]", "term 0 has a bad coefficient '0x10'"),
+    ("true", "[1]", "term 0 has a bad coefficient True"),
+    ("1e400", "[1]", "term 0 has a bad coefficient inf"),
+    ('"1"', "[1.0]", "term 0 has a bad index [1.0]"),
+    ('"1"', "[true]", "term 0 has a bad index [True]"),
+    ('"1"', "[1, -2]", "bad index entry -2: entries are integers >= 0"),
+]
+if sys.version_info >= (3, 11):
+    ACCEPTED_COEFFICIENTS.append(UNDERSCORE)
+else:
+    REJECTED_TERMS.append((UNDERSCORE[0], "[1]", "term 0 has a bad coefficient '1_0'"))
+if sys.version_info >= (3, 12):
+    ACCEPTED_COEFFICIENTS.append(SPACED)
+else:
+    REJECTED_TERMS.append((SPACED[0], "[1]", "term 0 has a bad coefficient '1 / 3'"))
+
+
+@pytest.mark.parametrize("coef, value, witness", ACCEPTED_COEFFICIENTS, ids=lambda x: str(x))
+def test_verify_accepts_fraction_syntax_coefficients(capsys, monkeypatch, coef, value, witness):
+    line = '{"terms": [{"coef": %s, "index": [1]}]}' % coef
+    terms = relation_from_record(json.loads(line))._terms
+    assert terms == {(1,): value} and type(terms[1,]) is type(value)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 1 and err == ""
+    assert out == f"line 1: FAIL witness={witness}\nchecked 1 relations: 0 ok, 1 failed\n"
+
+
+def test_verify_sums_duplicate_indices(capsys, monkeypatch):
+    line = '{"terms": [{"coef": "1/2", "index": [2, 1]}, {"coef": "-1/2", "index": [2, 1]}]}'
+    assert relation_from_record(json.loads(line)).is_zero()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, out, err) == (0, "line 1: ok\nchecked 1 relations: 1 ok, 0 failed\n", "")
+
+
+@pytest.mark.parametrize("coef, index, message", REJECTED_TERMS, ids=lambda x: str(x))
+def test_verify_rejects_malformed_terms(capsys, monkeypatch, coef, index, message):
+    line = '{"terms": [{"coef": %s, "index": %s}]}' % (coef, index)
+    with pytest.raises(ValueError) as exc:
+        relation_from_record(json.loads(line))
+    assert str(exc.value) == message
+    monkeypatch.setattr(sys, "stdin", io.StringIO(GOOD_LINE + "\n" + line + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, out, err) == (2, "line 1: ok\n", f"line 2: parse error: {message}\n")
 
 
 def test_pipeline_disagreement_exits_3(capsys, monkeypatch):

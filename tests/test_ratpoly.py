@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npolylog.ratpoly import RatFun, euler_deriv, geom_mul, taylor_coeffs
+from oracles import euler_deriv_by_formula, taylor_coeffs_by_comb
 
 
 def random_ratfun(rng, max_deg=4, max_dpow=4):
@@ -116,6 +117,53 @@ def test_operators_map_zero_to_the_canonical_zero():
     for got in (euler_deriv(zero), geom_mul(zero), zero * f, f * zero, zero * zero):
         assert got == zero
         assert got.num == () and got.dpow == 0
+
+
+def canonical_ratfun(rng, deg, dpow):
+    """A canonical P/(1-z)^dpow with deg P = deg, mixing int and Fraction coefficients."""
+    num = [rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))]) for _ in range(deg)]
+    num.append(rng.choice([1, -2, Fraction(3, 2)]))
+    if dpow and sum(num) == 0:
+        num[0] += 1
+    f = RatFun(num, dpow)
+    assert f.dpow == dpow and f.degree == deg
+    return f
+
+
+def assert_same(got, want):
+    """Equal values stored alike: same coefficients, same types, same dpow, canonical."""
+    assert got == want and [type(c) for c in got.num] == [type(c) for c in want.num]
+    assert RatFun(got.num, got.dpow) == got
+
+
+def test_euler_deriv_and_geom_mul_match_the_reference_formulas():
+    rng = random.Random(437)
+    for dpow in range(7):
+        # deg P = dpow makes the top coefficient (dpow - deg) P_deg of the
+        # result vanish, so the trailing-zero trim is exercised at every d.
+        for deg in range(dpow + 3):
+            for _ in range(3):
+                f = canonical_ratfun(rng, deg, dpow)
+                assert_same(euler_deriv(f), euler_deriv_by_formula(f))
+                assert_same(geom_mul(f), RatFun((0,) + f.num, f.dpow + 1))
+    # d = 0 numerators divisible by (1-z): every factor is divided out again.
+    for k in range(1, 4):
+        for _ in range(5):
+            q = canonical_ratfun(rng, rng.randint(0, 3), 0)
+            f = q * RatFun((1, -1), 0) ** k
+            assert f.dpow == 0
+            assert_same(euler_deriv(f), euler_deriv_by_formula(f))
+            assert_same(geom_mul(f), RatFun((0,) + f.num, 1))
+
+
+def test_taylor_coeffs_match_the_comb_reference():
+    rng = random.Random(438)
+    for dpow in range(31):
+        f = canonical_ratfun(rng, rng.randint(0, dpow + 2), dpow)
+        for n_max in (0, 1, dpow, 60):
+            got = taylor_coeffs(f, n_max)
+            want = taylor_coeffs_by_comb(f, n_max)
+            assert got == want and [type(c) for c in got] == [type(c) for c in want]
 
 
 def test_euler_deriv_leibniz_rule():
