@@ -311,7 +311,7 @@ else:
     REJECTED_TERMS.append((SPACED[0], "[1]", "term 0 has a bad coefficient '1 / 3'"))
 
 
-@pytest.mark.parametrize("coef, value, witness", ACCEPTED_COEFFICIENTS, ids=lambda x: str(x))
+@pytest.mark.parametrize("coef, value, witness", ACCEPTED_COEFFICIENTS, ids=[c for c, _, _ in ACCEPTED_COEFFICIENTS])
 def test_verify_accepts_fraction_syntax_coefficients(capsys, monkeypatch, coef, value, witness):
     line = '{"terms": [{"coef": %s, "index": [1]}]}' % coef
     terms = relation_from_record(json.loads(line))._terms
@@ -330,7 +330,7 @@ def test_verify_sums_duplicate_indices(capsys, monkeypatch):
     assert (code, out, err) == (0, "line 1: ok\nchecked 1 relations: 1 ok, 0 failed\n", "")
 
 
-@pytest.mark.parametrize("coef, index, message", REJECTED_TERMS, ids=lambda x: str(x))
+@pytest.mark.parametrize("coef, index, message", REJECTED_TERMS, ids=[f"{c}-{i}" for c, i, _ in REJECTED_TERMS])
 def test_verify_rejects_malformed_terms(capsys, monkeypatch, coef, index, message):
     line = '{"terms": [{"coef": %s, "index": %s}]}' % (coef, index)
     with pytest.raises(ValueError) as exc:
