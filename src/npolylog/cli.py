@@ -20,12 +20,10 @@ import itertools
 import json
 import sys
 from importlib import resources
-from typing import Iterator
 
 from .freealg import NcPoly, poly_to_json_obj
 from .magnus import grade_report, magnus_poly
 from .polylog import (
-    LinComb,
     PipelineDisagreement,
     _relation_terms,
     _y_image,
@@ -35,6 +33,7 @@ from .polylog import (
     polylog_rational,
     relation_from_record,
     relation_record,
+    verify_relation,
     verify_relations,
 )
 from .ratpoly import taylor_coeffs
@@ -155,27 +154,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not args.bundled and args.file is None:
         raise ValueError("give a relation file, '-' for stdin, or --bundled")
     text = _read_relation_lines(args)
-    error: list[str] = []
-
-    def relations() -> Iterator[tuple[int, LinComb]]:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            # json.loads recurses once per nesting level, so a deeply nested
-            # line raises RecursionError: a parse error like any other.
-            try:
-                c = relation_from_record(json.loads(line))
-            except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-                error.append(f"line {lineno}: parse error: {exc}")
-                return
-            yield lineno, c
-
     checked = 0
     failed = 0
-    # One batch, so the lines share series rows; both copies advance in
-    # step, so each line is parsed only after the one before is printed.
-    lines, fed = itertools.tee(relations())
-    for (lineno, _), (ok, witness) in zip(lines, verify_relations(c for _, c in fed)):
+    # The lines of one file share their series rows, as a kernel sweep does.
+    rows: dict = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        # json.loads recurses once per nesting level, so a deeply nested
+        # line raises RecursionError: a parse error like any other.
+        try:
+            record = json.loads(line)
+            c = relation_from_record(record)
+        except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+            print(f"line {lineno}: parse error: {exc}", file=sys.stderr)
+            return 2
+        ok, witness = verify_relation(c, rows=rows)
         checked += 1
         if not ok:
             failed += 1
@@ -183,9 +177,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(json.dumps({"line": lineno, "ok": ok, "witness": None if ok else str(witness)}))
         else:
             print(f"line {lineno}: ok" if ok else f"line {lineno}: FAIL witness={witness}")
-    if error:
-        print(error[0], file=sys.stderr)
-        return 2
     if not args.json:
         print(f"checked {checked} relations: {checked - failed} ok, {failed} failed")
     return 1 if failed else 0

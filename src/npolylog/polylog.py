@@ -54,7 +54,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .freealg import NcPoly, _add_term, poly_x_to_y
 from .magnus import _require_magnus, magnus_poly, word_to_magnus
 from .ratpoly import RatFun, Scalar, _scalar, euler_deriv, geom_mul, taylor_coeffs
-from .words import MultiIndex
+from .words import MultiIndex, _check_entries
 
 __all__ = [
     "LinComb",
@@ -447,8 +447,6 @@ def relation_from_record(obj: dict[str, object]) -> LinComb:
             isinstance(e, int) and not isinstance(e, bool) for e in index
         ):
             raise ValueError(f"term {i} has a bad index {index!r}")
-        negative = [e for e in index if e < 0]
-        if negative:
-            raise ValueError(f"bad index entry {negative[0]!r}: entries are integers >= 0")
+        _check_entries(index)
         _add_term(terms, tuple(index), coef.numerator if coef.denominator == 1 else coef)
     return LinComb._trusted("Y", terms)

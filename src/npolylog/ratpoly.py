@@ -13,19 +13,19 @@ a gcd: evaluate P at 1 and divide synthetically while it vanishes.
 
 Beyond the ring operations the module provides the two operators that
 generate all polylogarithm values here: the Euler operator z d/dz and
-multiplication by z/(1-z), plus exact Taylor coefficient extraction
-via coeff(z^n, 1/(1-z)^d) = C(n+d-1, d-1).  The Euler operator builds
-each numerator coefficient from two neighbouring ones in a single
-pass, and on a canonical input with d >= 1 its result is canonical
-once trailing zeros are trimmed, as is z/(1-z) times it, so both skip
-the (1-z) reduction.  The Taylor coefficients convolve P with the row
-C(m+d-1, d-1), m = 0..n, built once by the ratio (m+d-1)/m.
+multiplication by z/(1-z), plus exact Taylor coefficient extraction.
+The Euler operator builds each numerator coefficient from two
+neighbouring ones in a single pass, and on a canonical input with
+d >= 1 its result is canonical once trailing zeros are trimmed, as is
+z/(1-z) times it, so both skip the (1-z) reduction.  The Taylor
+coefficients of P/(1-z)^d are the prefix sums of P taken d times, one
+pass per factor 1/(1-z).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -264,18 +264,13 @@ def geom_mul(f: RatFun) -> RatFun:
 def taylor_coeffs(f: RatFun, n_max: int) -> list[Scalar]:
     """Coefficients of z^0..z^n_max in the expansion around 0.
 
-    1/(1-z)^d = sum_m C(m+d-1, d-1) z^m, so the coefficient of z^n is
-    sum_j P_j C(n-j+d-1, d-1).  The binomial row is built once, each
-    entry from the one before, and convolved with P.
+    Multiplying a series by 1/(1-z) takes its prefix sums, so the
+    coefficients are P, truncated to z^n_max, summed d times.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    p, d = f.num, f.dpow
-    if d == 0:
-        return [p[n] if n < len(p) else 0 for n in range(n_max + 1)]
-    # rev[n_max - m] = C(m+d-1, d-1), so coefficient n pairs P_j with rev[n_max - n + j].
-    rev = [1]
-    for m in range(1, n_max + 1):
-        rev.append(rev[-1] * (m + d - 1) // m)
-    rev.reverse()
-    return [sum(map(mul, p[: n + 1], rev[n_max - n :])) for n in range(n_max + 1)]
+    p = f.num[: n_max + 1]
+    c = list(p) + [0] * (n_max + 1 - len(p))
+    for _ in range(f.dpow):
+        c = list(accumulate(c))
+    return c

@@ -27,6 +27,13 @@ from typing import Iterable
 __all__ = ["MultiIndex", "mpl_index", "magnus_index", "parse_index"]
 
 
+def _check_entries(entries: Iterable[object]) -> None:
+    """Raise ValueError unless every entry is an integer >= 0."""
+    for e in entries:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+            raise ValueError(f"bad index entry {e!r}: entries are integers >= 0")
+
+
 @dataclass(frozen=True)
 class MultiIndex:
     """An index (s1,...,sr), or (k1,...,kn;kinf) when ``magnus`` is set."""
@@ -36,9 +43,7 @@ class MultiIndex:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
-        for e in self.entries:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"bad index entry {e!r}: entries are integers >= 0")
+        _check_entries(self.entries)
         if self.magnus and not self.entries:
             raise ValueError("a magnus index needs at least its tail entry")
 
