@@ -34,7 +34,6 @@ from .polylog import (
     relation_from_record,
     relation_record,
     verify_relation,
-    verify_relations,
 )
 from .ratpoly import taylor_coeffs
 from .words import MultiIndex, parse_index
@@ -129,10 +128,10 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValueError(f"bad permutation {args.sigma!r}") from exc
     rc = 0
-    # Both copies advance in step, so each record is printed as soon as
-    # its relation is verified.
-    cs, fed = itertools.tee(kernel_elements(k, sigmas))
-    for c, (ok, _) in zip(cs, verify_relations(fed)):
+    # The relations of one sweep share their series rows.
+    rows: dict = {}
+    for c in kernel_elements(k, sigmas):
+        ok, _ = verify_relation(c, rows=rows)
         print(json.dumps(relation_record(c, ok)))
         if not ok:
             rc = 1

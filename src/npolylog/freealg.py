@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 Letters = tuple[int, ...]
-TermsLike = Union[Mapping[Letters, Scalar], Iterable[tuple[Letters, Scalar]], None]
 
 
 def _check_alphabet(alphabet: str) -> None:
@@ -45,7 +44,7 @@ def _check_alphabet(alphabet: str) -> None:
 
 def _check_letters(alphabet: str, letters: Letters) -> None:
     for c in letters:
-        if not isinstance(c, int) or c < 0 or (alphabet == "X" and c > 1):
+        if not isinstance(c, int) or isinstance(c, bool) or c < 0 or (alphabet == "X" and c > 1):
             raise ValueError(f"bad letter {c!r} for alphabet {alphabet}")
 
 
@@ -74,16 +73,14 @@ class NcPoly:
 
     __slots__ = ("alphabet", "_terms")
 
-    def __init__(self, alphabet: str, terms: TermsLike = None) -> None:
+    def __init__(self, alphabet: str, terms: Mapping[Letters, Scalar] | None = None) -> None:
         _check_alphabet(alphabet)
         self.alphabet = alphabet
         clean: dict[Letters, Scalar] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for letters, coef in items:
-                letters = tuple(letters)
-                _check_letters(alphabet, letters)
-                _add_term(clean, letters, _scalar(coef))
+        for letters, coef in (terms or {}).items():
+            letters = tuple(letters)
+            _check_letters(alphabet, letters)
+            _add_term(clean, letters, _scalar(coef))
         self._terms = clean
 
     @classmethod

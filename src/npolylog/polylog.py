@@ -39,21 +39,22 @@ is divided by L at the end.
 The relations of one graded piece share most of their work, and each
 shared piece is built once.  Li values are cached with every tail, and
 a new value is built from the cached value of its longest cached tail,
-iteratively.  verify_relations keeps the series rows of a batch of
-relations for the life of that batch, and kernel_elements expands each
-permuted Magnus image once per sweep.
+iteratively.  verify_relation reads series rows from a dict the caller
+may share across a stream of relations, and kernel_elements expands
+each permuted Magnus image once per sweep.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .freealg import NcPoly, _add_term, poly_x_to_y
 from .magnus import _require_magnus, magnus_poly, word_to_magnus
-from .ratpoly import RatFun, Scalar, _scalar, euler_deriv, geom_mul, taylor_coeffs
+from .ratpoly import RatFun, Scalar, euler_deriv, geom_mul, taylor_coeffs
 from .words import MultiIndex, _check_entries
 
 __all__ = [
@@ -69,7 +70,6 @@ __all__ = [
     "kernel_element",
     "kernel_elements",
     "verify_relation",
-    "verify_relations",
     "relation_record",
     "relation_from_record",
 ]
@@ -92,18 +92,11 @@ class LinComb(NcPoly):
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        terms: Union[Mapping[MultiIndex, Scalar], Iterable[tuple[MultiIndex, Scalar]], None] = None,
-    ) -> None:
-        clean: dict[tuple[int, ...], Scalar] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for idx, coef in items:
-                _require_plain(idx)
-                _add_term(clean, idx.entries, _scalar(coef))
-        self.alphabet = "Y"
-        self._terms = clean
+    def __init__(self, terms: Mapping[MultiIndex, Scalar] | None = None) -> None:
+        terms = terms or {}
+        for idx in terms:
+            _require_plain(idx)
+        super().__init__("Y", {idx.entries: coef for idx, coef in terms.items()})
 
     def coefficient(self, idx: MultiIndex) -> Scalar:
         return self._terms.get(idx.entries, 0)
@@ -347,19 +340,6 @@ class PipelineDisagreement(RuntimeError):
     """The rational and series pipelines gave different answers."""
 
 
-def verify_relations(cs: Iterable[LinComb]) -> Iterator[tuple[bool, RatFun | None]]:
-    """verify_relation(c) for each c in turn, lazily, sharing series rows.
-
-    One dict of series rows lives as long as the generator, so each
-    row z^0..z^D of Li(s) is read from series_coeffs once per (s, D) in
-    the batch: the relations of a kernel sweep all lie in one graded
-    piece and share their rows.  No row outlives the batch.
-    """
-    rows: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for c in cs:
-        yield verify_relation(c, rows=rows)
-
-
 def verify_relation(
     c: LinComb, *, rows: dict[tuple[tuple[int, ...], int], list[int]] | None = None
 ) -> tuple[bool, RatFun | None]:
@@ -379,8 +359,8 @@ def verify_relation(
 
     rows maps (entries, D) to the series row of Li(entries) up to z^D;
     rows missing from it are read from series_coeffs and added.  Alone,
-    a call reads every row afresh; verify_relations passes one dict to
-    all the calls of a batch.
+    a call reads every row afresh; a caller that verifies a stream of
+    relations passes one dict to every call, so each row is read once.
     """
     if rows is None:
         rows = {}
@@ -423,6 +403,13 @@ def relation_record(c: LinComb, verified: bool) -> dict[str, object]:
     }
 
 
+# Fraction's string syntax takes underscores from Python 3.11 on and
+# spaces around the slash from 3.12 on.  Refusing both before Fraction
+# reads a coefficient keeps the 3.10 syntax on every supported Python,
+# so one relation file parses the same everywhere.
+_NEWER_FRACTION_SYNTAX = re.compile(r"_|\s/|/\s")
+
+
 def relation_from_record(obj: dict[str, object]) -> LinComb:
     """Parse the terms of a relation record; raises ValueError when malformed.
 
@@ -439,7 +426,10 @@ def relation_from_record(obj: dict[str, object]) -> LinComb:
         if not isinstance(item, dict) or "coef" not in item or "index" not in item:
             raise ValueError(f"term {i} must be an object with 'coef' and 'index'")
         try:
-            coef = Fraction(str(item["coef"]))
+            text = str(item["coef"])
+            if _NEWER_FRACTION_SYNTAX.search(text):
+                raise ValueError(text)
+            coef = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"term {i} has a bad coefficient {item['coef']!r}") from exc
         index = item["index"]

@@ -202,19 +202,39 @@ def test_kernel_verify_round_trip(tmp_path, capsys):
     assert out == "line 1: ok\nline 2: ok\nchecked 2 relations: 2 ok, 0 failed\n"
 
 
-def test_verify_reads_each_series_row_once_per_file(capsys, monkeypatch):
-    _, sweep, _ = run(capsys, "kernel", "(1,2;1)", "--all-sigma")
+def series_rows(sweep):
+    """The distinct (entries, bound) series rows the relations of a sweep need."""
     wanted = set()
     for line in sweep.splitlines():
         entries = relation_from_record(json.loads(line))._terms
         bound = max((sum(e) + len(e) for e in entries), default=0)
         wanted |= {(e, bound) for e in entries}
+    return wanted
+
+
+def record_series_reads(monkeypatch):
     read = []
     good = pl.series_coeffs
     monkeypatch.setattr(pl, "series_coeffs", lambda s, n: read.append((s.entries, n)) or good(s, n))
+    return read
+
+
+def test_verify_reads_each_series_row_once_per_file(capsys, monkeypatch):
+    _, sweep, _ = run(capsys, "kernel", "(1,2;1)", "--all-sigma")
+    read = record_series_reads(monkeypatch)
     monkeypatch.setattr(sys, "stdin", io.StringIO(sweep))
     code, out, err = run(capsys, "verify", "-")
     assert code == 0 and out.endswith("checked 6 relations: 6 ok, 0 failed\n")
+    assert sorted(read) == sorted(series_rows(sweep))
+
+
+def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
+    read = record_series_reads(monkeypatch)
+    code, sweep, err = run(capsys, "kernel", "(1,2;1)", "--all-sigma")
+    assert code == 0 and err == "" and len(sweep.splitlines()) == 6
+    wanted = series_rows(sweep)
+    # The relations share rows, so a read per term would read some twice.
+    assert sum(len(json.loads(line)["terms"]) for line in sweep.splitlines()) > len(wanted)
     assert sorted(read) == sorted(wanted)
 
 
@@ -279,12 +299,9 @@ def test_verify_rejects_bool_index_entries(capsys, monkeypatch):
     assert err == "line 1: parse error: term 0 has a bad index [True]\n"
 
 
-# verify reads a coefficient as Fraction(str(value)), from a JSON string
-# or number alike, so it takes Fraction's string syntax.  Underscores
-# belong to that syntax from Python 3.11 on, spaces around the slash
-# from 3.12 on.
-UNDERSCORE = ('"1_0"', 10, "10z/(1-z)^2")
-SPACED = ('"1 / 3"', Fraction(1, 3), "(1/3)z/(1-z)^2")
+# verify reads a coefficient, from a JSON string or number alike, in the
+# string syntax of Python 3.10's Fraction on every supported Python: no
+# underscores, no spaces around the slash.
 ACCEPTED_COEFFICIENTS = [
     ('" 2 "', 2, "2z/(1-z)^2"),
     ('"1.5"', Fraction(3, 2), "(3/2)z/(1-z)^2"),
@@ -300,15 +317,9 @@ REJECTED_TERMS = [
     ('"1"', "[1.0]", "term 0 has a bad index [1.0]"),
     ('"1"', "[true]", "term 0 has a bad index [True]"),
     ('"1"', "[1, -2]", "bad index entry -2: entries are integers >= 0"),
+    ('"1_0"', "[1]", "term 0 has a bad coefficient '1_0'"),
+    ('"1 / 3"', "[1]", "term 0 has a bad coefficient '1 / 3'"),
 ]
-if sys.version_info >= (3, 11):
-    ACCEPTED_COEFFICIENTS.append(UNDERSCORE)
-else:
-    REJECTED_TERMS.append((UNDERSCORE[0], "[1]", "term 0 has a bad coefficient '1_0'"))
-if sys.version_info >= (3, 12):
-    ACCEPTED_COEFFICIENTS.append(SPACED)
-else:
-    REJECTED_TERMS.append((SPACED[0], "[1]", "term 0 has a bad coefficient '1 / 3'"))
 
 
 @pytest.mark.parametrize("coef, value, witness", ACCEPTED_COEFFICIENTS, ids=[c for c, _, _ in ACCEPTED_COEFFICIENTS])

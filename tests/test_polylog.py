@@ -26,7 +26,6 @@ from npolylog.polylog import (
     relation_record,
     series_coeffs,
     verify_relation,
-    verify_relations,
 )
 from npolylog.ratpoly import RatFun, taylor_coeffs
 from npolylog.words import magnus_index, mpl_index
@@ -514,11 +513,12 @@ def test_kernel_elements_are_nfold_differences():
             assert c == kernel_element(k, sigma)
 
 
-def test_verify_relations_reads_each_row_once_per_batch(monkeypatch):
+def test_verify_relation_reads_each_row_once_per_shared_dict(monkeypatch):
     k = magnus_index(1, 2, 3, 4)
     cs = list(kernel_elements(k, itertools.permutations(range(1, 5))))
     calls = count_calls(monkeypatch, pl, "series_coeffs")
-    assert all(ok for ok, _ in verify_relations(cs))
+    rows = {}
+    assert all(verify_relation(c, rows=rows)[0] for c in cs)
     indices = {idx for c in cs for idx, _ in c.items()}
     assert sorted(s.entries for s, _ in calls) == sorted(s.entries for s in indices)
     assert {n for _, n in calls} == {k.weight + k.depth + 1}
@@ -528,23 +528,7 @@ def test_verify_relations_reads_each_row_once_per_batch(monkeypatch):
     assert len(calls) == sum(len(c) for c in cs) > len(indices)
 
 
-def test_verify_relations_consumes_its_input_lazily():
-    pulled = []
-
-    def relations():
-        for sigma in itertools.permutations(range(1, 4)):
-            pulled.append(sigma)
-            yield kernel_element(magnus_index(1, 1, 2), sigma)
-
-    results = verify_relations(relations())
-    assert pulled == []
-    assert next(results) == (True, None)
-    assert len(pulled) == 1
-    assert next(results) == (True, None)
-    assert len(pulled) == 2
-
-
-def test_verify_relations_refuses_every_relation_with_a_corrupted_row(monkeypatch):
+def test_verify_relation_refuses_every_relation_with_a_corrupted_shared_row(monkeypatch):
     k = magnus_index(1, 2, 3)
     cs = list(kernel_elements(k, itertools.permutations(range(1, 4))))
     bad = mpl_index(2, 2, 2)
@@ -552,17 +536,18 @@ def test_verify_relations_refuses_every_relation_with_a_corrupted_row(monkeypatc
     hit = [c for c in cs if c.coefficient(bad)]
     clean = [c for c in cs if not c.coefficient(bad)]
     assert len(hit) >= 2 and clean
-    # The clean relations fill the rows of one batch first; each relation
+    # The clean relations fill a shared dict of rows first; each relation
     # that holds the corrupted index is then refused, not only the first.
     for c in hit:
-        results = verify_relations(clean + [c])
-        assert [ok for ok, _ in itertools.islice(results, len(clean))] == [True] * len(clean)
+        rows = {}
+        assert [verify_relation(d, rows=rows)[0] for d in clean] == [True] * len(clean)
         with pytest.raises(PipelineDisagreement, match="refusing to answer"):
-            next(results)
-    # Rows never outlive their batch: once the corruption is undone,
-    # a new batch reads fresh rows and verifies cleanly.
+            verify_relation(c, rows=rows)
+    # A row lives only as long as its dict: once the corruption is undone,
+    # a fresh dict reads fresh rows and verifies cleanly.
     monkeypatch.undo()
-    assert all(ok for ok, _ in verify_relations(cs))
+    rows = {}
+    assert all(verify_relation(c, rows=rows)[0] for c in cs)
 
 
 def test_relation_record_round_trip():
