@@ -183,8 +183,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_duality_check(args: argparse.Namespace) -> int:
     cells = grade_report(args.max_depth, args.max_weight)
-    ok = all(cell["ok"] for cell in cells)
     if args.json:
+        cells = list(cells)
+        ok = all(cell["ok"] for cell in cells)
         print(
             json.dumps(
                 {
@@ -196,7 +197,9 @@ def cmd_duality_check(args: argparse.Namespace) -> int:
             )
         )
     else:
+        ok = True
         for cell in cells:
+            ok = ok and cell["ok"]
             state = "ok" if cell["ok"] else "FAIL"
             print(
                 "depth={d} weight={w} size={n} {s}".format(

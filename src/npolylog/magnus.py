@@ -25,7 +25,6 @@ piece up to given bounds.
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 from typing import Callable, Iterator
 
@@ -68,23 +67,28 @@ def magnus_poly(k: MultiIndex) -> NcPoly:
     exactly prod_j (k_j + 1).
     """
     _require_magnus(k)
-    terms: dict[tuple[int, ...], int] = {}
-    for choices in itertools.product(*(range(kj + 1) for kj in k.prefix)):
-        coef = 1
-        blocks: list[int] = []
-        carry = 0
-        for kj, ij in zip(k.prefix, choices):
-            coef *= (-1) ** ij * comb(kj, ij)
-            blocks.append(kj - ij + carry)
-            carry = ij
-        terms[_letters_y_to_x(blocks) + (0,) * (k.tail + carry)] = coef
-    return NcPoly._trusted("X", terms)
+    # (word so far, i of the last bracket, coefficient), one per choice
+    # of i_1..i_j, extended bracket by bracket.
+    partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+    for kj in k.prefix:
+        row = [(-1) ** i * comb(kj, i) for i in range(kj + 1)]
+        partial = [
+            (letters + (0,) * (kj - i + carry) + (1,), i, coef * c)
+            for letters, carry, coef in partial
+            for i, c in enumerate(row)
+        ]
+    return NcPoly._trusted("X", {letters + (0,) * (k.tail + carry): coef for letters, carry, coef in partial})
 
 
 def basis_word(s: MultiIndex) -> NcPoly:
     """The monomial w(s) = x0^(s1) x1 ... x0^(sn) x1 x0^(sinf)."""
     _require_magnus(s)
-    return NcPoly._trusted("X", {_letters_y_to_x(s.prefix) + (0,) * s.tail: 1})
+    return NcPoly._trusted("X", {_word(s): 1})
+
+
+def _word(s: MultiIndex) -> tuple[int, ...]:
+    """The letters of w(s)."""
+    return _letters_y_to_x(s.prefix) + (0,) * s.tail
 
 
 def array_binom(s: MultiIndex, k: MultiIndex) -> int:
@@ -179,44 +183,49 @@ def magnus_to_word(k: MultiIndex) -> dict[MultiIndex, int]:
     return _row(_dual_array_binom, k)
 
 
-def grade_report(max_depth: int, max_weight: int) -> list[dict[str, object]]:
+def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:
     """Check every graded piece with depth <= max_depth, weight <= max_weight.
 
     For each piece this verifies that the two coefficient matrices are
     mutually inverse (duality) and that the polynomial identities
     w(s) = sum_k <s,k> M(k) and M(k) = sum_s <<k,s>> w(s) hold term by
-    term (inversion).  Returns one record per piece.  Raises ValueError
-    when a bound is negative.
+    term (inversion).  Yields one record per piece as soon as it is
+    checked, in order of depth, then weight.  Raises ValueError when a
+    bound is negative, at the call rather than at the first record.
     """
     if max_depth < 0 or max_weight < 0:
         raise ValueError(f"max depth and max weight must be >= 0, got {max_depth} and {max_weight}")
-    cells: list[dict[str, object]] = []
+    return _grade_cells(max_depth, max_weight)
+
+
+def _grade_cells(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:
     for depth in range(max_depth + 1):
         for weight in range(max_weight + 1):
             idx = magnus_indices(depth, weight)
             prefixes = [k.prefix for k in idx]
             a = [[_array_binom(s, k) for k in prefixes] for s in prefixes]
             b = [[_dual_array_binom(k, s) for s in prefixes] for k in prefixes]
-            duality_ok = _is_identity(_mat_mul(a, b)) and _is_identity(_mat_mul(b, a))
+            # The matrices are square, so a.b = I already gives b.a = I.
+            duality_ok = _is_identity(_mat_mul(a, b))
             mp = [magnus_poly(k) for k in idx]
-            bw = [basis_word(s) for s in idx]
-            # Row i of a expands bw[i] over mp; row i of b expands mp[i] over bw.
+            # Each w(s) is one word, so M(k) = sum_s b[k][s] w(s) says that
+            # row k of b is the coefficient table of M(k).
+            words = [_word(s) for s in idx]
             inversion_ok = all(
-                _combine(zip(row, source)) == target._terms
-                for matrix, source, targets in ((a, mp, bw), (b, bw, mp))
-                for row, target in zip(matrix, targets)
+                p._terms == {w: v for w, v in zip(words, row) if v} for p, row in zip(mp, b)
             )
-            cells.append(
-                {
-                    "depth": depth,
-                    "weight": weight,
-                    "size": len(idx),
-                    "duality_ok": duality_ok,
-                    "inversion_ok": inversion_ok,
-                    "ok": duality_ok and inversion_ok,
-                }
-            )
-    return cells
+            # With a.b = I, sum_k a[s][k] M(k) = sum_t (ab)[s][t] w(t) = w(s)
+            # follows, so the a side needs its own pass only without duality.
+            if inversion_ok and not duality_ok:
+                inversion_ok = all(_combine(zip(row, mp)) == {w: 1} for row, w in zip(a, words))
+            yield {
+                "depth": depth,
+                "weight": weight,
+                "size": len(idx),
+                "duality_ok": duality_ok,
+                "inversion_ok": inversion_ok,
+                "ok": duality_ok and inversion_ok,
+            }
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -235,4 +244,4 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def _is_identity(m: list[list[int]]) -> bool:
-    return all(v == (1 if i == j else 0) for i, row in enumerate(m) for j, v in enumerate(row))
+    return all(row[i] == 1 and row.count(0) == len(row) - 1 for i, row in enumerate(m))

@@ -102,7 +102,7 @@ def test_criterion_3_duality():
 
 @criterion(4, "basis inversion on graded pieces")
 def test_criterion_4_basis_inversion():
-    rep = grade_report(3, 6)
+    rep = list(grade_report(3, 6))
     assert len(rep) == 4 * 7
     for cell in rep:
         assert cell["duality_ok"], cell

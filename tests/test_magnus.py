@@ -181,7 +181,7 @@ def test_change_of_basis_round_trip():
 
 
 def test_grade_report_cells():
-    rep = grade_report(3, 6)
+    rep = list(grade_report(3, 6))
     assert all(cell["ok"] for cell in rep)
     assert all(cell["duality_ok"] and cell["inversion_ok"] for cell in rep)
     by_key = {(cell["depth"], cell["weight"]): cell["size"] for cell in rep}
@@ -194,7 +194,7 @@ def test_grade_report_rejects_negative_bounds():
     for bounds in ((-1, 3), (2, -2), (-1, -1)):
         with pytest.raises(ValueError, match="must be >= 0"):
             grade_report(*bounds)
-    assert len(grade_report(0, 0)) == 1
+    assert len(list(grade_report(0, 0))) == 1
 
 
 def test_grade_report_catches_a_wrong_magnus_term(monkeypatch):
@@ -228,7 +228,40 @@ def test_grade_report_catches_a_wrong_matrix_entry(monkeypatch):
     for cell in grade_report(2, 3):
         bad = (cell["depth"], cell["weight"]) == (2, 3)
         assert cell["duality_ok"] is not bad
+        assert cell["inversion_ok"] is not bad
         assert cell["ok"] is not bad
+
+
+def test_grade_report_catches_a_wrong_dual_matrix_entry(monkeypatch):
+    # An entry above the diagonal of b in the piece of depth 2, weight 3:
+    # zero when exact, and checked all the same.
+    exact = magnus._dual_array_binom
+
+    def perturbed(k, s):
+        return exact(k, s) + (1 if (k, s) == ((1, 2), (2, 1)) else 0)
+
+    monkeypatch.setattr(magnus, "_dual_array_binom", perturbed)
+    for cell in grade_report(2, 3):
+        bad = (cell["depth"], cell["weight"]) == (2, 3)
+        assert cell["duality_ok"] is not bad
+        assert cell["inversion_ok"] is not bad
+        assert cell["ok"] is not bad
+
+
+def test_grade_report_yields_each_piece_once_checked(monkeypatch):
+    built = []
+    exact = magnus.magnus_indices
+
+    def counting(depth, weight):
+        built.append((depth, weight))
+        return exact(depth, weight)
+
+    monkeypatch.setattr(magnus, "magnus_indices", counting)
+    cells = grade_report(4, 8)
+    assert built == []
+    first = next(cells)
+    assert (first["depth"], first["weight"], first["size"], first["ok"]) == (0, 0, 1, True)
+    assert built == [(0, 0)]
 
 
 def test_polynomials_store_integer_coefficients():
