@@ -19,7 +19,7 @@ w(s) = sum_k binom<s,k> M(k); in the other M(k) = sum_s binom<<k,s>> w(s)
 with a signed dual coefficient.  Both vanish unless depth and weight
 agree, so each graded piece is a finite square matrix and the two
 coefficient families are inverse matrices; grade_report verifies this,
-together with the polynomial identities themselves, on every graded
+together with the expansion of each M(k) in words, on every graded
 piece up to given bounds.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, Iterator
 
-from .freealg import NcPoly, _combine
+from .freealg import NcPoly
 from .words import MultiIndex, _letters_y_to_x
 
 __all__ = [
@@ -186,12 +186,14 @@ def magnus_to_word(k: MultiIndex) -> dict[MultiIndex, int]:
 def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:
     """Check every graded piece with depth <= max_depth, weight <= max_weight.
 
-    For each piece this verifies that the two coefficient matrices are
-    mutually inverse (duality) and that the polynomial identities
-    w(s) = sum_k <s,k> M(k) and M(k) = sum_s <<k,s>> w(s) hold term by
-    term (inversion).  Yields one record per piece as soon as it is
-    checked, in order of depth, then weight.  Raises ValueError when a
-    bound is negative, at the call rather than at the first record.
+    For each piece a = <s,k> and b = <<k,s>> are computed in full.  The
+    piece is square, so a.b = I shows that they are mutually inverse
+    (duality).  Each w(s) is one word, so M(k) = sum_s b[k][s] w(s) is
+    checked by reading the terms of M(k) off row k of b; together with
+    a.b = I this gives w(s) = sum_k a[s][k] M(k), so inversion holds
+    exactly when both checks pass.  Yields one record per piece as soon
+    as it is checked, in order of depth, then weight.  Raises ValueError
+    when a bound is negative, at the call rather than at the first record.
     """
     if max_depth < 0 or max_weight < 0:
         raise ValueError(f"max depth and max weight must be >= 0, got {max_depth} and {max_weight}")
@@ -207,17 +209,14 @@ def _grade_cells(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
             b = [[_dual_array_binom(k, s) for s in prefixes] for k in prefixes]
             # The matrices are square, so a.b = I already gives b.a = I.
             duality_ok = _is_identity(_mat_mul(a, b))
-            mp = [magnus_poly(k) for k in idx]
             # Each w(s) is one word, so M(k) = sum_s b[k][s] w(s) says that
-            # row k of b is the coefficient table of M(k).
+            # row k of b is the coefficient table of M(k).  Given that,
+            # sum_k a[s][k] M(k) = sum_t (ab)[s][t] w(t), which is w(s) for
+            # every s exactly when a.b = I.
             words = [_word(s) for s in idx]
-            inversion_ok = all(
-                p._terms == {w: v for w, v in zip(words, row) if v} for p, row in zip(mp, b)
+            inversion_ok = duality_ok and all(
+                magnus_poly(k)._terms == {w: v for w, v in zip(words, row) if v} for k, row in zip(idx, b)
             )
-            # With a.b = I, sum_k a[s][k] M(k) = sum_t (ab)[s][t] w(t) = w(s)
-            # follows, so the a side needs its own pass only without duality.
-            if inversion_ok and not duality_ok:
-                inversion_ok = all(_combine(zip(row, mp)) == {w: 1} for row, w in zip(a, words))
             yield {
                 "depth": depth,
                 "weight": weight,
