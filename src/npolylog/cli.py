@@ -15,6 +15,7 @@ the relation was left undecided.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -55,19 +56,38 @@ def _parse_magnus(text: str) -> MultiIndex:
     return idx
 
 
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift Python's int-to-str digit limit while a computed value becomes text.
+
+    The limit guards parsing against huge untrusted numbers, so it is
+    restored before any further input is read.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     idx = _parse_plain(args.index)
     f = polylog_rational(idx)
     series = taylor_coeffs(f, args.series) if args.series is not None else None
-    if args.json:
-        obj: dict[str, object] = {"index": list(idx.entries), "value": f.to_json_obj()}
-        if series is not None:
-            obj["series"] = [str(c) for c in series]
-        print(json.dumps(obj))
-    else:
-        print(str(f))
-        if series is not None:
-            print("series: " + ", ".join(str(c) for c in series))
+    with _unlimited_digits():
+        if args.json:
+            obj: dict[str, object] = {"index": list(idx.entries), "value": f.to_json_obj()}
+            if series is not None:
+                obj["series"] = [str(c) for c in series]
+            print(json.dumps(obj))
+        else:
+            print(str(f))
+            if series is not None:
+                print("series: " + ", ".join(str(c) for c in series))
     return 0
 
 
@@ -172,10 +192,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checked += 1
         if not ok:
             failed += 1
+        with _unlimited_digits():
+            shown = None if ok else str(witness)
         if args.json:
-            print(json.dumps({"line": lineno, "ok": ok, "witness": None if ok else str(witness)}))
+            print(json.dumps({"line": lineno, "ok": ok, "witness": shown}))
         else:
-            print(f"line {lineno}: ok" if ok else f"line {lineno}: FAIL witness={witness}")
+            print(f"line {lineno}: ok" if ok else f"line {lineno}: FAIL witness={shown}")
     if not args.json:
         print(f"checked {checked} relations: {checked - failed} ok, {failed} failed")
     return 1 if failed else 0

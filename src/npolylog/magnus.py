@@ -21,6 +21,11 @@ agree, so each graded piece is a finite square matrix and the two
 coefficient families are inverse matrices; grade_report verifies this,
 together with the expansion of each M(k) in words, on every graded
 piece up to given bounds.
+
+Split into blocks x0^a x1, M(k) x1 is the closed form of the product
+Li(k1)...Li(kn)Li(kinf) (Theorem main4).  One helper expands it
+bracket by bracket; magnus_poly, the graded sweeps, and the n-fold
+product and kernel sweeps of polylog all read that one expansion.
 """
 
 from __future__ import annotations
@@ -57,38 +62,45 @@ def _require_magnus(k: MultiIndex) -> None:
         raise ValueError(f"expected a magnus index like (1;2), got {k}")
 
 
+def _product_terms(entries: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The closed form of Li(e1)...Li(en): the blocks of M(e) x1 as Y-words.
+
+    Expanding the brackets of M(e) = x1^(e1) ... x1^(e_(n-1)) x0^en and
+    splitting M(e) x1 into blocks x0^a x1 gives one block word
+    (e1-i1, e2-i2+i1, ..., en+i_(n-1)) per choice of i_j in 0..e_j, with
+    coefficient prod_j (-1)^(i_j) C(e_j, i_j).  Distinct choices give
+    distinct words, so there are exactly prod_(j<n) (e_j + 1) terms.
+    """
+    # (blocks so far, i of the last bracket, coefficient), one per choice
+    # of i_1..i_j, extended bracket by bracket.
+    partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+    for e in entries[:-1]:
+        row = [(-1) ** i * comb(e, i) for i in range(e + 1)]
+        partial = [
+            (blocks + (e - i + carry,), i, coef * c)
+            for blocks, carry, coef in partial
+            for i, c in enumerate(row)
+        ]
+    return {blocks + (entries[-1] + carry,): coef for blocks, carry, coef in partial}
+
+
 def magnus_poly(k: MultiIndex) -> NcPoly:
     """M(k) = x1^(k1) ... x1^(kn) x0^kinf, expanded directly into words.
 
-    Expanding every bracket gives one word per choice of i_j in
-    0..k_j, with coefficient prod_j (-1)^(i_j) C(k_j, i_j) and word
-    x0^(k1-i1) x1 x0^(k2-i2+i1) x1 ... x0^(kn-in+i_(n-1)) x1 x0^(kinf+in).
-    Distinct choices give distinct words, so the support size is
-    exactly prod_j (k_j + 1).
+    The words are those of the closed form M(k) x1 with the final x1
+    dropped: x0^(k1-i1) x1 x0^(k2-i2+i1) x1 ... x0^(kn-in+i_(n-1)) x1
+    x0^(kinf+in), with coefficient prod_j (-1)^(i_j) C(k_j, i_j).
     """
     _require_magnus(k)
-    # (word so far, i of the last bracket, coefficient), one per choice
-    # of i_1..i_j, extended bracket by bracket.
-    partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
-    for kj in k.prefix:
-        row = [(-1) ** i * comb(kj, i) for i in range(kj + 1)]
-        partial = [
-            (letters + (0,) * (kj - i + carry) + (1,), i, coef * c)
-            for letters, carry, coef in partial
-            for i, c in enumerate(row)
-        ]
-    return NcPoly._trusted("X", {letters + (0,) * (k.tail + carry): coef for letters, carry, coef in partial})
+    return NcPoly._trusted(
+        "X", {_letters_y_to_x(ys)[:-1]: coef for ys, coef in _product_terms(k.entries).items()}
+    )
 
 
 def basis_word(s: MultiIndex) -> NcPoly:
     """The monomial w(s) = x0^(s1) x1 ... x0^(sn) x1 x0^(sinf)."""
     _require_magnus(s)
-    return NcPoly._trusted("X", {_word(s): 1})
-
-
-def _word(s: MultiIndex) -> tuple[int, ...]:
-    """The letters of w(s)."""
-    return _letters_y_to_x(s.prefix) + (0,) * s.tail
+    return NcPoly._trusted("X", {_letters_y_to_x(s.prefix) + (0,) * s.tail: 1})
 
 
 def array_binom(s: MultiIndex, k: MultiIndex) -> int:
@@ -210,12 +222,13 @@ def _grade_cells(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
             # The matrices are square, so a.b = I already gives b.a = I.
             duality_ok = _is_identity(_mat_mul(a, b))
             # Each w(s) is one word, so M(k) = sum_s b[k][s] w(s) says that
-            # row k of b is the coefficient table of M(k).  Given that,
-            # sum_k a[s][k] M(k) = sum_t (ab)[s][t] w(t), which is w(s) for
-            # every s exactly when a.b = I.
-            words = [_word(s) for s in idx]
+            # row k of b is the coefficient table of M(k); words and blocks
+            # are in bijection, w(s) x1 having the blocks s.entries.  Given
+            # that, sum_k a[s][k] M(k) = sum_t (ab)[s][t] w(t), which is
+            # w(s) for every s exactly when a.b = I.
             inversion_ok = duality_ok and all(
-                magnus_poly(k)._terms == {w: v for w, v in zip(words, row) if v} for k, row in zip(idx, b)
+                _product_terms(k.entries) == {s.entries: v for s, v in zip(idx, row) if v}
+                for k, row in zip(idx, b)
             )
             yield {
                 "depth": depth,

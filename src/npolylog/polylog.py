@@ -41,19 +41,20 @@ shared piece is built once.  Li values are cached with every tail, and
 a new value is built from the cached value of its longest cached tail,
 iteratively.  verify_relation reads series rows from a dict the caller
 may share across a stream of relations, and kernel_elements expands
-each permuted Magnus image once per sweep.
+the closed-form product of each distinct arrangement once per sweep;
+that closed form lives in magnus, and nfold_product reads it too.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import re
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .freealg import NcPoly, _add_term, poly_x_to_y
-from .magnus import _require_magnus, magnus_poly, word_to_magnus
+from .magnus import _product_terms, _require_magnus, magnus_poly, word_to_magnus
 from .ratpoly import RatFun, Scalar, euler_deriv, geom_mul, taylor_coeffs
 from .words import MultiIndex, _check_entries
 
@@ -237,7 +238,7 @@ def product_letter_word(m: int, w: MultiIndex) -> LinComb:
 
     Li(m)*Li(r,w') = sum_{k=0}^{m} (-1)^k C(m,k) Li(m-k, r+k, w').
     """
-    if not isinstance(m, int) or m < 0:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise ValueError("the single index must be an integer >= 0")
     _require_plain(w)
     if not w.entries:
@@ -261,22 +262,9 @@ def nfold_product(factors: Sequence[int]) -> LinComb:
     if not fac:
         raise ValueError("need at least one factor")
     for f in fac:
-        if not isinstance(f, int) or f < 0:
+        if isinstance(f, bool) or not isinstance(f, int) or f < 0:
             raise ValueError(f"bad factor {f!r}: factors are integers >= 0")
-    n = len(fac)
-    if n == 1:
-        return LinComb._trusted("Y", {fac: 1})
-    terms: dict[tuple[int, ...], Scalar] = {}
-    for ks in itertools.product(*(range(s + 1) for s in fac[:-1])):
-        coef = 1
-        entries = [fac[0] - ks[0]]
-        for j in range(1, n - 1):
-            entries.append(fac[j] - ks[j] + ks[j - 1])
-        entries.append(fac[-1] + ks[-1])
-        for s, k in zip(fac, ks):
-            coef *= (-1) ** k * comb(s, k)
-        _add_term(terms, tuple(entries), coef)
-    return LinComb._trusted("Y", terms)
+    return LinComb._trusted("Y", _product_terms(fac))
 
 
 def _y_image(mp: NcPoly) -> LinComb:
@@ -299,28 +287,21 @@ def magnus_product_identity(k: MultiIndex) -> tuple[LinComb, LinComb]:
 def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[LinComb]:
     """kernel_element(k, sigma) for each sigma in turn, lazily.
 
-    The Y-image of M(j) x1 is expanded once per distinct permuted index
-    j (k itself included) and kept only while the generator lives, so
-    the r! relations of one index need one expansion per distinct
-    arrangement of its entries.
+    The closed-form product of each distinct arrangement of the entries
+    of k (k itself included) is expanded once and kept only while the
+    generator lives, so the r! relations of one index need one
+    expansion per distinct arrangement.
     """
     _require_magnus(k)
     r = k.depth + 1
-    images: dict[tuple[int, ...], dict[tuple[int, ...], Scalar]] = {}
-
-    def image(entries: tuple[int, ...]) -> dict[tuple[int, ...], Scalar]:
-        terms = images.get(entries)
-        if terms is None:
-            terms = images[entries] = _y_image(magnus_poly(MultiIndex(entries, magnus=True)))._terms
-        return terms
-
-    base = image(k.entries)
+    expansion = functools.cache(_product_terms)
+    base = expansion(k.entries)
     for sigma in sigmas:
         sig = tuple(int(x) for x in sigma)
         if sorted(sig) != list(range(1, r + 1)):
             raise ValueError(f"sigma must be a permutation of 1..{r} in one-line notation, got {sig}")
         diff = dict(base)
-        for letters, coef in image(tuple(k.entries[i - 1] for i in sig)).items():
+        for letters, coef in expansion(tuple(k.entries[i - 1] for i in sig)).items():
             _add_term(diff, letters, -coef)
         yield LinComb._trusted("Y", diff)
 

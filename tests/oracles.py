@@ -6,9 +6,10 @@ Each follows its definition literally and is meant for small inputs only.
 import itertools
 from math import comb
 
-from npolylog.freealg import NcPoly, lie_bracket
+from npolylog.freealg import NcPoly, _add_term, lie_bracket
 from npolylog.magnus import lie_power
-from npolylog.ratpoly import RatFun, euler_deriv, geom_mul
+from npolylog.polylog import LinComb
+from npolylog.ratpoly import RatFun, Scalar, euler_deriv, geom_mul
 from npolylog.words import MultiIndex
 
 _X0 = NcPoly.monomial("X", (0,))
@@ -33,6 +34,29 @@ def magnus_poly_by_products(k: MultiIndex) -> NcPoly:
     for kj in k.prefix:
         out = out * lie_power(kj)
     return out * NcPoly.monomial("X", (0,) * k.tail)
+
+
+def nfold_product_by_choices(factors) -> LinComb:
+    """Li(s1)...Li(sn) summed over every choice of k_j in 0..s_j, j < n; oracle for nfold_product.
+
+    Builds each index and coefficient of the closed form from its own
+    choice tuple, one product of coefficients per term.
+    """
+    fac = tuple(factors)
+    n = len(fac)
+    if n == 1:
+        return LinComb._trusted("Y", {fac: 1})
+    terms: dict[tuple[int, ...], Scalar] = {}
+    for ks in itertools.product(*(range(s + 1) for s in fac[:-1])):
+        coef = 1
+        entries = [fac[0] - ks[0]]
+        for j in range(1, n - 1):
+            entries.append(fac[j] - ks[j] + ks[j - 1])
+        entries.append(fac[-1] + ks[-1])
+        for s, k in zip(fac, ks):
+            coef *= (-1) ** k * comb(s, k)
+        _add_term(terms, tuple(entries), coef)
+    return LinComb._trusted("Y", terms)
 
 
 def series_coeffs_by_chains(s: MultiIndex, n_max: int) -> list[int]:

@@ -371,6 +371,43 @@ def test_pipeline_disagreement_exits_3(capsys, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.fixture
+def digit_limit_640():
+    """Python's int-to-str digit limit at its minimum, 640, for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+LI_400 = json.dumps({"terms": [{"coef": "1", "index": [400]}]})
+
+
+def test_values_past_the_digit_limit_are_printed(capsys, monkeypatch, digit_limit_640):
+    code, out, err = run(capsys, "eval", "(400)")
+    assert code == 0 and err == ""
+    value = out.rstrip("\n")
+    code, out, err = run(capsys, "eval", "(400)", "--json")
+    assert code == 0 and err == ""
+    assert max(len(c) for c in json.loads(out)["value"]["num"]) > 640
+    monkeypatch.setattr(sys, "stdin", io.StringIO(LI_400 + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 1 and err == ""
+    assert out == f"line 1: FAIL witness={value}\nchecked 1 relations: 0 ok, 1 failed\n"
+    assert sys.get_int_max_str_digits() == 640
+
+
+def test_verify_parses_under_the_digit_limit_after_a_long_witness(capsys, monkeypatch, digit_limit_640):
+    huge = json.dumps({"terms": [{"coef": "7" * 700, "index": [1]}]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(LI_400 + "\n" + huge + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 2
+    assert out.startswith("line 1: FAIL witness=") and out.count("\n") == 1
+    assert err.startswith("line 2: parse error: term 0 has a bad coefficient")
+
+
 def test_verify_bundled(capsys):
     code, out, err = run(capsys, "verify", "--bundled")
     assert code == 0

@@ -198,17 +198,16 @@ def test_grade_report_rejects_negative_bounds():
 
 
 def test_grade_report_catches_a_wrong_magnus_term(monkeypatch):
-    target = magnus_index(1, 1)
-    exact = magnus.magnus_poly
+    exact = magnus._product_terms
 
-    def perturbed(k):
-        p = exact(k)
-        if k == target:
-            letters, coef = p.sorted_terms()[0]
-            p = p + NcPoly.monomial("X", letters)
-        return p
+    def perturbed(entries):
+        terms = exact(entries)
+        if entries == (1, 1):
+            # The choice i = 0 gives the block word of the entries themselves.
+            terms[entries] += 1
+        return terms
 
-    monkeypatch.setattr(magnus, "magnus_poly", perturbed)
+    monkeypatch.setattr(magnus, "_product_terms", perturbed)
     for cell in grade_report(2, 3):
         assert cell["duality_ok"]
         bad = (cell["depth"], cell["weight"]) == (1, 2)

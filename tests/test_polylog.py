@@ -29,7 +29,7 @@ from npolylog.polylog import (
 )
 from npolylog.ratpoly import RatFun, taylor_coeffs
 from npolylog.words import magnus_index, mpl_index
-from oracles import polylog_by_fold, series_coeffs_by_chains
+from oracles import nfold_product_by_choices, polylog_by_fold, series_coeffs_by_chains
 
 
 def plain_indices(max_depth, max_weight):
@@ -313,6 +313,21 @@ def test_nfold_product_matches_iterated_expansion():
         assert nfold_product(factors) == step
 
 
+def test_nfold_product_matches_the_sum_over_choices():
+    for n in range(1, 5):
+        for factors in itertools.product(range(5), repeat=n):
+            assert nfold_product(factors) == nfold_product_by_choices(factors)
+
+
+def test_products_reject_bool_factors():
+    with pytest.raises(ValueError, match="bad factor True"):
+        nfold_product([True])
+    with pytest.raises(ValueError, match="bad factor False"):
+        nfold_product([2, False])
+    with pytest.raises(ValueError, match="the single index must be an integer >= 0"):
+        product_letter_word(True, mpl_index(1))
+
+
 def test_nfold_product_is_exact():
     rng = random.Random(473)
     for _ in range(10):
@@ -491,15 +506,13 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_kernel_elements_expand_each_permuted_index_once(monkeypatch):
-    calls = count_calls(monkeypatch, pl, "magnus_poly")
+    calls = count_calls(monkeypatch, pl, "_product_terms")
     for entries, distinct in [((1, 2, 3, 4), 24), ((1, 2, 1, 2, 1, 1), 15), ((1, 1, 2), 3)]:
         calls.clear()
         k = magnus_index(*entries)
         cs = list(kernel_elements(k, itertools.permutations(range(1, len(entries) + 1))))
         assert len(calls) == distinct
-        assert {args[0] for args in calls} == {
-            magnus_index(*p) for p in itertools.permutations(entries)
-        }
+        assert {args[0] for args in calls} == set(itertools.permutations(entries))
         assert len(cs) == math.factorial(len(entries))
 
 
