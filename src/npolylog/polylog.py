@@ -33,8 +33,9 @@ raises PipelineDisagreement instead of picking a winner.
 
 Every Li value has integer numerator coefficients, so a combination is
 evaluated in integer arithmetic: its coefficients are scaled by the lcm
-L of their denominators, and rationals come back only when the result
-is divided by L at the end.
+L of their denominators, the scaled values are summed over a common
+denominator by the one sum routine of ratpoly, and rationals come back
+only when the result is divided by L at the end.
 
 The relations of one graded piece share most of their work, and each
 shared piece is built once.  Li values are cached with every tail, and
@@ -49,13 +50,14 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .freealg import NcPoly, _add_term, poly_x_to_y
 from .magnus import _product_terms, _require_magnus, magnus_poly, word_to_magnus
-from .ratpoly import RatFun, Scalar, euler_deriv, geom_mul, taylor_coeffs
+from .ratpoly import RatFun, Scalar, _combine, euler_deriv, geom_mul, taylor_coeffs
 from .words import MultiIndex, _check_entries
 
 __all__ = [
@@ -162,37 +164,10 @@ def _clear_denominators(c: LinComb) -> tuple[int, list[tuple[tuple[int, ...], in
     ]
 
 
-def _integer_value(terms: list[tuple[tuple[int, ...], int]]) -> RatFun:
-    """Li of an integer combination of entry tuples, in integer arithmetic.
-
-    Numerators that share a denominator power d_i are summed as they
-    are.  Each such sum is then raised once to the common power d by
-    the signed binomial row of (1-z)^(d - d_i), and the total is
-    canonicalised once.
-    """
-    groups: dict[int, list[int]] = {}
-    for entries, a in terms:
-        f = _polylog_entries(entries)
-        acc = groups.setdefault(f.dpow, [])
-        if len(acc) < len(f.num):
-            acc.extend([0] * (len(f.num) - len(acc)))
-        for i, p in enumerate(f.num):
-            acc[i] += a * p
-    d = max(groups, default=0)
-    out = [0] * max((len(acc) + d - di for di, acc in groups.items()), default=0)
-    for di, acc in groups.items():
-        row = [(-1) ** k * comb(d - di, k) for k in range(d - di + 1)]
-        for i, p in enumerate(acc):
-            if p:
-                for k, b in enumerate(row):
-                    out[i + k] += p * b
-    return RatFun(out, d)
-
-
 def polylog_map(c: LinComb) -> RatFun:
     """Linear extension of polylog_rational to formal combinations."""
     scale, terms = _clear_denominators(c)
-    return _integer_value(terms) * Fraction(1, scale)
+    return _combine([(a, _polylog_entries(e)) for e, a in terms]) * Fraction(1, scale)
 
 
 def series_coeffs(s: MultiIndex, n_max: int) -> list[int]:
@@ -346,7 +321,7 @@ def verify_relation(
     if rows is None:
         rows = {}
     scale, terms = _clear_denominators(c)
-    f = _integer_value(terms)
+    f = _combine([(a, _polylog_entries(e)) for e, a in terms])
     bound = max((sum(entries) + len(entries) for entries, _ in terms), default=0)
     direct = [0] * (bound + 1)
     for entries, a in terms:
@@ -390,6 +365,11 @@ def relation_record(c: LinComb, verified: bool) -> dict[str, object]:
 # so one relation file parses the same everywhere.
 _NEWER_FRACTION_SYNTAX = re.compile(r"_|\s/|/\s")
 
+# Fraction reads "1e400000" by building 10**400000, which the int-to-str
+# digit limit on a coefficient's digits does not see; such an exponent
+# is refused when it is past that limit.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
+
 
 def relation_from_record(obj: dict[str, object]) -> LinComb:
     """Parse the terms of a relation record; raises ValueError when malformed.
@@ -409,6 +389,10 @@ def relation_from_record(obj: dict[str, object]) -> LinComb:
         try:
             text = str(item["coef"])
             if _NEWER_FRACTION_SYNTAX.search(text):
+                raise ValueError(text)
+            exp = _EXPONENT.search(text)
+            limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+            if exp and 0 < limit < abs(int(exp.group(1))):
                 raise ValueError(text)
             coef = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

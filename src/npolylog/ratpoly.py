@@ -11,6 +11,10 @@ no trailing zero coefficients and, when d > 0, that (1-z) not divide
 P, which is equivalent to P(1) != 0.  Reduction therefore never needs
 a gcd: evaluate P at 1 and divide synthetically while it vanishes.
 
+Every sum, from RatFun addition to the value of a combination of
+polylogarithms, goes through _combine, which raises each group of
+numerators that share a denominator power to the common power once.
+
 Beyond the ring operations the module provides the two operators that
 generate all polylogarithm values here: the Euler operator z d/dz and
 multiplication by z/(1-z), plus exact Taylor coefficient extraction.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import comb
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -44,20 +49,13 @@ def _scalar(c: object) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
-def _mul_one_minus_z(coeffs: Sequence[Scalar]) -> list[Scalar]:
-    out = list(coeffs) + [0]
-    for i in range(len(out) - 1, 0, -1):
-        out[i] -= coeffs[i - 1]
-    return out
-
-
 class RatFun:
     """A canonical rational function P(z)/(1-z)^d."""
 
     __slots__ = ("num", "dpow")
 
     def __init__(self, num: Iterable[Scalar] = (), dpow: int = 0) -> None:
-        if not isinstance(dpow, int) or dpow < 0:
+        if not isinstance(dpow, int) or isinstance(dpow, bool) or dpow < 0:
             raise ValueError("denominator power must be an integer >= 0")
         coeffs = [c if type(c) is int else _scalar(c) for c in num]
         while coeffs and coeffs[-1] == 0:
@@ -126,27 +124,12 @@ class RatFun:
 
     # arithmetic -----------------------------------------------------------
 
-    def _raised_num(self, target_dpow: int) -> list[Scalar]:
-        """Numerator after rewriting over the denominator (1-z)^target_dpow."""
-        out = list(self.num)
-        for _ in range(target_dpow - self.dpow):
-            out = _mul_one_minus_z(out)
-        return out
-
     def __add__(self, other: Union["RatFun", Scalar]) -> "RatFun":
         if isinstance(other, (int, Fraction)):
             other = RatFun.const(other)
         if not isinstance(other, RatFun):
             return NotImplemented
-        d = max(self.dpow, other.dpow)
-        a = self._raised_num(d)
-        b = other._raised_num(d)
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatFun(out, d)
+        return _combine(((1, self), (1, other)))
 
     def __radd__(self, other: Scalar) -> "RatFun":
         return self + other
@@ -206,6 +189,32 @@ class RatFun:
 
     def to_json_obj(self) -> dict[str, object]:
         return {"num": [str(c) for c in self.num], "dpow": self.dpow}
+
+
+def _combine(pairs: Iterable[tuple[Scalar, RatFun]]) -> RatFun:
+    """sum c*f over (c, f) in pairs, over the common denominator (1-z)^d.
+
+    Numerators that share a denominator power d_i are summed as they
+    are.  Each such sum is then raised once to the largest power d by
+    the signed binomial row of (1-z)^(d - d_i), and the total is
+    canonicalised once.
+    """
+    groups: dict[int, list[Scalar]] = {}
+    for c, f in pairs:
+        acc = groups.setdefault(f.dpow, [])
+        if len(acc) < len(f.num):
+            acc.extend([0] * (len(f.num) - len(acc)))
+        for i, p in enumerate(f.num):
+            acc[i] += c * p
+    d = max(groups, default=0)
+    out: list[Scalar] = [0] * max((len(acc) + d - di for di, acc in groups.items()), default=0)
+    for di, acc in groups.items():
+        row = [(-1) ** k * comb(d - di, k) for k in range(d - di + 1)]
+        for i, p in enumerate(acc):
+            if p:
+                for k, b in enumerate(row):
+                    out[i + k] += p * b
+    return RatFun(out, d)
 
 
 def _term_str(coef: Scalar, deg: int) -> str:

@@ -44,6 +44,8 @@ class MultiIndex:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
         _check_entries(self.entries)
+        if not isinstance(self.magnus, bool):
+            raise ValueError(f"the magnus flag must be True or False, got {self.magnus!r}")
         if self.magnus and not self.entries:
             raise ValueError("a magnus index needs at least its tail entry")
 
@@ -85,7 +87,7 @@ def magnus_index(*entries: int) -> MultiIndex:
 
 def _parse_int(token: str, text: str) -> int:
     tok = token.strip()
-    if not re.fullmatch(r"\d+", tok):
+    if not re.fullmatch(r"[0-9]+", tok):
         raise ValueError(f"bad token {tok!r} in index {text!r}")
     return int(tok)
 

@@ -5,6 +5,7 @@ Each follows its definition literally and is meant for small inputs only.
 
 import itertools
 from math import comb
+from typing import Sequence
 
 from npolylog.freealg import NcPoly, _add_term, lie_bracket
 from npolylog.magnus import lie_power
@@ -127,3 +128,31 @@ def taylor_coeffs_by_comb(f: RatFun, n_max: int) -> list:
                 acc += c * comb(n - j + d - 1, d - 1)
         out.append(acc)
     return out
+
+
+def _mul_one_minus_z(coeffs: Sequence[Scalar]) -> list[Scalar]:
+    out = list(coeffs) + [0]
+    for i in range(len(out) - 1, 0, -1):
+        out[i] -= coeffs[i - 1]
+    return out
+
+
+def _raised_num(f: RatFun, target_dpow: int) -> list[Scalar]:
+    """Numerator after rewriting over the denominator (1-z)^target_dpow."""
+    out = list(f.num)
+    for _ in range(target_dpow - f.dpow):
+        out = _mul_one_minus_z(out)
+    return out
+
+
+def add_by_raising(f: RatFun, g: RatFun) -> RatFun:
+    """f + g with each numerator raised one factor (1-z) at a time; oracle for RatFun addition."""
+    d = max(f.dpow, g.dpow)
+    a = _raised_num(f, d)
+    b = _raised_num(g, d)
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return RatFun(out, d)

@@ -320,6 +320,12 @@ REJECTED_TERMS = [
     ('"1_0"', "[1]", "term 0 has a bad coefficient '1_0'"),
     ('"1 / 3"', "[1]", "term 0 has a bad coefficient '1 / 3'"),
 ]
+# The int-to-str digit limit bounds the exponent of a coefficient too.
+if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits():
+    REJECTED_TERMS += [
+        ('"1e5000"', "[1]", "term 0 has a bad coefficient '1e5000'"),
+        ('"1e-5000"', "[1]", "term 0 has a bad coefficient '1e-5000'"),
+    ]
 
 
 @pytest.mark.parametrize("coef, value, witness", ACCEPTED_COEFFICIENTS, ids=[c for c, _, _ in ACCEPTED_COEFFICIENTS])

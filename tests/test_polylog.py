@@ -486,8 +486,8 @@ def test_verify_relation_bound_is_weight_plus_depth(monkeypatch):
 def test_verify_relation_refuses_a_nonzero_value_with_a_zero_series(monkeypatch):
     # z^6 vanishes to order D = 5 but is not zero: the rational verdict
     # would be "false relation", the series verdict "true relation".
-    good = pl._integer_value
-    monkeypatch.setattr(pl, "_integer_value", lambda terms: good(terms) + RatFun((0,) * 6 + (1,)))
+    good = pl._combine
+    monkeypatch.setattr(pl, "_combine", lambda pairs: good(pairs) + RatFun((0,) * 6 + (1,)))
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npolylog.ratpoly import RatFun, euler_deriv, geom_mul, taylor_coeffs
-from oracles import euler_deriv_by_formula, taylor_coeffs_by_comb
+from oracles import add_by_raising, euler_deriv_by_formula, taylor_coeffs_by_comb
 
 
 def random_ratfun(rng, max_deg=4, max_dpow=4):
@@ -176,20 +176,32 @@ def test_euler_deriv_leibniz_rule():
 
 # Mixed int and Fraction coefficients over mixed denominator powers,
 # derandomized so that every run checks the same examples.
-RATFUNS = st.builds(
-    RatFun,
-    st.lists(
-        st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=3)),
-        max_size=5,
-    ),
-    st.integers(0, 4),
+NUMERATORS = st.lists(
+    st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=3)),
+    max_size=5,
 )
+RATFUNS = st.builds(RatFun, NUMERATORS, st.integers(0, 4))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(RATFUNS, RATFUNS)
 def test_euler_deriv_leibniz_property(f, g):
     assert euler_deriv(f * g) == euler_deriv(f) * g + f * euler_deriv(g)
+
+
+SUMMANDS = st.builds(RatFun, NUMERATORS, st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(SUMMANDS, SUMMANDS)
+def test_sum_and_difference_match_raising_one_factor_at_a_time(f, g):
+    assert_same(f + g, add_by_raising(f, g))
+    assert_same(f - g, add_by_raising(f, -g))
+
+
+def test_sum_drops_a_denominator_power():
+    # (1 - z)/(1-z)^2 = 1/(1-z)
+    assert_same(RatFun((1,), 2) + RatFun((0, -1), 2), RatFun((1,), 1))
 
 
 def test_geom_mul_takes_strict_prefix_sums():
@@ -226,6 +238,12 @@ def test_json_round_trip():
         assert RatFun(map(Fraction, obj["num"]), obj["dpow"]) == f
     obj = RatFun((0, Fraction(1, 3)), 2).to_json_obj()
     assert obj == {"num": ["0", "1/3"], "dpow": 2}
+
+
+def test_bool_denominator_power_is_rejected():
+    for dpow in [True, False]:
+        with pytest.raises(ValueError, match="denominator power"):
+            RatFun((1,), dpow)
 
 
 def test_invalid_inputs():

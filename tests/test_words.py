@@ -43,6 +43,12 @@ def test_index_rejects_bool_entries():
             MultiIndex(entries + (2,), magnus=True)
 
 
+def test_index_rejects_a_magnus_flag_that_is_not_a_bool():
+    for flag in ["no", 1, None]:
+        with pytest.raises(ValueError, match="magnus flag"):
+            MultiIndex((1, 2), magnus=flag)
+
+
 def test_index_notation_round_trip():
     for text in ["(1,2,3)", "()", "(1;2)", "(;2)", "(0,1;2)", "(0)"]:
         assert str(parse_index(text)) == text
@@ -51,7 +57,7 @@ def test_index_notation_round_trip():
     assert parse_index("(;5)") == magnus_index(5)
 
 
-@pytest.mark.parametrize("bad", ["1,2", "(1,,2)", "(1;2;3)", "(a)", "(1, -2)", "", "(1 2)"])
+@pytest.mark.parametrize("bad", ["1,2", "(1,,2)", "(1;2;3)", "(a)", "(1, -2)", "", "(1 2)", "(\u0663)", "(\uff11,2)"])
 def test_index_parse_errors(bad):
     with pytest.raises(ValueError):
         parse_index(bad)
