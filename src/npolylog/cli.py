@@ -27,7 +27,6 @@ from .magnus import grade_report, magnus_poly
 from .polylog import (
     PipelineDisagreement,
     _relation_terms,
-    _y_image,
     expand_to_products,
     kernel_elements,
     nfold_product,
@@ -93,21 +92,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_magnus(args: argparse.Namespace) -> int:
     k = _parse_magnus(args.index)
-    mp = magnus_poly(k)
-    expansion = _y_image(mp)
+    expansion = nfold_product(k.entries)
     image = NcPoly._trusted("Y", expansion._terms)
-    factors = k.prefix + (k.tail,)
+    factors = k.entries
     label = "*".join(f"Li({f})" for f in factors)
     if args.json:
         obj = {
             "index": str(k),
-            "magnus": poly_to_json_obj(mp),
+            "magnus": poly_to_json_obj(magnus_poly(k)),
             "image": poly_to_json_obj(image),
             "product": {"factors": list(factors), "terms": _relation_terms(expansion)},
         }
         print(json.dumps(obj))
     else:
-        print(f"magnus: {mp}")
+        print(f"magnus: {magnus_poly(k)}")
         print(f"image: {image}")
         print(f"product: {label} = {expansion}")
     return 0
@@ -204,30 +202,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_duality_check(args: argparse.Namespace) -> int:
-    cells = grade_report(args.max_depth, args.max_weight)
-    if args.json:
-        cells = list(cells)
-        ok = all(cell["ok"] for cell in cells)
-        print(
-            json.dumps(
-                {
-                    "max_depth": args.max_depth,
-                    "max_weight": args.max_weight,
-                    "cells": cells,
-                    "ok": ok,
-                }
-            )
-        )
-    else:
-        ok = True
-        for cell in cells:
-            ok = ok and cell["ok"]
+    cells = []
+    ok = True
+    for cell in grade_report(args.max_depth, args.max_weight):
+        ok = ok and cell["ok"]
+        if args.json:
+            cells.append(cell)
+        else:
             state = "ok" if cell["ok"] else "FAIL"
-            print(
-                "depth={d} weight={w} size={n} {s}".format(
-                    d=cell["depth"], w=cell["weight"], n=cell["size"], s=state
-                )
-            )
+            print(f"depth={cell['depth']} weight={cell['weight']} size={cell['size']} {state}")
+    if args.json:
+        print(json.dumps({"max_depth": args.max_depth, "max_weight": args.max_weight, "cells": cells, "ok": ok}))
+    else:
         print("all graded pieces ok" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -2,11 +2,11 @@
 
 An NcPoly is a finite Q-linear combination of words, stored as a
 mapping from words to coefficients.  A word is a tuple of letter
-codes (see words), the only word type of the package.  An integral
-coefficient is stored as an int and any other as a Fraction (the rule
-of ratpoly), so each polynomial has one representation and integer
-inputs (every Magnus polynomial and basis change, for instance) stay
-in integer arithmetic throughout.  Zero coefficients are dropped
+codes (see words), the only word type of the package.  Coefficients
+are ints and Fractions, an int when integral (the scalar rule of
+words), so each polynomial has one representation and integer inputs
+(every Magnus polynomial and basis change, for instance) stay in
+integer arithmetic throughout.  Zero coefficients are dropped
 eagerly, so equality is plain dictionary equality and membership
 tests against the kernel of the polylogarithm map stay exact.
 Display and serialization order terms by word length and then
@@ -23,8 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .ratpoly import Scalar, _scalar
-from .words import _letters_x_to_y, _letters_y_to_x, _word_display, _word_json
+from .words import Scalar, _is_count, _letters_x_to_y, _letters_y_to_x, _scalar, _word_display, _word_json
 
 __all__ = [
     "NcPoly",
@@ -37,14 +36,9 @@ __all__ = [
 Letters = tuple[int, ...]
 
 
-def _check_alphabet(alphabet: str) -> None:
-    if alphabet not in ("X", "Y"):
-        raise ValueError(f"unknown alphabet {alphabet!r}")
-
-
 def _check_letters(alphabet: str, letters: Letters) -> None:
     for c in letters:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0 or (alphabet == "X" and c > 1):
+        if not _is_count(c) or (alphabet == "X" and c > 1):
             raise ValueError(f"bad letter {c!r} for alphabet {alphabet}")
 
 
@@ -74,7 +68,7 @@ class NcPoly:
     __slots__ = ("alphabet", "_terms")
 
     def __init__(self, alphabet: str, terms: Mapping[Letters, Scalar] | None = None) -> None:
-        _check_alphabet(alphabet)
+        self._check_alphabet(alphabet)
         self.alphabet = alphabet
         clean: dict[Letters, Scalar] = {}
         for letters, coef in (terms or {}).items():
@@ -97,21 +91,27 @@ class NcPoly:
     # construction helpers ------------------------------------------------
 
     # These build through _trusted, not the constructor, so that they
-    # also serve subclasses whose constructor takes other arguments.
+    # also serve subclasses whose constructor takes other arguments; a
+    # subclass narrows the alphabets they take by its _check_alphabet.
+
+    @staticmethod
+    def _check_alphabet(alphabet: str) -> None:
+        if alphabet not in ("X", "Y"):
+            raise ValueError(f"unknown alphabet {alphabet!r}")
 
     @classmethod
     def zero(cls, alphabet: str) -> "NcPoly":
-        _check_alphabet(alphabet)
+        cls._check_alphabet(alphabet)
         return cls._trusted(alphabet, {})
 
     @classmethod
     def one(cls, alphabet: str) -> "NcPoly":
-        _check_alphabet(alphabet)
+        cls._check_alphabet(alphabet)
         return cls._trusted(alphabet, {(): 1})
 
     @classmethod
     def monomial(cls, alphabet: str, letters: Iterable[int], coef: Scalar = 1) -> "NcPoly":
-        _check_alphabet(alphabet)
+        cls._check_alphabet(alphabet)
         letters = tuple(letters)
         _check_letters(alphabet, letters)
         coef = _scalar(coef)
@@ -175,13 +175,10 @@ class NcPoly:
                 _add_term(out, u + v, cu * cv)
         return self._trusted(self.alphabet, out)
 
-    def __rmul__(self, other: Scalar) -> "NcPoly":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "NcPoly":
-        if not isinstance(n, int) or n < 0:
+        if not _is_count(n):
             raise ValueError("exponent must be an integer >= 0")
         out = self._trusted(self.alphabet, {(): 1})
         for _ in range(n):

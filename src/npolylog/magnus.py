@@ -24,17 +24,17 @@ piece up to given bounds.
 
 Split into blocks x0^a x1, M(k) x1 is the closed form of the product
 Li(k1)...Li(kn)Li(kinf) (Theorem main4).  One helper expands it
-bracket by bracket; magnus_poly, the graded sweeps, and the n-fold
-product and kernel sweeps of polylog all read that one expansion.
+bracket by bracket; magnus_poly, magnus_to_word, the graded sweeps,
+and the n-fold product and kernel sweeps of polylog all read it.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .freealg import NcPoly
-from .words import MultiIndex, _letters_y_to_x
+from .words import MultiIndex, _is_count, _letters_y_to_x
 
 __all__ = [
     "lie_power",
@@ -51,7 +51,7 @@ __all__ = [
 
 def lie_power(n: int) -> NcPoly:
     """x1^(n) via the closed form sum_k (-1)^k C(n,k) x0^(n-k) x1 x0^k."""
-    if not isinstance(n, int) or n < 0:
+    if not _is_count(n):
         raise ValueError("bracket order must be an integer >= 0")
     terms = {(0,) * (n - k) + (1,) + (0,) * k: (-1) ** k * comb(n, k) for k in range(n + 1)}
     return NcPoly._trusted("X", terms)
@@ -169,30 +169,21 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def magnus_indices(depth: int, weight: int) -> list[MultiIndex]:
     """All magnus indices of the given depth and weight, in lexicographic order."""
-    if depth < 0 or weight < 0:
+    if not (_is_count(depth) and _is_count(weight)):
         raise ValueError("depth and weight must be >= 0")
     return [MultiIndex(c, magnus=True) for c in _compositions(weight, depth + 1)]
 
 
-def _row(entry: Callable[[tuple[int, ...], tuple[int, ...]], int], a: MultiIndex) -> dict[MultiIndex, int]:
-    """Nonzero entry(a.prefix, b.prefix) over every b in the graded piece of a."""
-    _require_magnus(a)
-    out: dict[MultiIndex, int] = {}
-    for b in magnus_indices(a.depth, a.weight):
-        v = entry(a.prefix, b.prefix)
-        if v:
-            out[b] = v
-    return out
-
-
 def word_to_magnus(s: MultiIndex) -> dict[MultiIndex, int]:
     """Nonzero coefficients of w(s) in the Magnus basis."""
-    return _row(_array_binom, s)
+    _require_magnus(s)
+    return {k: v for k in magnus_indices(s.depth, s.weight) if (v := _array_binom(s.prefix, k.prefix))}
 
 
 def magnus_to_word(k: MultiIndex) -> dict[MultiIndex, int]:
-    """Nonzero coefficients of M(k) in the monomial basis."""
-    return _row(_dual_array_binom, k)
+    """Nonzero coefficients of M(k) in the monomial basis: w(s) for each block word s of M(k) x1."""
+    _require_magnus(k)
+    return {MultiIndex(s, magnus=True): v for s, v in _product_terms(k.entries).items()}
 
 
 def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:
@@ -207,7 +198,7 @@ def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
     as it is checked, in order of depth, then weight.  Raises ValueError
     when a bound is negative, at the call rather than at the first record.
     """
-    if max_depth < 0 or max_weight < 0:
+    if not (_is_count(max_depth) and _is_count(max_weight)):
         raise ValueError(f"max depth and max weight must be >= 0, got {max_depth} and {max_weight}")
     return _grade_cells(max_depth, max_weight)
 

@@ -42,8 +42,10 @@ shared piece is built once.  Li values are cached with every tail, and
 a new value is built from the cached value of its longest cached tail,
 iteratively.  verify_relation reads series rows from a dict the caller
 may share across a stream of relations, and kernel_elements expands
-the closed-form product of each distinct arrangement once per sweep;
-that closed form lives in magnus, and nfold_product reads it too.
+the closed-form product of each distinct arrangement once per sweep.
+That closed form lives in magnus and nfold_product reads it; only
+magnus_product_identity derives it again, through M(k) x1 in Q<X>, as
+the independent side of the identity it states.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .freealg import NcPoly, _add_term, poly_x_to_y
 from .magnus import _product_terms, _require_magnus, magnus_poly, word_to_magnus
-from .ratpoly import RatFun, Scalar, _combine, euler_deriv, geom_mul, taylor_coeffs
-from .words import MultiIndex, _check_entries
+from .ratpoly import RatFun, _combine, euler_deriv, geom_mul, taylor_coeffs
+from .words import MultiIndex, Scalar, _check_entries, _is_count
 
 __all__ = [
     "LinComb",
@@ -100,6 +102,11 @@ class LinComb(NcPoly):
         for idx in terms:
             _require_plain(idx)
         super().__init__("Y", {idx.entries: coef for idx, coef in terms.items()})
+
+    @staticmethod
+    def _check_alphabet(alphabet: str) -> None:
+        if alphabet != "Y":
+            raise ValueError(f"a combination of indices is over Y, got alphabet {alphabet!r}")
 
     def coefficient(self, idx: MultiIndex) -> Scalar:
         return self._terms.get(idx.entries, 0)
@@ -179,7 +186,7 @@ def series_coeffs(s: MultiIndex, n_max: int) -> list[int]:
     cost at depth * n_max.
     """
     _require_plain(s)
-    if n_max < 0:
+    if not _is_count(n_max):
         raise ValueError("n_max must be >= 0")
     g = [1] + [0] * n_max
     for e in reversed(s.entries):
@@ -213,7 +220,7 @@ def product_letter_word(m: int, w: MultiIndex) -> LinComb:
 
     Li(m)*Li(r,w') = sum_{k=0}^{m} (-1)^k C(m,k) Li(m-k, r+k, w').
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+    if not _is_count(m):
         raise ValueError("the single index must be an integer >= 0")
     _require_plain(w)
     if not w.entries:
@@ -237,14 +244,9 @@ def nfold_product(factors: Sequence[int]) -> LinComb:
     if not fac:
         raise ValueError("need at least one factor")
     for f in fac:
-        if isinstance(f, bool) or not isinstance(f, int) or f < 0:
+        if not _is_count(f):
             raise ValueError(f"bad factor {f!r}: factors are integers >= 0")
     return LinComb._trusted("Y", _product_terms(fac))
-
-
-def _y_image(mp: NcPoly) -> LinComb:
-    """M x1 read through the word-splitting isomorphism, as a combination."""
-    return LinComb._trusted("Y", poly_x_to_y(mp * _X1)._terms)
 
 
 def magnus_product_identity(k: MultiIndex) -> tuple[LinComb, LinComb]:
@@ -256,7 +258,7 @@ def magnus_product_identity(k: MultiIndex) -> tuple[LinComb, LinComb]:
     permutation construction below land in the kernel.
     """
     _require_magnus(k)
-    return nfold_product(k.entries), _y_image(magnus_poly(k))
+    return nfold_product(k.entries), LinComb._trusted("Y", poly_x_to_y(magnus_poly(k) * _X1)._terms)
 
 
 def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[LinComb]:
@@ -359,16 +361,11 @@ def relation_record(c: LinComb, verified: bool) -> dict[str, object]:
     }
 
 
-# Fraction's string syntax takes underscores from Python 3.11 on and
-# spaces around the slash from 3.12 on.  Refusing both before Fraction
-# reads a coefficient keeps the 3.10 syntax on every supported Python,
-# so one relation file parses the same everywhere.
-_NEWER_FRACTION_SYNTAX = re.compile(r"_|\s/|/\s")
-
-# Fraction reads "1e400000" by building 10**400000, which the int-to-str
-# digit limit on a coefficient's digits does not see; such an exponent
-# is refused when it is past that limit.
-_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
+# Python 3.10's Fraction string syntax in ASCII, read the same on every
+# supported Python: no underscores, no spaces at the slash, ASCII digits only.
+_COEF = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?P<num>\d*)(?:/\d+|(?:\.(?P<dec>\d*))?(?:[eE](?P<exp>[-+]?\d+))?)\s*", re.ASCII
+)
 
 
 def relation_from_record(obj: dict[str, object]) -> LinComb:
@@ -388,11 +385,11 @@ def relation_from_record(obj: dict[str, object]) -> LinComb:
             raise ValueError(f"term {i} must be an object with 'coef' and 'index'")
         try:
             text = str(item["coef"])
-            if _NEWER_FRACTION_SYNTAX.search(text):
-                raise ValueError(text)
-            exp = _EXPONENT.search(text)
+            m = _COEF.fullmatch(text)
             limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-            if exp and 0 < limit < abs(int(exp.group(1))):
+            # Fraction builds 10**exp, which the int-to-str digit limit does
+            # not see: the exponent counts as digits of the mantissa.
+            if not m or 0 < limit < len(m["num"]) + len(m["dec"] or "") + abs(int(m["exp"] or 0)):
                 raise ValueError(text)
             coef = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

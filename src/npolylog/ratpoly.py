@@ -3,13 +3,14 @@
 Every value this package evaluates lives in the subring of rational
 functions generated by z and 1/(1-z), so a single distinguished
 denominator suffices: a RatFun is P(z)/(1-z)^d with P a dense tuple of
-coefficients and d >= 0.  An integral coefficient is stored as an int
-and any other as a Fraction, so each value has one representation and
-integer inputs (every polylogarithm value, for instance) stay in
-integer arithmetic throughout.  Canonical form requires that P have
-no trailing zero coefficients and, when d > 0, that (1-z) not divide
-P, which is equivalent to P(1) != 0.  Reduction therefore never needs
-a gcd: evaluate P at 1 and divide synthetically while it vanishes.
+coefficients and d >= 0.  Coefficients are ints and Fractions, an int
+when integral (the scalar rule of words), so each value has one
+representation and integer inputs (every polylogarithm value, for
+instance) stay in integer arithmetic throughout.  Canonical form
+requires that P have no trailing zero coefficients and, when d > 0,
+that (1-z) not divide P, which is equivalent to P(1) != 0.  Reduction
+therefore never needs a gcd: evaluate P at 1 and divide synthetically
+while it vanishes.
 
 Every sum, from RatFun addition to the value of a combination of
 polylogarithms, goes through _combine, which raises each group of
@@ -33,20 +34,14 @@ from itertools import accumulate
 from math import comb
 from typing import Iterable, Sequence, Union
 
+from .words import Scalar, _is_count, _scalar
+
 __all__ = [
     "RatFun",
     "euler_deriv",
     "geom_mul",
     "taylor_coeffs",
 ]
-
-Scalar = Union[int, Fraction]
-
-
-def _scalar(c: object) -> Scalar:
-    """c as an int when integral, else as a Fraction."""
-    q = Fraction(c)  # type: ignore[arg-type]
-    return q.numerator if q.denominator == 1 else q
 
 
 class RatFun:
@@ -55,7 +50,7 @@ class RatFun:
     __slots__ = ("num", "dpow")
 
     def __init__(self, num: Iterable[Scalar] = (), dpow: int = 0) -> None:
-        if not isinstance(dpow, int) or isinstance(dpow, bool) or dpow < 0:
+        if not _is_count(dpow):
             raise ValueError("denominator power must be an integer >= 0")
         coeffs = [c if type(c) is int else _scalar(c) for c in num]
         while coeffs and coeffs[-1] == 0:
@@ -113,7 +108,7 @@ class RatFun:
         return len(self.num) - 1
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = RatFun.const(other)
         if not isinstance(other, RatFun):
             return NotImplemented
@@ -131,8 +126,7 @@ class RatFun:
             return NotImplemented
         return _combine(((1, self), (1, other)))
 
-    def __radd__(self, other: Scalar) -> "RatFun":
-        return self + other
+    __radd__ = __add__
 
     def __neg__(self) -> "RatFun":
         return RatFun([-c for c in self.num], self.dpow)
@@ -155,13 +149,10 @@ class RatFun:
                     out[i + j] += a * b
         return RatFun(out, self.dpow + other.dpow)
 
-    def __rmul__(self, other: Scalar) -> "RatFun":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RatFun":
-        if not isinstance(n, int) or n < 0:
+        if not _is_count(n):
             raise ValueError("exponent must be an integer >= 0")
         out = RatFun.one()
         for _ in range(n):
@@ -276,7 +267,7 @@ def taylor_coeffs(f: RatFun, n_max: int) -> list[Scalar]:
     Multiplying a series by 1/(1-z) takes its prefix sums, so the
     coefficients are P, truncated to z^n_max, summed d times.
     """
-    if n_max < 0:
+    if not _is_count(n_max):
         raise ValueError("n_max must be >= 0")
     p = f.num[: n_max + 1]
     c = list(p) + [0] * (n_max + 1 - len(p))

@@ -22,15 +22,31 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from fractions import Fraction
+from typing import Iterable, Union
 
 __all__ = ["MultiIndex", "mpl_index", "magnus_index", "parse_index"]
+
+Scalar = Union[int, Fraction]
+
+
+def _scalar(c: object) -> Scalar:
+    """c as an int when integral, else as a Fraction; only ints and Fractions are scalars."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise ValueError(f"bad coefficient {c!r}: coefficients are ints or Fractions")
+    q = Fraction(c)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _is_count(v: object) -> bool:
+    """True for an integer >= 0 that is not a bool: an entry, a letter, a power, a bound."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _check_entries(entries: Iterable[object]) -> None:
     """Raise ValueError unless every entry is an integer >= 0."""
     for e in entries:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+        if not _is_count(e):
             raise ValueError(f"bad index entry {e!r}: entries are integers >= 0")
 
 

@@ -213,6 +213,14 @@ def test_lincomb_zero_one_and_monomial():
         NcPoly.zero("Z")
 
 
+def test_lincomb_helpers_refuse_alphabet_x():
+    for build in (lambda: LinComb.zero("X"), lambda: LinComb.one("X"), lambda: LinComb.monomial("X", (1, 0))):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == "a combination of indices is over Y, got alphabet 'X'"
+    assert str(NcPoly.monomial("X", (1, 0))) == "x1x0"
+
+
 def test_lincomb_coefficients_follow_the_int_rule():
     idx = mpl_index(2, 1)
     c = LinComb({idx: Fraction(4, 2)})

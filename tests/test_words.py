@@ -5,6 +5,10 @@ import random
 
 import pytest
 
+from npolylog.freealg import NcPoly
+from npolylog.magnus import grade_report, lie_power, magnus_indices
+from npolylog.polylog import series_coeffs
+from npolylog.ratpoly import RatFun, taylor_coeffs
 from npolylog.words import (
     MultiIndex,
     _letters_x_to_y,
@@ -108,3 +112,45 @@ def test_exhaustive_small_round_trips():
         for entries in itertools.product(range(3), repeat=r + 1):
             k = MultiIndex(entries, magnus=True)
             assert parse_index(str(k)) == k
+
+
+# Every count in the package is an int >= 0 that is not a bool, so each
+# check refuses True and floats with its own message.
+COUNT_CHECKS = [
+    pytest.param(lambda: lie_power(True), "bracket order must be an integer >= 0", id="lie_power-True"),
+    pytest.param(lambda: NcPoly.monomial("X", (1,)) ** True, "exponent must be an integer >= 0", id="NcPoly-pow-True"),
+    pytest.param(lambda: RatFun((0, 1), 1) ** True, "exponent must be an integer >= 0", id="RatFun-pow-True"),
+    pytest.param(lambda: series_coeffs(mpl_index(1), True), "n_max must be >= 0", id="series_coeffs-True"),
+    pytest.param(lambda: series_coeffs(mpl_index(1), 2.0), "n_max must be >= 0", id="series_coeffs-2.0"),
+    pytest.param(lambda: taylor_coeffs(RatFun.one(), True), "n_max must be >= 0", id="taylor_coeffs-True"),
+    pytest.param(lambda: taylor_coeffs(RatFun.one(), 2.0), "n_max must be >= 0", id="taylor_coeffs-2.0"),
+    pytest.param(lambda: magnus_indices(True, 1), "depth and weight must be >= 0", id="magnus_indices-True"),
+    pytest.param(lambda: magnus_indices(1.0, 1), "depth and weight must be >= 0", id="magnus_indices-1.0"),
+    pytest.param(
+        lambda: grade_report(True, 1), "max depth and max weight must be >= 0, got True and 1", id="grade_report-True"
+    ),
+    pytest.param(
+        lambda: grade_report(1.0, 1), "max depth and max weight must be >= 0, got 1.0 and 1", id="grade_report-1.0"
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", COUNT_CHECKS)
+def test_counts_are_ints_that_are_not_bools(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("coef", [0.1, "1/2", True], ids=repr)
+def test_coefficients_are_ints_or_fractions(coef):
+    message = f"bad coefficient {coef!r}: coefficients are ints or Fractions"
+    for build in (
+        lambda: NcPoly("X", {(1,): coef}),
+        lambda: NcPoly.monomial("Y", (2,), coef),
+        lambda: RatFun((1, coef), 1),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+    assert RatFun.one() != coef
