@@ -36,23 +36,9 @@ from .polylog import (
     verify_relation,
 )
 from .ratpoly import taylor_coeffs
-from .words import MultiIndex, parse_index
+from .words import _parse_int, _require_magnus, _require_plain, parse_index
 
 _BUNDLED = "data/known_relations.jsonl"
-
-
-def _parse_plain(text: str) -> MultiIndex:
-    idx = parse_index(text)
-    if idx.magnus:
-        raise ValueError(f"expected a plain index like (1,2), got {text!r}")
-    return idx
-
-
-def _parse_magnus(text: str) -> MultiIndex:
-    idx = parse_index(text)
-    if not idx.magnus:
-        raise ValueError(f"expected a magnus index like (1;2), got {text!r}")
-    return idx
 
 
 @contextlib.contextmanager
@@ -74,7 +60,7 @@ def _unlimited_digits():
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    idx = _parse_plain(args.index)
+    idx = _require_plain(parse_index(args.index))
     f = polylog_rational(idx)
     series = taylor_coeffs(f, args.series) if args.series is not None else None
     with _unlimited_digits():
@@ -91,7 +77,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_magnus(args: argparse.Namespace) -> int:
-    k = _parse_magnus(args.index)
+    k = _require_magnus(parse_index(args.index))
     expansion = nfold_product(k.entries)
     image = NcPoly._trusted("Y", expansion._terms)
     factors = k.entries
@@ -112,7 +98,7 @@ def cmd_magnus(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    s = _parse_plain(args.index)
+    s = _require_plain(parse_index(args.index))
     fam = sorted(expand_to_products(s).items(), key=lambda kv: kv[0].entries)
     if args.json:
         print(json.dumps({"index": list(s.entries), "products": {str(k): c for k, c in fam}}))
@@ -136,13 +122,13 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    k = _parse_magnus(args.index)
+    k = _require_magnus(parse_index(args.index))
     r = k.depth + 1
     if args.all_sigma:
         sigmas = itertools.permutations(range(1, r + 1))
     else:
         try:
-            sigmas = [tuple(int(t) for t in args.sigma.split())]
+            sigmas = [tuple(_parse_int(t, args.sigma) for t in args.sigma.split())]
         except ValueError as exc:
             raise ValueError(f"bad permutation {args.sigma!r}") from exc
     rc = 0

@@ -165,7 +165,7 @@ class NcPoly:
 
     def __mul__(self, other: Union["NcPoly", Scalar]) -> "NcPoly":
         if isinstance(other, (int, Fraction)):
-            return self._trusted(self.alphabet, _combine(((other, self),)))
+            return self._trusted(self.alphabet, _combine(((_scalar(other), self),)))
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._require_same(other)

@@ -34,7 +34,7 @@ from math import comb
 from typing import Iterator
 
 from .freealg import NcPoly
-from .words import MultiIndex, _is_count, _letters_y_to_x
+from .words import MultiIndex, _is_count, _letters_y_to_x, _require_magnus
 
 __all__ = [
     "lie_power",
@@ -55,11 +55,6 @@ def lie_power(n: int) -> NcPoly:
         raise ValueError("bracket order must be an integer >= 0")
     terms = {(0,) * (n - k) + (1,) + (0,) * k: (-1) ** k * comb(n, k) for k in range(n + 1)}
     return NcPoly._trusted("X", terms)
-
-
-def _require_magnus(k: MultiIndex) -> None:
-    if not isinstance(k, MultiIndex) or not k.magnus:
-        raise ValueError(f"expected a magnus index like (1;2), got {k}")
 
 
 def _product_terms(entries: tuple[int, ...]) -> dict[tuple[int, ...], int]:

@@ -16,8 +16,10 @@ The linear extension of s -> Li(s) to formal Q-combinations of indices
 has a large kernel, i.e. the indices satisfy many Q-linear functional
 equations.  Such a combination is a LinComb: an NcPoly over Y whose
 words are read as indices, (s1,...,sr) <-> y_s1...y_sr, so it shares
-the arithmetic, the int/Fraction rule and the term order of Q<Y>.  Two
-constructions from the Magnus basis produce and certify them:
+the arithmetic, the int/Fraction rule and the term order of Q<Y>.  The
+index kinds, counts and coefficients taken here are all checked by the
+rules of words.  Two constructions from the Magnus basis produce and
+certify them:
 
   * expand_to_products / magnus_product_identity relate a single Li
     value to products of depth-one values through the basis change,
@@ -44,8 +46,8 @@ iteratively.  verify_relation reads series rows from a dict the caller
 may share across a stream of relations, and kernel_elements expands
 the closed-form product of each distinct arrangement once per sweep.
 That closed form lives in magnus and nfold_product reads it; only
-magnus_product_identity derives it again, through M(k) x1 in Q<X>, as
-the independent side of the identity it states.
+magnus_product_identity derives it again, multiplying out the brackets
+of M(k) x1 in Q<X>, as the independent side of the identity it states.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .freealg import NcPoly, _add_term, poly_x_to_y
-from .magnus import _product_terms, _require_magnus, magnus_poly, word_to_magnus
+from .magnus import _product_terms, lie_power, word_to_magnus
 from .ratpoly import RatFun, _combine, euler_deriv, geom_mul, taylor_coeffs
-from .words import MultiIndex, Scalar, _check_entries, _is_count
+from .words import MultiIndex, Scalar, _is_count, _require_magnus, _require_plain, _scalar
 
 __all__ = [
     "LinComb",
@@ -78,14 +80,6 @@ __all__ = [
     "relation_record",
     "relation_from_record",
 ]
-
-_X1 = NcPoly.monomial("X", (1,))
-
-
-def _require_plain(s: MultiIndex) -> None:
-    if not isinstance(s, MultiIndex) or s.magnus:
-        raise ValueError(f"expected a plain index like (1,2), got {s}")
-
 
 class LinComb(NcPoly):
     """A formal Q-linear combination of plain indices.
@@ -253,12 +247,15 @@ def magnus_product_identity(k: MultiIndex) -> tuple[LinComb, LinComb]:
     """Both expansions of Li(k1)...Li(kn)Li(kinf) for a magnus index k.
 
     The left component is the closed n-fold product expansion; the
-    right one reads M(k) x1 through the word-splitting isomorphism.
-    The two are equal term by term, which is exactly what makes the
-    permutation construction below land in the kernel.
+    right one multiplies out x1^(k1) ... x1^(kn) x0^kinf x1 in Q<X> and
+    splits it into blocks.  The two are equal term by term, which is
+    exactly what makes the permutation construction below land in the kernel.
     """
     _require_magnus(k)
-    return nfold_product(k.entries), LinComb._trusted("Y", poly_x_to_y(magnus_poly(k) * _X1)._terms)
+    m = NcPoly.monomial("X", (0,) * k.tail + (1,))
+    for e in reversed(k.prefix):
+        m = lie_power(e) * m
+    return nfold_product(k.entries), LinComb._trusted("Y", poly_x_to_y(m)._terms)
 
 
 def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[LinComb]:
@@ -274,8 +271,8 @@ def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[
     expansion = functools.cache(_product_terms)
     base = expansion(k.entries)
     for sigma in sigmas:
-        sig = tuple(int(x) for x in sigma)
-        if sorted(sig) != list(range(1, r + 1)):
+        sig = tuple(sigma)
+        if not all(map(_is_count, sig)) or sorted(sig) != list(range(1, r + 1)):
             raise ValueError(f"sigma must be a permutation of 1..{r} in one-line notation, got {sig}")
         diff = dict(base)
         for letters, coef in expansion(tuple(k.entries[i - 1] for i in sig)).items():
@@ -395,10 +392,7 @@ def relation_from_record(obj: dict[str, object]) -> LinComb:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"term {i} has a bad coefficient {item['coef']!r}") from exc
         index = item["index"]
-        if not isinstance(index, list) or not all(
-            isinstance(e, int) and not isinstance(e, bool) for e in index
-        ):
+        if not isinstance(index, list) or not all(map(_is_count, index)):
             raise ValueError(f"term {i} has a bad index {index!r}")
-        _check_entries(index)
-        _add_term(terms, tuple(index), coef.numerator if coef.denominator == 1 else coef)
+        _add_term(terms, tuple(index), _scalar(coef))
     return LinComb._trusted("Y", terms)

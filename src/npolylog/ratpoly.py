@@ -56,6 +56,7 @@ class RatFun:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         # P(1) == 0 exactly when (1-z) divides P; peel those factors off.
+        # The quotient's top coefficient is c_0+...+c_(n-1) = -c_n != 0.
         while dpow > 0 and coeffs and sum(coeffs) == 0:
             quot: list[Scalar] = []
             acc: Scalar = 0
@@ -64,8 +65,6 @@ class RatFun:
                 quot.append(acc)
             coeffs = quot
             dpow -= 1
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
         if not coeffs:
             dpow = 0
         self.num = tuple(coeffs)
@@ -114,8 +113,7 @@ class RatFun:
             return NotImplemented
         return self.num == other.num and self.dpow == other.dpow
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.dpow))
+    __hash__ = None  # type: ignore[assignment]
 
     # arithmetic -----------------------------------------------------------
 
@@ -132,13 +130,18 @@ class RatFun:
         return RatFun([-c for c in self.num], self.dpow)
 
     def __sub__(self, other: Union["RatFun", Scalar]) -> "RatFun":
-        return self + (-other)
+        if isinstance(other, (int, Fraction)):
+            other = RatFun.const(other)
+        if not isinstance(other, RatFun):
+            return NotImplemented
+        return _combine(((1, self), (-1, other)))
 
     def __rsub__(self, other: Scalar) -> "RatFun":
         return RatFun.const(other) - self
 
     def __mul__(self, other: Union["RatFun", Scalar]) -> "RatFun":
         if isinstance(other, (int, Fraction)):
+            other = _scalar(other)
             return RatFun([other * a for a in self.num], self.dpow)
         if not isinstance(other, RatFun):
             return NotImplemented

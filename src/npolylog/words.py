@@ -12,6 +12,10 @@ is the exponent of a trailing x0 block and does not count toward the
 depth.  The two kinds are kept apart by an explicit flag instead of a
 caller-side convention.
 
+Each input rule of the package is decided here, once: the index kind
+(_require_plain, _require_magnus), a count such as an entry, power or
+slot number (_is_count, or _parse_int on text), a coefficient (_scalar).
+
 Text notation: "(1,2,3)" plain, "()" the empty index, "(1;2)" tail
 form, "(;2)" tail form of depth 0.  Words display as "x0x1x0^2" or
 "y1y2" and serialize as "x0x1x0x0" or "y1 y2", with "eps" for the
@@ -34,20 +38,13 @@ def _scalar(c: object) -> Scalar:
     """c as an int when integral, else as a Fraction; only ints and Fractions are scalars."""
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise ValueError(f"bad coefficient {c!r}: coefficients are ints or Fractions")
-    q = Fraction(c)
-    return q.numerator if q.denominator == 1 else q
+    # A Fraction is kept in lowest terms, so denominator 1 means integral.
+    return c.numerator if c.denominator == 1 else c
 
 
 def _is_count(v: object) -> bool:
     """True for an integer >= 0 that is not a bool: an entry, a letter, a power, a bound."""
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
-def _check_entries(entries: Iterable[object]) -> None:
-    """Raise ValueError unless every entry is an integer >= 0."""
-    for e in entries:
-        if not _is_count(e):
-            raise ValueError(f"bad index entry {e!r}: entries are integers >= 0")
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,9 @@ class MultiIndex:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
-        _check_entries(self.entries)
+        for e in self.entries:
+            if not _is_count(e):
+                raise ValueError(f"bad index entry {e!r}: entries are integers >= 0")
         if not isinstance(self.magnus, bool):
             raise ValueError(f"the magnus flag must be True or False, got {self.magnus!r}")
         if self.magnus and not self.entries:
@@ -90,6 +89,20 @@ class MultiIndex:
         if self.magnus:
             return "({};{})".format(",".join(map(str, self.prefix)), self.tail)
         return "({})".format(",".join(map(str, self.entries)))
+
+
+def _require_plain(s: object) -> MultiIndex:
+    """s itself, if it is a plain index; raises ValueError otherwise."""
+    if not isinstance(s, MultiIndex) or s.magnus:
+        raise ValueError(f"expected a plain index like (1,2), got {s}")
+    return s
+
+
+def _require_magnus(k: object) -> MultiIndex:
+    """k itself, if it is a magnus index; raises ValueError otherwise."""
+    if not isinstance(k, MultiIndex) or not k.magnus:
+        raise ValueError(f"expected a magnus index like (1;2), got {k}")
+    return k
 
 
 def mpl_index(*entries: int) -> MultiIndex:

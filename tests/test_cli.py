@@ -186,6 +186,33 @@ def test_kernel_prints_each_record_before_the_next_is_verified(capsys, monkeypat
     assert [json.loads(line)["verified"] for line in out.splitlines()] == [True, True, True]
 
 
+def test_kernel_exits_1_when_a_relation_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_relation", lambda c, rows: (False, pl.RatFun.one()))
+    code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", "2 1")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["verified"] is False
+
+
+@pytest.mark.parametrize("sigma", ["\u0662 \u0661", "+2 1", "2_0 1"], ids=["arabic-indic", "plus", "underscore"])
+def test_kernel_reads_sigma_in_ascii_digits_only(capsys, sigma):
+    code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", sigma)
+    assert (code, out, err) == (2, "", f"error: bad permutation {sigma!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "(1;2)"], "expected a plain index like (1,2), got (1;2)"),
+        (["magnus", "(1,2)"], "expected a magnus index like (1;2), got (1,2)"),
+        (["expand", "( 1 ; 2 )"], "expected a plain index like (1,2), got (1;2)"),
+        (["kernel", "(1,2)", "--sigma", "2 1"], "expected a magnus index like (1;2), got (1,2)"),
+    ],
+    ids=["eval", "magnus", "expand", "kernel"],
+)
+def test_commands_refuse_the_other_index_kind(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_kernel_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "kernel", "(0,1;2)", "--all-sigma")
     _, second, _ = run(capsys, "kernel", "(0,1;2)", "--all-sigma")
@@ -260,6 +287,13 @@ def test_verify_json_verdicts(capsys, monkeypatch):
     ]
 
 
+def test_verify_skips_blank_lines_and_keeps_line_numbers(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n" + GOOD_LINE + "\n  \n\t\n" + BAD_LINE + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, err) == (1, "")
+    assert out == "line 2: ok\nline 5: FAIL witness=z/(1-z)\nchecked 2 relations: 1 ok, 1 failed\n"
+
+
 def test_verify_of_a_deep_index_exits_1_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(pl, "_LI", {(): pl.RatFun.one()})
     line = json.dumps({"terms": [{"coef": "1", "index": [0] * 1200}]})
@@ -317,7 +351,7 @@ REJECTED_TERMS = [
     ("1e400", "[1]", "term 0 has a bad coefficient inf"),
     ('"1"', "[1.0]", "term 0 has a bad index [1.0]"),
     ('"1"', "[true]", "term 0 has a bad index [True]"),
-    ('"1"', "[1, -2]", "bad index entry -2: entries are integers >= 0"),
+    ('"1"', "[1, -2]", "term 0 has a bad index [1, -2]"),
     ('"1_0"', "[1]", "term 0 has a bad coefficient '1_0'"),
     ('"1 / 3"', "[1]", "term 0 has a bad coefficient '1 / 3'"),
     ('"\u0663"', "[1]", "term 0 has a bad coefficient '\u0663'"),
@@ -446,6 +480,14 @@ def test_duality_check(capsys):
         "depth=1 weight=1 size=2 ok\n"
         "all graded pieces ok\n"
     )
+
+
+def test_duality_check_json(capsys):
+    code, out, err = run(capsys, "duality-check", "--max-depth", "1", "--max-weight", "1", "--json")
+    assert (code, err) == (0, "")
+    cell = '{"depth": %d, "weight": %d, "size": %d, "duality_ok": true, "inversion_ok": true, "ok": true}'
+    cells = ", ".join(cell % c for c in [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 2)])
+    assert out == '{"max_depth": 1, "max_weight": 1, "cells": [%s], "ok": true}\n' % cells
 
 
 def test_duality_check_rejects_negative_bounds(capsys):

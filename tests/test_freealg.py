@@ -44,6 +44,14 @@ def test_mul_examples():
     assert NcPoly.one("X") * x1 == x1 == x1 * NcPoly.one("X")
 
 
+def test_bool_scalars_are_refused():
+    x1 = NcPoly.monomial("X", (1,))
+    for call in (lambda: x1 * True, lambda: True * x1):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "bad coefficient True: coefficients are ints or Fractions"
+
+
 def test_canonical_form_drops_zeros():
     p = NcPoly("X", {(0,): 1, (1,): 0})
     assert len(p) == 1

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import npolylog.polylog as pl
+from npolylog import magnus
 from npolylog.freealg import NcPoly
 from npolylog.polylog import (
     LinComb,
@@ -381,6 +382,26 @@ def test_magnus_product_identity_small_sweep():
             assert polylog_map(rhs) == prod
 
 
+def test_magnus_product_identity_catches_a_wrong_closed_form(monkeypatch):
+    # The closed form is perturbed wherever it is read; the right side
+    # multiplies out the brackets and must not follow it.
+    exact = pl._product_terms
+
+    def perturbed(entries):
+        terms = exact(entries)
+        if entries == (1, 1):
+            terms[entries] += 1
+        return terms
+
+    monkeypatch.setattr(pl, "_product_terms", perturbed)
+    monkeypatch.setattr(magnus, "_product_terms", perturbed)
+    lhs, rhs = magnus_product_identity(magnus_index(1, 1))
+    assert lhs != rhs
+    assert rhs == LinComb({mpl_index(1, 1): 1, mpl_index(0, 2): -1})
+    lhs, rhs = magnus_product_identity(magnus_index(1, 2))
+    assert lhs == rhs
+
+
 def test_kernel_element_examples():
     got = kernel_element(magnus_index(1, 2), (2, 1))
     assert got == LinComb(
@@ -423,6 +444,13 @@ def test_kernel_element_rejects_bad_sigma():
     for sigma in [(1, 1), (0, 1), (2, 1, 3), ()]:
         with pytest.raises(ValueError, match="permutation"):
             kernel_element(magnus_index(1, 2), sigma)
+
+
+@pytest.mark.parametrize("sigma", [(2, True), (2.0, 1.9), ("2", "1")], ids=repr)
+def test_kernel_element_refuses_sigma_entries_that_are_not_counts(sigma):
+    with pytest.raises(ValueError) as exc:
+        kernel_element(magnus_index(1, 2), sigma)
+    assert str(exc.value) == f"sigma must be a permutation of 1..2 in one-line notation, got {sigma}"
 
 
 def test_verify_relation_accepts_kernel_elements():

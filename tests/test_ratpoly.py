@@ -74,6 +74,26 @@ def test_arithmetic_small_cases():
     assert (-g) + g == 0
 
 
+def test_a_scalar_minus_a_ratfun():
+    assert 1 - RatFun((0, 1), 1) == RatFun((1, -2), 1)  # (1-2z)/(1-z)
+
+
+def test_scalar_operands_follow_the_scalar_rule():
+    f = RatFun((0, 1), 1)
+    for call in (lambda: f * True, lambda: True * f, lambda: f - True, lambda: True - f, lambda: f + True):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "bad coefficient True: coefficients are ints or Fractions"
+    with pytest.raises(TypeError):
+        f * 0.5
+
+
+def test_ratfun_is_unhashable():
+    # Equality identifies RatFun.const(3) with 3, and no hash could agree with both.
+    with pytest.raises(TypeError):
+        hash(RatFun.one())
+
+
 def test_mul_matches_cauchy_product():
     rng = random.Random(432)
     for _ in range(25):
@@ -228,6 +248,10 @@ def test_str_forms():
     assert str(RatFun((0, 0, 2, 1), 4)) == "(2z^2+z^3)/(1-z)^4"
     assert str(RatFun((0, Fraction(1, 2)), 0)) == "(1/2)z"
     assert str(RatFun((1, -1, 0, 2), 0)) == "1-z+2z^3"
+
+
+def test_str_of_a_negative_monomial_over_a_denominator():
+    assert str(RatFun((0, -1), 1)) == "-z/(1-z)"
 
 
 def test_json_round_trip():
