@@ -10,6 +10,11 @@ file), and duality-check (basis-change sweeps).  All output is
 byte-deterministic.  Exit codes: 0 success, 1 verification failure,
 2 parse or usage error, 3 the two evaluation pipelines disagreed and
 the relation was left undecided.
+
+One kernel sweep or one verify file is one stream of relations that
+share their series rows.  A kernel sweep prints a relation met again
+from its first verification.  Nothing is kept from one command call to
+the next.
 """
 
 from __future__ import annotations
@@ -132,11 +137,17 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValueError(f"bad permutation {args.sigma!r}") from exc
     rc = 0
-    # The relations of one sweep share their series rows.
+    # The relations of one sweep share their series rows, and a relation
+    # met again is printed from its first verification.
     rows: dict = {}
+    records: dict = {}
     for c in kernel_elements(k, sigmas):
-        ok, _ = verify_relation(c, rows=rows)
-        print(json.dumps(relation_record(c, ok)))
+        key = frozenset(c._terms.items())
+        if key not in records:
+            ok, _ = verify_relation(c, rows=rows)
+            records[key] = json.dumps(relation_record(c, ok)), ok
+        line, ok = records[key]
+        print(line)
         if not ok:
             rc = 1
     return rc

@@ -361,8 +361,35 @@ def relation_record(c: LinComb, verified: bool) -> dict[str, object]:
 # Python 3.10's Fraction string syntax in ASCII, read the same on every
 # supported Python: no underscores, no spaces at the slash, ASCII digits only.
 _COEF = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(?P<num>\d*)(?:/\d+|(?:\.(?P<dec>\d*))?(?:[eE](?P<exp>[-+]?\d+))?)\s*", re.ASCII
+    r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*)"
+    r"(?:/(?P<den>\d+)|(?:\.(?P<dec>\d*))?(?:[eE](?P<exp>[-+]?\d+))?)\s*",
+    re.ASCII,
 )
+
+
+def _parse_coef(text: str) -> Scalar:
+    """The value of a coefficient in _COEF syntax; raises ValueError otherwise.
+
+    The value is built from the match groups, so the text is read once:
+    a/b is Fraction(a, b), and a decimal is its mantissa digits times a
+    power of ten.
+    """
+    m = _COEF.fullmatch(text)
+    if not m:
+        raise ValueError(text)
+    sign, num, den, dec, exp = m.groups()
+    dec = dec or ""
+    power = int(exp or 0)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    # 10**exp is built here, and the int-to-str digit limit does not see
+    # it: the exponent counts as digits of the mantissa.
+    if 0 < limit < len(num) + len(dec) + abs(power):
+        raise ValueError(text)
+    if den is not None:
+        return _scalar(Fraction(int(sign + num), int(den)))
+    mantissa = int(sign + num + dec)
+    power -= len(dec)
+    return mantissa * 10**power if power >= 0 else _scalar(Fraction(mantissa, 10**-power))
 
 
 def relation_from_record(obj: dict[str, object]) -> LinComb:
@@ -381,18 +408,11 @@ def relation_from_record(obj: dict[str, object]) -> LinComb:
         if not isinstance(item, dict) or "coef" not in item or "index" not in item:
             raise ValueError(f"term {i} must be an object with 'coef' and 'index'")
         try:
-            text = str(item["coef"])
-            m = _COEF.fullmatch(text)
-            limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-            # Fraction builds 10**exp, which the int-to-str digit limit does
-            # not see: the exponent counts as digits of the mantissa.
-            if not m or 0 < limit < len(m["num"]) + len(m["dec"] or "") + abs(int(m["exp"] or 0)):
-                raise ValueError(text)
-            coef = Fraction(text)
+            coef = _parse_coef(str(item["coef"]))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"term {i} has a bad coefficient {item['coef']!r}") from exc
         index = item["index"]
         if not isinstance(index, list) or not all(map(_is_count, index)):
             raise ValueError(f"term {i} has a bad index {index!r}")
-        _add_term(terms, tuple(index), _scalar(coef))
+        _add_term(terms, tuple(index), coef)
     return LinComb._trusted("Y", terms)

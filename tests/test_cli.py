@@ -10,7 +10,8 @@ import pytest
 
 import npolylog.polylog as pl
 from npolylog import cli
-from npolylog.polylog import nfold_product, relation_from_record
+from npolylog.polylog import _parse_coef, kernel_element, nfold_product, relation_from_record, relation_record
+from npolylog.words import parse_index
 
 GOOD_LINE = (
     '{"terms": [{"coef": "-1", "index": [2, 1]}, {"coef": "3", "index": [1, 2]},'
@@ -186,6 +187,29 @@ def test_kernel_prints_each_record_before_the_next_is_verified(capsys, monkeypat
     assert [json.loads(line)["verified"] for line in out.splitlines()] == [True, True, True]
 
 
+@pytest.mark.parametrize(
+    "index, records, distinct",
+    [("(1,2,1,2,1;1)", 720, 15), ("(1,1;2)", 6, 3)],
+    ids=["720-records", "6-records"],
+)
+def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, index, records, distinct):
+    # The relation of sigma depends only on the arrangement sigma(k): the
+    # 15 arrangements of {1,1,1,1,2,2}, or the 3 of {1,1,2}, identity included.
+    calls = []
+    good = cli.verify_relation
+    monkeypatch.setattr(cli, "verify_relation", lambda c, rows: calls.append(c) or good(c, rows=rows))
+    code, out, err = run(capsys, "kernel", index, "--all-sigma")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == records and len(calls) == distinct
+    k = parse_index(index)
+    one_by_one = []
+    for sigma in itertools.permutations(range(1, k.depth + 2)):
+        c = kernel_element(k, sigma)
+        ok, _ = pl.verify_relation(c)
+        one_by_one.append(json.dumps(relation_record(c, ok)) + "\n")
+    assert out == "".join(one_by_one)
+
+
 def test_kernel_exits_1_when_a_relation_is_refused(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_relation", lambda c, rows: (False, pl.RatFun.one()))
     code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", "2 1")
@@ -287,6 +311,33 @@ def test_verify_json_verdicts(capsys, monkeypatch):
     ]
 
 
+def test_verify_reports_a_repeated_failing_line_each_time(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(BAD_LINE + "\n" + BAD_LINE + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, err) == (1, "")
+    assert out == (
+        "line 1: FAIL witness=z/(1-z)\n"
+        "line 2: FAIL witness=z/(1-z)\n"
+        "checked 2 relations: 0 ok, 2 failed\n"
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO(BAD_LINE + "\n" + BAD_LINE + "\n"))
+    code, out, err = run(capsys, "verify", "-", "--json")
+    assert (code, err) == (1, "")
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"line": 1, "ok": False, "witness": "z/(1-z)"},
+        {"line": 2, "ok": False, "witness": "z/(1-z)"},
+    ]
+
+
+def test_verify_reports_a_malformed_line_after_repeated_good_lines(capsys, monkeypatch):
+    text = "\n".join([GOOD_LINE, GOOD_LINE, GOOD_LINE, "not json", GOOD_LINE]) + "\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 2
+    assert out == "line 1: ok\nline 2: ok\nline 3: ok\n"
+    assert err.startswith("line 4: parse error:") and err.count("\n") == 1
+
+
 def test_verify_skips_blank_lines_and_keeps_line_numbers(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n" + GOOD_LINE + "\n  \n\t\n" + BAD_LINE + "\n"))
     code, out, err = run(capsys, "verify", "-")
@@ -378,6 +429,17 @@ def test_verify_accepts_fraction_syntax_coefficients(capsys, monkeypatch, coef, 
     code, out, err = run(capsys, "verify", "-")
     assert code == 1 and err == ""
     assert out == f"line 1: FAIL witness={witness}\nchecked 1 relations: 0 ok, 1 failed\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [str(json.loads(c)) for c, _, _ in ACCEPTED_COEFFICIENTS]
+    + ["-3/7", "+.5", "1.5e-3", " 7 ", "2E+2", "-0", "1.", "1.0", ".5e1", "2.50e1", "-0.250", "0012/0036", "+6/3", "\t-2.5E-1\n"],
+)
+def test_coefficients_are_read_as_fraction_reads_them(text):
+    value = _parse_coef(text)
+    assert value == Fraction(text)
+    assert type(value) is (int if Fraction(text).denominator == 1 else Fraction)
 
 
 def test_verify_sums_duplicate_indices(capsys, monkeypatch):
