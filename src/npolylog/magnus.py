@@ -18,9 +18,10 @@ cumulative budgets ("array binomials").  In one direction
 w(s) = sum_k binom<s,k> M(k); in the other M(k) = sum_s binom<<k,s>> w(s)
 with a signed dual coefficient.  Both vanish unless depth and weight
 agree, so each graded piece is a finite square matrix and the two
-coefficient families are inverse matrices; grade_report verifies this,
-together with the expansion of each M(k) in words, on every graded
-piece up to given bounds.
+coefficient families are inverse matrices.  grade_report verifies
+this, reading only the entries that the guards of the two formulas let
+through, together with the expansion of each M(k) in words, on every
+graded piece up to given bounds.
 
 Split into blocks x0^a x1, M(k) x1 is the closed form of the product
 Li(k1)...Li(kn)Li(kinf) (Theorem main4).  One helper expands it
@@ -109,14 +110,9 @@ def array_binom(s: MultiIndex, k: MultiIndex) -> int:
     _require_magnus(k)
     if s.depth != k.depth or s.weight != k.weight:
         return 0
-    return _array_binom(s.prefix, k.prefix)
-
-
-def _array_binom(s: tuple[int, ...], k: tuple[int, ...]) -> int:
-    """array_binom on the prefixes of two indices of equal depth and weight."""
     budget = 0
     val = 1
-    for sj, kj in zip(s, k):
+    for sj, kj in zip(s.prefix, k.prefix):
         budget += sj
         if budget < kj:
             return 0
@@ -140,17 +136,48 @@ def dual_array_binom(k: MultiIndex, s: MultiIndex) -> int:
 
 
 def _dual_array_binom(k: tuple[int, ...], s: tuple[int, ...]) -> int:
-    """dual_array_binom on the prefixes of two indices of equal depth and weight."""
+    """dual_array_binom for equal depth and weight, on the prefix of k; zip drops a tail of s."""
     c = 0
-    total = 0
     val = 1
     for kj, sj in zip(k, s):
         c += kj - sj
-        if c < 0 or c > kj:
+        if not 0 <= c <= kj:
             return 0
-        val *= comb(kj, c)
-        total += c
-    return -val if total % 2 else val
+        val *= -comb(kj, c) if c & 1 else comb(kj, c)
+    return val
+
+
+def _a_row(s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Row s of a = <s,k> by entries, over the k that s dominates (no prefix sum above s's).
+
+    Each k_j is drawn from 0 up to the running budget, carrying the
+    product of binomials; at any other k array_binom meets budget < k_j.
+    """
+    if len(s) == 1:
+        return {s: 1}
+    # (entries of k so far, budget left, value); the last slot comes with the tail.
+    partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+    for sj in s[:-2]:
+        partial = [(ks + (kj,), b + sj - kj, v * comb(b + sj, kj)) for ks, b, v in partial for kj in range(b + sj + 1)]
+    sn, tail = s[-2:]
+    return {ks + (kj, b + sn - kj + tail): v * comb(b + sn, kj) for ks, b, v in partial for kj in range(b + sn + 1)}
+
+
+def _b_row(k: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Row k of b = <<k,s>> by entries, evaluated by _dual_array_binom at each s its guard passes.
+
+    Those s have running differences c_j = sum_(i<=j) (k_i - s_i) in
+    0..k_j, so they are walked as s_j = k_j - c_j + c_(j-1).
+    """
+    if len(k) == 1:
+        return {k: 1}
+    # (entries of s so far, c of the last slot); the last slot comes with the tail.
+    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for kj in k[:-2]:
+        partial = [(ss + (kj - c + prev,), c) for ss, prev in partial for c in range(kj + 1)]
+    prefix, kn, tail = k[:-1], k[-2], k[-1]
+    walked = [ss + (kn - c + prev, tail + c) for ss, prev in partial for c in range(kn + 1)]
+    return {s: v for s in walked if (v := _dual_array_binom(prefix, s))}
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -170,9 +197,9 @@ def magnus_indices(depth: int, weight: int) -> list[MultiIndex]:
 
 
 def word_to_magnus(s: MultiIndex) -> dict[MultiIndex, int]:
-    """Nonzero coefficients of w(s) in the Magnus basis."""
+    """Nonzero coefficients of w(s) in the Magnus basis: the k that s dominates."""
     _require_magnus(s)
-    return {k: v for k in magnus_indices(s.depth, s.weight) if (v := _array_binom(s.prefix, k.prefix))}
+    return {MultiIndex(k, magnus=True): v for k, v in _a_row(s.entries).items()}
 
 
 def magnus_to_word(k: MultiIndex) -> dict[MultiIndex, int]:
@@ -184,14 +211,15 @@ def magnus_to_word(k: MultiIndex) -> dict[MultiIndex, int]:
 def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:
     """Check every graded piece with depth <= max_depth, weight <= max_weight.
 
-    For each piece a = <s,k> and b = <<k,s>> are computed in full.  The
-    piece is square, so a.b = I shows that they are mutually inverse
-    (duality).  Each w(s) is one word, so M(k) = sum_s b[k][s] w(s) is
-    checked by reading the terms of M(k) off row k of b; together with
-    a.b = I this gives w(s) = sum_k a[s][k] M(k), so inversion holds
-    exactly when both checks pass.  Yields one record per piece as soon
-    as it is checked, in order of depth, then weight.  Raises ValueError
-    when a bound is negative, at the call rather than at the first record.
+    For each piece a = <s,k> and b = <<k,s>> are built as sparse rows
+    over every entry that their guards do not send to 0.  The piece is
+    square, so a.b = I shows that they are mutually inverse (duality).
+    Each w(s) is one word, so M(k) = sum_s b[k][s] w(s) is checked by
+    reading the terms of M(k) off row k of b; together with a.b = I this
+    gives w(s) = sum_k a[s][k] M(k), so inversion holds exactly when both
+    checks pass.  Yields one record per piece as soon as it is checked,
+    in order of depth, then weight.  Raises ValueError when a bound is
+    negative, at the call rather than at the first record.
     """
     if not (_is_count(max_depth) and _is_count(max_weight)):
         raise ValueError(f"max depth and max weight must be >= 0, got {max_depth} and {max_weight}")
@@ -202,20 +230,15 @@ def _grade_cells(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
     for depth in range(max_depth + 1):
         for weight in range(max_weight + 1):
             idx = magnus_indices(depth, weight)
-            prefixes = [k.prefix for k in idx]
-            a = [[_array_binom(s, k) for k in prefixes] for s in prefixes]
-            b = [[_dual_array_binom(k, s) for s in prefixes] for k in prefixes]
+            b = {k.entries: _b_row(k.entries) for k in idx}
             # The matrices are square, so a.b = I already gives b.a = I.
-            duality_ok = _is_identity(_mat_mul(a, b))
+            duality_ok = _inverts(b)
             # Each w(s) is one word, so M(k) = sum_s b[k][s] w(s) says that
             # row k of b is the coefficient table of M(k); words and blocks
             # are in bijection, w(s) x1 having the blocks s.entries.  Given
             # that, sum_k a[s][k] M(k) = sum_t (ab)[s][t] w(t), which is
             # w(s) for every s exactly when a.b = I.
-            inversion_ok = duality_ok and all(
-                _product_terms(k.entries) == {s.entries: v for s, v in zip(idx, row) if v}
-                for k, row in zip(idx, b)
-            )
+            inversion_ok = duality_ok and all(_product_terms(k) == row for k, row in b.items())
             yield {
                 "depth": depth,
                 "weight": weight,
@@ -226,20 +249,15 @@ def _grade_cells(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
             }
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    # Both matrices are mostly zeros: walk only the nonzero entries of b.
-    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b]
-    out = []
-    for row in a:
-        oi = [0] * n
-        for t, v in enumerate(row):
-            if v:
-                for j, w in b_rows[t]:
-                    oi[j] += v * w
-        out.append(oi)
-    return out
-
-
-def _is_identity(m: list[list[int]]) -> bool:
-    return all(row[i] == 1 and row.count(0) == len(row) - 1 for i, row in enumerate(m))
+def _inverts(b: dict[tuple[int, ...], dict[tuple[int, ...], int]]) -> bool:
+    """Whether a.b = I, for the rows of b keyed in lexicographic order; rows of a.b sum by position."""
+    pos = {k: j for j, k in enumerate(b)}
+    at = {k: [(pos[t], v) for t, v in row.items()] for k, row in b.items()}
+    for i, s in enumerate(b):
+        out = [0] * len(b)
+        for k, v in _a_row(s).items():
+            for j, w in at[k]:
+                out[j] += v * w
+        if out[i] != 1 or out.count(0) != len(b) - 1:
+            return False
+    return True

@@ -52,11 +52,10 @@ of M(k) x1 in Q<X>, as the independent side of the identity it states.
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .freealg import NcPoly, _add_term, poly_x_to_y
@@ -71,7 +70,6 @@ __all__ = [
     "polylog_map",
     "series_coeffs",
     "expand_to_products",
-    "product_letter_word",
     "nfold_product",
     "magnus_product_identity",
     "kernel_element",
@@ -209,30 +207,12 @@ def expand_to_products(s: MultiIndex) -> dict[MultiIndex, int]:
     return word_to_magnus(MultiIndex(s.entries, magnus=True))
 
 
-def product_letter_word(m: int, w: MultiIndex) -> LinComb:
-    """Expand Li(m) * Li(w) for a plain non-empty w = (r, w').
-
-    Li(m)*Li(r,w') = sum_{k=0}^{m} (-1)^k C(m,k) Li(m-k, r+k, w').
-    """
-    if not _is_count(m):
-        raise ValueError("the single index must be an integer >= 0")
-    _require_plain(w)
-    if not w.entries:
-        raise ValueError("w must be non-empty; multiply by Li(()) = 1 directly")
-    r, rest = w.entries[0], w.entries[1:]
-    terms: dict[tuple[int, ...], Scalar] = {}
-    for k in range(m + 1):
-        _add_term(terms, (m - k, r + k) + rest, (-1) ** k * comb(m, k))
-    return LinComb._trusted("Y", terms)
-
-
 def nfold_product(factors: Sequence[int]) -> LinComb:
     """Expand Li(s1) * ... * Li(sn) into depth-n indices in closed form.
 
     The sum runs over 0 <= k_j <= s_j for j < n, with coefficient
     prod_j (-1)^(k_j) C(s_j, k_j) on the index
     (s1-k1, s2-k2+k1, ..., s_(n-1)-k_(n-1)+k_(n-2), sn+k_(n-1)).
-    Equals the result of folding product_letter_word from the right.
     """
     fac = tuple(factors)
     if not fac:
@@ -261,23 +241,25 @@ def magnus_product_identity(k: MultiIndex) -> tuple[LinComb, LinComb]:
 def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[LinComb]:
     """kernel_element(k, sigma) for each sigma in turn, lazily.
 
-    The closed-form product of each distinct arrangement of the entries
-    of k (k itself included) is expanded once and kept only while the
-    generator lives, so the r! relations of one index need one
-    expansion per distinct arrangement.
+    The relation depends only on the arrangement sigma(k), so each
+    distinct arrangement is expanded and subtracted once, and a repeat
+    yields the same LinComb again; nothing is kept past the generator.
     """
     _require_magnus(k)
     r = k.depth + 1
-    expansion = functools.cache(_product_terms)
-    base = expansion(k.entries)
+    base = _product_terms(k.entries)
+    made = {k.entries: LinComb._trusted("Y", {})}
     for sigma in sigmas:
         sig = tuple(sigma)
         if not all(map(_is_count, sig)) or sorted(sig) != list(range(1, r + 1)):
             raise ValueError(f"sigma must be a permutation of 1..{r} in one-line notation, got {sig}")
-        diff = dict(base)
-        for letters, coef in expansion(tuple(k.entries[i - 1] for i in sig)).items():
-            _add_term(diff, letters, -coef)
-        yield LinComb._trusted("Y", diff)
+        arranged = tuple(k.entries[i - 1] for i in sig)
+        if arranged not in made:
+            diff = dict(base)
+            for letters, coef in _product_terms(arranged).items():
+                _add_term(diff, letters, -coef)
+            made[arranged] = LinComb._trusted("Y", diff)
+        yield made[arranged]
 
 
 def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:

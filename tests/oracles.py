@@ -11,7 +11,7 @@ from npolylog.freealg import NcPoly, _add_term, lie_bracket
 from npolylog.magnus import lie_power
 from npolylog.polylog import LinComb
 from npolylog.ratpoly import RatFun, Scalar, euler_deriv, geom_mul
-from npolylog.words import MultiIndex
+from npolylog.words import MultiIndex, _is_count, _require_plain
 
 _X0 = NcPoly.monomial("X", (0,))
 _X1 = NcPoly.monomial("X", (1,))
@@ -57,6 +57,23 @@ def nfold_product_by_choices(factors) -> LinComb:
         for s, k in zip(fac, ks):
             coef *= (-1) ** k * comb(s, k)
         _add_term(terms, tuple(entries), coef)
+    return LinComb._trusted("Y", terms)
+
+
+def product_letter_word(m: int, w: MultiIndex) -> LinComb:
+    """Li(m) * Li(w) for a plain non-empty w = (r, w'); folded from the right, an oracle for nfold_product.
+
+    Li(m)*Li(r,w') = sum_{k=0}^{m} (-1)^k C(m,k) Li(m-k, r+k, w').
+    """
+    if not _is_count(m):
+        raise ValueError("the single index must be an integer >= 0")
+    _require_plain(w)
+    if not w.entries:
+        raise ValueError("w must be non-empty; multiply by Li(()) = 1 directly")
+    r, rest = w.entries[0], w.entries[1:]
+    terms: dict[tuple[int, ...], Scalar] = {}
+    for k in range(m + 1):
+        _add_term(terms, (m - k, r + k) + rest, (-1) ** k * comb(m, k))
     return LinComb._trusted("Y", terms)
 
 

@@ -217,13 +217,17 @@ def test_grade_report_catches_a_wrong_magnus_term(monkeypatch):
 
 def test_grade_report_catches_a_wrong_matrix_entry(monkeypatch):
     # The prefixes (2, 1) and (1, 2) meet only in the piece of depth 2,
-    # weight 3 within these bounds.
-    exact = magnus._array_binom
+    # weight 3 within these bounds; (2, 1) dominates (1, 2), so the walk
+    # of row (2, 1) of a reaches the entry.
+    exact = magnus._a_row
 
-    def perturbed(s, k):
-        return exact(s, k) + (1 if (s, k) == ((2, 1), (1, 2)) else 0)
+    def perturbed(s):
+        row = exact(s)
+        if s == (2, 1, 0):
+            row[(1, 2, 0)] += 1
+        return row
 
-    monkeypatch.setattr(magnus, "_array_binom", perturbed)
+    monkeypatch.setattr(magnus, "_a_row", perturbed)
     for cell in grade_report(2, 3):
         bad = (cell["depth"], cell["weight"]) == (2, 3)
         assert cell["duality_ok"] is not bad
@@ -232,12 +236,13 @@ def test_grade_report_catches_a_wrong_matrix_entry(monkeypatch):
 
 
 def test_grade_report_catches_a_wrong_dual_matrix_entry(monkeypatch):
-    # An entry above the diagonal of b in the piece of depth 2, weight 3:
-    # zero when exact, and checked all the same.
+    # An entry below the diagonal of b in the piece of depth 2, weight 3,
+    # on the walk of row (2, 1): c = (1, 0).  The walk passes s with its
+    # tail, which the formula ignores, so compare prefixes.
     exact = magnus._dual_array_binom
 
     def perturbed(k, s):
-        return exact(k, s) + (1 if (k, s) == ((1, 2), (2, 1)) else 0)
+        return exact(k, s) + (1 if (k, s[: len(k)]) == ((2, 1), (1, 2)) else 0)
 
     monkeypatch.setattr(magnus, "_dual_array_binom", perturbed)
     for cell in grade_report(2, 3):
@@ -245,6 +250,48 @@ def test_grade_report_catches_a_wrong_dual_matrix_entry(monkeypatch):
         assert cell["duality_ok"] is not bad
         assert cell["inversion_ok"] is not bad
         assert cell["ok"] is not bad
+
+
+def walk_disagreements(max_depth, max_weight):
+    """(matrix, row, column, dense value, walked value) wherever a walked row differs from the dense formula."""
+    out = []
+    for depth in range(max_depth + 1):
+        for weight in range(max_weight + 1):
+            idx = magnus_indices(depth, weight)
+            for name, walk, formula in (("a", magnus._a_row, array_binom), ("b", magnus._b_row, dual_array_binom)):
+                for s in idx:
+                    walked = walk(s.entries)
+                    assert set(walked) <= {k.entries for k in idx}
+                    for k in idx:
+                        dense, got = formula(s, k), walked.get(k.entries, 0)
+                        if dense != got:
+                            out.append((name, s.entries, k.entries, dense, got))
+    return out
+
+
+def test_walked_rows_hold_every_nonzero_entry():
+    # Every entry the walks skip is a zero of the dense formulas, and every
+    # walked entry has the formula's value; the walks store no zeros.
+    assert walk_disagreements(3, 6) == []
+    for depth in range(4):
+        for weight in range(7):
+            for s in magnus_indices(depth, weight):
+                assert all(magnus._a_row(s.entries).values())
+                assert all(magnus._b_row(s.entries).values())
+
+
+def test_walk_check_catches_an_off_walk_dual_entry(monkeypatch):
+    # An entry above the diagonal of b in the piece of depth 2, weight 3:
+    # zero when exact.  c_1 = -1 there, so the walk of row (1, 2) never
+    # reaches it and grade_report cannot see it; the dense comparison does.
+    exact = magnus._dual_array_binom
+
+    def perturbed(k, s):
+        return exact(k, s) + (1 if (k, s) == ((1, 2), (2, 1)) else 0)
+
+    monkeypatch.setattr(magnus, "_dual_array_binom", perturbed)
+    assert all(cell["ok"] for cell in grade_report(2, 3))
+    assert walk_disagreements(2, 3) == [("b", (1, 2, 0), (2, 1, 0), 1, 0)]
 
 
 def test_grade_report_yields_each_piece_once_checked(monkeypatch):

@@ -22,7 +22,6 @@ from npolylog.polylog import (
     nfold_product,
     polylog_map,
     polylog_rational,
-    product_letter_word,
     relation_from_record,
     relation_record,
     series_coeffs,
@@ -30,7 +29,7 @@ from npolylog.polylog import (
 )
 from npolylog.ratpoly import RatFun, taylor_coeffs
 from npolylog.words import magnus_index, mpl_index
-from oracles import nfold_product_by_choices, polylog_by_fold, series_coeffs_by_chains
+from oracles import nfold_product_by_choices, polylog_by_fold, product_letter_word, series_coeffs_by_chains
 
 
 def plain_indices(max_depth, max_weight):
@@ -550,6 +549,20 @@ def test_kernel_elements_expand_each_permuted_index_once(monkeypatch):
         assert len(calls) == distinct
         assert {args[0] for args in calls} == set(itertools.permutations(entries))
         assert len(cs) == math.factorial(len(entries))
+
+
+def test_kernel_elements_yield_one_object_per_arrangement():
+    entries = (1, 2, 1, 2, 1, 1)
+    k = magnus_index(*entries)
+    sigmas = list(itertools.permutations(range(1, len(entries) + 1)))
+    cs = list(kernel_elements(k, sigmas))
+    by_arrangement = {}
+    for sigma, c in zip(sigmas, cs):
+        by_arrangement.setdefault(tuple(entries[i - 1] for i in sigma), set()).add(id(c))
+    assert len(by_arrangement) == 15
+    assert all(len(ids) == 1 for ids in by_arrangement.values())
+    assert len({id(c) for c in cs}) == 15
+    assert cs[0] == LinComb()
 
 
 def test_kernel_elements_are_nfold_differences():
