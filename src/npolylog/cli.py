@@ -137,16 +137,15 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValueError(f"bad permutation {args.sigma!r}") from exc
     rc = 0
-    # The relations of one sweep share their series rows, and a relation
-    # met again is printed from its first verification.
+    # A sweep shares its series rows.  A relation met again is the same
+    # object, kept for the sweep, and prints its first verification.
     rows: dict = {}
     records: dict = {}
     for c in kernel_elements(k, sigmas):
-        key = frozenset(c._terms.items())
-        if key not in records:
+        if id(c) not in records:
             ok, _ = verify_relation(c, rows=rows)
-            records[key] = json.dumps(relation_record(c, ok)), ok
-        line, ok = records[key]
+            records[id(c)] = json.dumps(relation_record(c, ok)), ok
+        line, ok = records[id(c)]
         print(line)
         if not ok:
             rc = 1
@@ -171,8 +170,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checked = 0
     failed = 0
     # The lines of one file share their series rows, as a kernel sweep does.
+    # They end at "\n" only, not at U+2028, U+2029 or U+0085, which JSON allows
+    # raw in a string; the "\r" of a "\r\n" is JSON whitespace.
     rows: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         # json.loads recurses once per nesting level, so a deeply nested

@@ -229,8 +229,7 @@ def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
 def _grade_cells(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:
     for depth in range(max_depth + 1):
         for weight in range(max_weight + 1):
-            idx = magnus_indices(depth, weight)
-            b = {k.entries: _b_row(k.entries) for k in idx}
+            b = {k: _b_row(k) for k in _compositions(weight, depth + 1)}
             # The matrices are square, so a.b = I already gives b.a = I.
             duality_ok = _inverts(b)
             # Each w(s) is one word, so M(k) = sum_s b[k][s] w(s) says that
@@ -242,7 +241,7 @@ def _grade_cells(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
             yield {
                 "depth": depth,
                 "weight": weight,
-                "size": len(idx),
+                "size": len(b),
                 "duality_ok": duality_ok,
                 "inversion_ok": inversion_ok,
                 "ok": duality_ok and inversion_ok,

@@ -42,9 +42,10 @@ only when the result is divided by L at the end.
 The relations of one graded piece share most of their work, and each
 shared piece is built once.  Li values are cached with every tail, and
 a new value is built from the cached value of its longest cached tail,
-iteratively.  verify_relation reads series rows from a dict the caller
-may share across a stream of relations, and kernel_elements expands
-the closed-form product of each distinct arrangement once per sweep.
+iteratively, and series rows the same way from tail rows at the same
+bound, in a dict the caller of verify_relation may share across a
+stream of relations.  kernel_elements expands the closed-form product
+of each distinct arrangement once per sweep.
 That closed form lives in magnus and nfold_product reads it; only
 magnus_product_identity derives it again, multiplying out the brackets
 of M(k) x1 in Q<X>, as the independent side of the identity it states.
@@ -115,6 +116,9 @@ class LinComb(NcPoly):
         return li if mag == 1 else f"{mag}*{li}"
 
 
+# Series rows z^0..z^n_max of Li by (entry tuple, n_max).
+Rows = dict[tuple[tuple[int, ...], int], list[int]]
+
 # Li values by entry tuple, kept for the life of the process.  Every
 # tail of a computed index is stored too: the values of one graded piece
 # share their tails, and each new value is built from its longest one.
@@ -122,33 +126,22 @@ _LI: dict[tuple[int, ...], RatFun] = {(): RatFun.one()}
 
 
 def _polylog_entries(entries: tuple[int, ...]) -> RatFun:
-    """Li at plain entries: E^s1 (z/(1-z) * Li(rest)) from the cached Li(rest).
-
-    Walks in to the longest cached tail and back out, filling the cache
-    as it goes, so no call recurses however deep the index is.
-    """
-    f = _LI.get(entries)
-    if f is not None:
-        return f
-    start = 1
+    """Li at plain entries, built out from the longest cached tail, caching every tail; never recurses."""
+    start = 0
     while entries[start:] not in _LI:
         start += 1
     f = _LI[entries[start:]]
     for i in range(start - 1, -1, -1):
-        f = geom_mul(f)
-        for _ in range(entries[i]):
-            f = euler_deriv(f)
-        _LI[entries[i:]] = f
+        f = _LI[entries[i:]] = euler_deriv(geom_mul(f), entries[i])
     return f
 
 
 def polylog_rational(s: MultiIndex) -> RatFun:
     """Li(s) as a canonical element of Q[z, 1/(1-z)].
 
-    Built right to left: start from 1 and, for each entry from the
-    innermost out, multiply by z/(1-z) and apply the Euler operator
-    entry-many times, starting from the longest tail already cached.
-    Vanishes at z = 0 whenever the depth is >= 1.
+    Built right to left from the longest cached tail: for each entry,
+    innermost first, multiply by z/(1-z) and apply the Euler operator
+    entry-many times.  Vanishes at z = 0 whenever the depth is >= 1.
     """
     _require_plain(s)
     return _polylog_entries(s.entries)
@@ -180,14 +173,22 @@ def series_coeffs(s: MultiIndex, n_max: int) -> list[int]:
     _require_plain(s)
     if not _is_count(n_max):
         raise ValueError("n_max must be >= 0")
-    g = [1] + [0] * n_max
-    for e in reversed(s.entries):
-        prefix = 0
-        new = [0] * (n_max + 1)
+    return _series_row(s.entries, n_max, {})
+
+
+def _series_row(entries: tuple[int, ...], n_max: int, rows: Rows) -> list[int]:
+    """series_coeffs at plain entries, built out from the longest tail row at n_max in rows, storing each."""
+    start = 0
+    while start < len(entries) and (entries[start:], n_max) not in rows:
+        start += 1
+    g = rows.get((entries[start:], n_max)) or [1] + [0] * n_max
+    for i in range(start - 1, -1, -1):
+        e = entries[i]
+        prefix, new = 0, [0] * (n_max + 1)
         for m in range(1, n_max + 1):
             prefix += g[m - 1]
             new[m] = m**e * prefix
-        g = new
+        g = rows[entries[i:], n_max] = new
     return g
 
 
@@ -277,9 +278,7 @@ class PipelineDisagreement(RuntimeError):
     """The rational and series pipelines gave different answers."""
 
 
-def verify_relation(
-    c: LinComb, *, rows: dict[tuple[tuple[int, ...], int], list[int]] | None = None
-) -> tuple[bool, RatFun | None]:
+def verify_relation(c: LinComb, *, rows: Rows | None = None) -> tuple[bool, RatFun | None]:
     """Decide whether Li maps the combination to zero, with a witness.
 
     Evaluates L*c, the combination with its denominators cleared,
@@ -294,22 +293,16 @@ def verify_relation(
     PipelineDisagreement.  Returns (True, None) on kernel membership,
     else (False, witness) with the nonzero rational value of c.
 
-    rows maps (entries, D) to the series row of Li(entries) up to z^D;
-    rows missing from it are read from series_coeffs and added.  Alone,
-    a call reads every row afresh; a caller that verifies a stream of
-    relations passes one dict to every call, so each row is read once.
+    rows maps (entries, D) to the row of Li(entries) up to z^D; a stream of
+    relations passes one dict to every call, so each tail row is built once per D.
     """
-    if rows is None:
-        rows = {}
+    rows = {} if rows is None else rows
     scale, terms = _clear_denominators(c)
     f = _combine([(a, _polylog_entries(e)) for e, a in terms])
     bound = max((sum(entries) + len(entries) for entries, _ in terms), default=0)
     direct = [0] * (bound + 1)
     for entries, a in terms:
-        row = rows.get((entries, bound))
-        if row is None:
-            row = rows[entries, bound] = series_coeffs(MultiIndex(entries), bound)
-        for n, v in enumerate(row):
+        for n, v in enumerate(_series_row(entries, bound, rows)):
             direct[n] += a * v
     if taylor_coeffs(f, bound) != direct or f.is_zero() == any(direct):
         raise PipelineDisagreement("rational and series pipelines disagree; refusing to answer")

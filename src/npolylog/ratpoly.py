@@ -22,9 +22,9 @@ multiplication by z/(1-z), plus exact Taylor coefficient extraction.
 The Euler operator builds each numerator coefficient from two
 neighbouring ones in a single pass, and on a canonical input with
 d >= 1 its result is canonical once trailing zeros are trimmed, as is
-z/(1-z) times it, so both skip the (1-z) reduction.  The Taylor
-coefficients of P/(1-z)^d are the prefix sums of P taken d times, one
-pass per factor 1/(1-z).
+z/(1-z) times it, so both skip the (1-z) reduction; its powers wrap
+only the result.  The Taylor coefficients of P/(1-z)^d are the prefix
+sums of P taken d times, one pass per factor 1/(1-z).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .words import Scalar, _is_count, _scalar
 __all__ = [
     "RatFun",
     "euler_deriv",
+    "euler_power",
     "geom_mul",
     "taylor_coeffs",
 ]
@@ -56,14 +57,10 @@ class RatFun:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         # P(1) == 0 exactly when (1-z) divides P; peel those factors off.
-        # The quotient's top coefficient is c_0+...+c_(n-1) = -c_n != 0.
+        # The quotient's top coefficient is c_0+...+c_(n-1) = -c_n != 0,
+        # and a partial sum of Fractions may be integral.
         while dpow > 0 and coeffs and sum(coeffs) == 0:
-            quot: list[Scalar] = []
-            acc: Scalar = 0
-            for c in coeffs[:-1]:
-                acc += c
-                quot.append(acc)
-            coeffs = quot
+            coeffs = [c if type(c) is int else _scalar(c) for c in accumulate(coeffs[:-1])]
             dpow -= 1
         if not coeffs:
             dpow = 0
@@ -237,23 +234,33 @@ def _poly_str(coeffs: Sequence[Scalar]) -> str:
     return "".join(chunks)
 
 
-def euler_deriv(f: RatFun) -> RatFun:
-    """The Euler operator z d/dz, exact on P/(1-z)^d.
+def euler_power(f: RatFun, e: int = 1) -> RatFun:
+    """The Euler operator z d/dz applied e times, exact on P/(1-z)^d; euler_deriv names it too.
 
-    z d/dz (P/(1-z)^d) = z (P'(z)(1-z) + d P(z)) / (1-z)^(d+1), whose
-    numerator has z^(i+1) coefficient (i+1) P_(i+1) + (d-i) P_i, built
-    in one pass.  For d >= 1 that numerator takes the value d P(1) != 0
-    at z = 1, so the result is canonical once trailing zeros are gone;
-    for d = 0 the constructor still divides out the factors (1-z).
+    z d/dz (P/(1-z)^d) = z (P'(z)(1-z) + d P(z)) / (1-z)^(d+1) has numerator
+    q_j = j P_j + (d+1-j) P_(j-1), one pass per step over a plain list.  For
+    d >= 1, q(1) = d P(1) != 0, so q is canonical once trailing zeros are
+    gone; only the result is wrapped and made int where integral.  A
+    polynomial (d = 0) stays one and goes through the constructor.
     """
+    if not _is_count(e):
+        raise ValueError("exponent must be an integer >= 0")
     p, d = f.num, f.dpow
-    out = [0]
-    out += [(i + 1) * b + (d - i) * a for i, (a, b) in enumerate(zip(p, p[1:] + (0,)))]
-    if d == 0:
-        return RatFun(out, 1)
-    while not out[-1]:
-        out.pop()
-    return RatFun._trusted(tuple([c if type(c) is int else _scalar(c) for c in out]), d + 1)
+    if not d:
+        return RatFun([i**e * c for i, c in enumerate(p)])
+    for _ in range(e):
+        q, prev = [], 0
+        for j, c in enumerate(p):
+            q.append(j * c + (d + 1 - j) * prev)
+            prev = c
+        q.append((d + 1 - len(p)) * prev)
+        while not q[-1]:
+            q.pop()
+        p, d = q, d + 1
+    return RatFun._trusted(tuple([c if type(c) is int else _scalar(c) for c in p]), d)
+
+
+euler_deriv = euler_power
 
 
 def geom_mul(f: RatFun) -> RatFun:

@@ -1,6 +1,7 @@
 """Slow, independent constructions that the fast library code is checked against.
 
 Each follows its definition literally and is meant for small inputs only.
+BuildLog, last, is a rows dict for the tests that count series row builds.
 """
 
 import itertools
@@ -10,7 +11,7 @@ from typing import Sequence
 from npolylog.freealg import NcPoly, _add_term, lie_bracket
 from npolylog.magnus import lie_power
 from npolylog.polylog import LinComb
-from npolylog.ratpoly import RatFun, Scalar, euler_deriv, geom_mul
+from npolylog.ratpoly import RatFun, Scalar
 from npolylog.words import MultiIndex, _is_count, _require_plain
 
 _X0 = NcPoly.monomial("X", (0,))
@@ -105,14 +106,16 @@ def series_coeffs_by_chains(s: MultiIndex, n_max: int) -> list[int]:
 def polylog_by_fold(s: MultiIndex) -> RatFun:
     """Li(s) folded from 1 over the entries, innermost first, caching nothing.
 
-    An oracle for polylog_rational, which builds each value from the
-    cached value of its tail.
+    Each step goes through the canonicalising constructor: z/(1-z) by
+    shifting the numerator, the Euler operator by the term-by-term
+    formula.  An oracle for polylog_rational, which builds each value
+    from the cached value of its tail by whole Euler powers.
     """
     f = RatFun.one()
     for e in reversed(s.entries):
-        f = geom_mul(f)
+        f = RatFun((0,) + f.num, f.dpow + 1)
         for _ in range(e):
-            f = euler_deriv(f)
+            f = euler_deriv_by_formula(f)
     return f
 
 
@@ -173,3 +176,15 @@ def add_by_raising(f: RatFun, g: RatFun) -> RatFun:
     for i, c in enumerate(b):
         out[i] += c
     return RatFun(out, d)
+
+
+class BuildLog(dict):
+    """A rows dict that logs the key of every row stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, row):
+        self.stored.append(key)
+        super().__setitem__(key, row)

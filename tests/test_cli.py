@@ -12,6 +12,7 @@ import npolylog.polylog as pl
 from npolylog import cli
 from npolylog.polylog import _parse_coef, kernel_element, nfold_product, relation_from_record, relation_record
 from npolylog.words import parse_index
+from oracles import BuildLog
 
 GOOD_LINE = (
     '{"terms": [{"coef": "-1", "index": [2, 1]}, {"coef": "3", "index": [1, 2]},'
@@ -172,15 +173,15 @@ def test_kernel_all_sigma_records_are_nfold_differences(capsys):
 def test_kernel_prints_each_record_before_the_next_is_verified(capsys, monkeypatch):
     # Li(2,2,2) first occurs in the fourth relation of (1,2;3): the three
     # records before it are out when its corrupted row stops the sweep.
-    good = pl.series_coeffs
+    good = pl._series_row
 
-    def lying(s, n_max):
-        out = list(good(s, n_max))
-        if s.entries == (2, 2, 2):
+    def lying(entries, n_max, rows):
+        out = list(good(entries, n_max, rows))
+        if entries == (2, 2, 2):
             out[-1] += 1
         return out
 
-    monkeypatch.setattr(pl, "series_coeffs", lying)
+    monkeypatch.setattr(pl, "_series_row", lying)
     code, out, err = run(capsys, "kernel", "(1,2;3)", "--all-sigma")
     assert code == 3
     assert err == "error: rational and series pipelines disagree; refusing to answer\n"
@@ -254,39 +255,52 @@ def test_kernel_verify_round_trip(tmp_path, capsys):
 
 
 def series_rows(sweep):
-    """The distinct (entries, bound) series rows the relations of a sweep need."""
+    """The distinct (tail, bound) series rows the relations of a sweep build: every nonempty tail of every term."""
     wanted = set()
     for line in sweep.splitlines():
         entries = relation_from_record(json.loads(line))._terms
         bound = max((sum(e) + len(e) for e in entries), default=0)
-        wanted |= {(e, bound) for e in entries}
+        wanted |= {(e[i:], bound) for e in entries for i in range(len(e))}
     return wanted
 
 
-def record_series_reads(monkeypatch):
-    read = []
-    good = pl.series_coeffs
-    monkeypatch.setattr(pl, "series_coeffs", lambda s, n: read.append((s.entries, n)) or good(s, n))
-    return read
+def record_series_builds(monkeypatch):
+    """Send the rows of every verify_relation call of a command to one BuildLog.
+
+    Returns the log and the list of dicts the command passed, which must
+    all be one dict for the log to stand for it.
+    """
+    log, passed = BuildLog(), []
+    good = cli.verify_relation
+
+    def logged(c, rows):
+        passed.append(rows)
+        return good(c, rows=log)
+
+    monkeypatch.setattr(cli, "verify_relation", logged)
+    return log, passed
 
 
 def test_verify_reads_each_series_row_once_per_file(capsys, monkeypatch):
     _, sweep, _ = run(capsys, "kernel", "(1,2;1)", "--all-sigma")
-    read = record_series_reads(monkeypatch)
+    log, passed = record_series_builds(monkeypatch)
     monkeypatch.setattr(sys, "stdin", io.StringIO(sweep))
     code, out, err = run(capsys, "verify", "-")
     assert code == 0 and out.endswith("checked 6 relations: 6 ok, 0 failed\n")
-    assert sorted(read) == sorted(series_rows(sweep))
+    assert len(passed) == 6 and all(rows is passed[0] for rows in passed)
+    assert sorted(log.stored) == sorted(series_rows(sweep))
 
 
 def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
-    read = record_series_reads(monkeypatch)
+    log, passed = record_series_builds(monkeypatch)
     code, sweep, err = run(capsys, "kernel", "(1,2;1)", "--all-sigma")
     assert code == 0 and err == "" and len(sweep.splitlines()) == 6
+    assert passed and all(rows is passed[0] for rows in passed)
     wanted = series_rows(sweep)
-    # The relations share rows, so a read per term would read some twice.
-    assert sum(len(json.loads(line)["terms"]) for line in sweep.splitlines()) > len(wanted)
-    assert sorted(read) == sorted(wanted)
+    # The relations share rows and tails, so a build per term and tail
+    # would build some twice.
+    assert sum(len(e) for line in sweep.splitlines() for e in relation_from_record(json.loads(line))._terms) > len(wanted)
+    assert sorted(log.stored) == sorted(wanted)
 
 
 def test_verify_stdin_reports_failures(capsys, monkeypatch):
@@ -343,6 +357,17 @@ def test_verify_skips_blank_lines_and_keeps_line_numbers(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "-")
     assert (code, err) == (1, "")
     assert out == "line 2: ok\nline 5: FAIL witness=z/(1-z)\nchecked 2 relations: 1 ok, 1 failed\n"
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"])
+def test_verify_splits_lines_at_newlines_only(capsys, monkeypatch, sep):
+    # JSON allows these raw inside a string, and str.splitlines breaks at them.
+    noted = json.dumps({"terms": json.loads(GOOD_LINE)["terms"], "note": f"a{sep}b"}, ensure_ascii=False)
+    assert sep in noted and json.loads(noted)["note"] == f"a{sep}b"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(noted + "\n\n" + BAD_LINE + "\r\n" + GOOD_LINE + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, err) == (1, "")
+    assert out == "line 1: ok\nline 3: FAIL witness=z/(1-z)\nline 4: ok\nchecked 3 relations: 2 ok, 1 failed\n"
 
 
 def test_verify_of_a_deep_index_exits_1_without_traceback(capsys, monkeypatch):
@@ -462,15 +487,15 @@ def test_verify_rejects_malformed_terms(capsys, monkeypatch, coef, index, messag
 
 
 def test_pipeline_disagreement_exits_3(capsys, monkeypatch):
-    good = pl.series_coeffs
+    good = pl._series_row
 
-    def lying(s, n_max):
-        out = list(good(s, n_max))
-        if s.entries == (1, 2):
+    def lying(entries, n_max, rows):
+        out = list(good(entries, n_max, rows))
+        if entries == (1, 2):
             out[-1] += 1
         return out
 
-    monkeypatch.setattr(pl, "series_coeffs", lying)
+    monkeypatch.setattr(pl, "_series_row", lying)
     monkeypatch.setattr(sys, "stdin", io.StringIO(GOOD_LINE + "\n"))
     code, out, err = run(capsys, "verify", "-")
     assert code == 3 and out == ""

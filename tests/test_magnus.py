@@ -296,13 +296,13 @@ def test_walk_check_catches_an_off_walk_dual_entry(monkeypatch):
 
 def test_grade_report_yields_each_piece_once_checked(monkeypatch):
     built = []
-    exact = magnus.magnus_indices
+    exact = magnus._compositions
 
-    def counting(depth, weight):
-        built.append((depth, weight))
-        return exact(depth, weight)
+    def counting(weight, parts):
+        built.append((parts - 1, weight))
+        return exact(weight, parts)
 
-    monkeypatch.setattr(magnus, "magnus_indices", counting)
+    monkeypatch.setattr(magnus, "_compositions", counting)
     cells = grade_report(4, 8)
     assert built == []
     first = next(cells)

@@ -29,7 +29,7 @@ from npolylog.polylog import (
 )
 from npolylog.ratpoly import RatFun, taylor_coeffs
 from npolylog.words import magnus_index, mpl_index
-from oracles import nfold_product_by_choices, polylog_by_fold, product_letter_word, series_coeffs_by_chains
+from oracles import BuildLog, nfold_product_by_choices, polylog_by_fold, product_letter_word, series_coeffs_by_chains
 
 
 def plain_indices(max_depth, max_weight):
@@ -112,6 +112,31 @@ def test_series_dp_against_chain_enumeration():
     assert series_coeffs(mpl_index(3, 1, 2), 10) == series_coeffs_by_chains(
         mpl_index(3, 1, 2), 10
     )
+
+
+def test_series_rows_built_on_one_shared_dict_match_chain_enumeration():
+    # Indices of mixed depth whose tails overlap, read at mixed bounds in
+    # a seeded order, so rows are built from cached tails at their own
+    # bound and never from a tail row at another bound.
+    indices = [e for r in range(5) for e in itertools.product(range(3), repeat=r)]
+    reads = [(e, n) for e in indices for n in (0, 3, 7, 11)]
+    random.Random(18).shuffle(reads)
+    rows = {}
+    for entries, n in reads:
+        assert pl._series_row(entries, n, rows) == series_coeffs_by_chains(mpl_index(*entries), n), (entries, n)
+    assert all(len(row) == n + 1 for (_, n), row in rows.items())
+    assert {key for key in rows} == {(e, n) for e, n in reads if e}
+
+
+def test_rational_values_from_an_empty_cache_match_the_fold(monkeypatch):
+    monkeypatch.setattr(pl, "_LI", {(): RatFun.one()})
+    count = 0
+    for depth in range(5):
+        for entries in itertools.product(range(9), repeat=depth):
+            if sum(entries) <= 8:
+                assert polylog_rational(mpl_index(*entries)) == polylog_by_fold(mpl_index(*entries)), entries
+                count += 1
+    assert count == 715
 
 
 def test_series_examples():
@@ -472,33 +497,36 @@ def test_verify_relation_rejects_nonrelations():
 
 
 def test_verify_relation_refuses_on_pipeline_disagreement(monkeypatch):
-    good = pl.series_coeffs
+    good = pl._series_row
 
-    def lying(s, n_max):
-        out = list(good(s, n_max))
-        if s == mpl_index(1, 2):
+    def lying(entries, n_max, rows):
+        out = list(good(entries, n_max, rows))
+        if entries == (1, 2):
             out[-1] += 1
         return out
 
-    monkeypatch.setattr(pl, "series_coeffs", lying)
+    monkeypatch.setattr(pl, "_series_row", lying)
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
     assert issubclass(PipelineDisagreement, RuntimeError)
 
 
 def corrupt_series(monkeypatch, index, position):
-    """Make series_coeffs add 1 to the z^position coefficient of Li(index)."""
-    good = pl.series_coeffs
+    """Make every row of Li(index) that verify_relation reads 1 too large at z^position.
+
+    The stored rows stay clean; returns the list of bounds read.
+    """
+    good = pl._series_row
     bounds = []
 
-    def lying(s, n_max):
+    def lying(entries, n_max, rows):
         bounds.append(n_max)
-        out = list(good(s, n_max))
-        if s == index and n_max >= position:
+        out = list(good(entries, n_max, rows))
+        if entries == index.entries and n_max >= position:
             out[position] += 1
         return out
 
-    monkeypatch.setattr(pl, "series_coeffs", lying)
+    monkeypatch.setattr(pl, "_series_row", lying)
     return bounds
 
 
@@ -575,39 +603,49 @@ def test_kernel_elements_are_nfold_differences():
             assert c == kernel_element(k, sigma)
 
 
-def test_verify_relation_reads_each_row_once_per_shared_dict(monkeypatch):
+def tails(entries):
+    return [entries[i:] for i in range(len(entries))]
+
+
+def test_verify_relation_reads_each_row_once_per_shared_dict():
     k = magnus_index(1, 2, 3, 4)
     cs = list(kernel_elements(k, itertools.permutations(range(1, 5))))
-    calls = count_calls(monkeypatch, pl, "series_coeffs")
-    rows = {}
+    rows = BuildLog()
     assert all(verify_relation(c, rows=rows)[0] for c in cs)
-    indices = {idx for c in cs for idx, _ in c.items()}
-    assert sorted(s.entries for s, _ in calls) == sorted(s.entries for s in indices)
-    assert {n for _, n in calls} == {k.weight + k.depth + 1}
-    calls.clear()
-    for c in cs:
-        verify_relation(c)
-    assert len(calls) == sum(len(c) for c in cs) > len(indices)
+    bound = k.weight + k.depth + 1
+    wanted = {(t, bound) for c in cs for e in c._terms for t in tails(e)}
+    # One build per (tail, D): each tail row is stored once and read by
+    # every row built on it, at the one bound of the piece.
+    assert sorted(rows.stored) == sorted(wanted)
+    # A dict per call builds the tails of each relation again.
+    fresh = [BuildLog() for _ in cs]
+    for c, own in zip(cs, fresh):
+        verify_relation(c, rows=own)
+        assert sorted(own.stored) == sorted({(t, bound) for e in c._terms for t in tails(e)})
+    assert sum(len(own.stored) for own in fresh) > len(wanted)
 
 
-def test_verify_relation_refuses_every_relation_with_a_corrupted_shared_row(monkeypatch):
+def test_verify_relation_refuses_every_relation_with_a_corrupted_shared_row():
     k = magnus_index(1, 2, 3)
     cs = list(kernel_elements(k, itertools.permutations(range(1, 4))))
     bad = mpl_index(2, 2, 2)
-    corrupt_series(monkeypatch, bad, 7)
     hit = [c for c in cs if c.coefficient(bad)]
     clean = [c for c in cs if not c.coefficient(bad)]
     assert len(hit) >= 2 and clean
-    # The clean relations fill a shared dict of rows first; each relation
-    # that holds the corrupted index is then refused, not only the first.
+    # One shared dict holds the row of Li(2,2,2) at the piece's D = 9
+    # from the start, corrupted at z^7, with its clean tails; the clean
+    # relations fill it further, and then every relation that holds the
+    # corrupted index is refused, not only the first.
+    bound = k.weight + k.depth + 1
+    rows = {}
+    pl._series_row(bad.entries, bound, rows)
+    rows[bad.entries, bound][7] += 1
+    assert [verify_relation(d, rows=rows)[0] for d in clean] == [True] * len(clean)
     for c in hit:
-        rows = {}
-        assert [verify_relation(d, rows=rows)[0] for d in clean] == [True] * len(clean)
         with pytest.raises(PipelineDisagreement, match="refusing to answer"):
             verify_relation(c, rows=rows)
-    # A row lives only as long as its dict: once the corruption is undone,
-    # a fresh dict reads fresh rows and verifies cleanly.
-    monkeypatch.undo()
+    # A row lives only as long as its dict: a fresh dict builds fresh rows
+    # and verifies cleanly.
     rows = {}
     assert all(verify_relation(c, rows=rows)[0] for c in cs)
 

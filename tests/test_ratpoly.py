@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npolylog.ratpoly import RatFun, euler_deriv, geom_mul, taylor_coeffs
+from npolylog.ratpoly import RatFun, euler_deriv, euler_power, geom_mul, taylor_coeffs
 from oracles import add_by_raising, euler_deriv_by_formula, taylor_coeffs_by_comb
 
 
@@ -174,6 +174,27 @@ def test_euler_deriv_and_geom_mul_match_the_reference_formulas():
             assert f.dpow == 0
             assert_same(euler_deriv(f), euler_deriv_by_formula(f))
             assert_same(geom_mul(f), RatFun((0,) + f.num, 1))
+
+
+def test_euler_power_is_the_repeated_reference_formula():
+    rng = random.Random(439)
+    fs = [canonical_ratfun(rng, deg, dpow) for dpow in range(6) for deg in range(dpow + 3)]
+    # d = 0 numerators divisible by (1-z), and the zero function.
+    fs += [canonical_ratfun(rng, rng.randint(0, 3), 0) * RatFun((1, -1)) ** k for k in range(1, 4)]
+    fs += [RatFun(), RatFun.const(Fraction(5, 3)), RatFun((Fraction(1, 2), Fraction(-1, 2)))]
+    assert any(f.dpow == 0 for f in fs) and any(type(c) is Fraction for f in fs for c in f.num)
+    for f in fs:
+        want = f
+        for e in range(6):
+            assert_same(euler_power(f, e), want)
+            want = euler_deriv_by_formula(want)
+    assert euler_deriv is euler_power
+
+
+@pytest.mark.parametrize("e", [-1, True, 1.0])
+def test_euler_power_refuses_a_bad_exponent(e):
+    with pytest.raises(ValueError, match="exponent must be an integer >= 0"):
+        euler_power(RatFun.one(), e)
 
 
 def test_taylor_coeffs_match_the_comb_reference():
