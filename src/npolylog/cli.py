@@ -12,9 +12,11 @@ byte-deterministic.  Exit codes: 0 success, 1 verification failure,
 the relation was left undecided.
 
 One kernel sweep or one verify file is one stream of relations that
-share their series rows.  A kernel sweep prints a relation met again
-from its first verification.  Nothing is kept from one command call to
-the next.
+share their series rows.  A kernel sweep also shares the text of each
+index across its record lines, and prints a relation met again from
+its first verification.  Nothing is kept from one command call to the
+next.  verify reads "\r\n" and a bare "\r" as line ends, piped or by
+path alike.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .polylog import (
     nfold_product,
     polylog_rational,
     relation_from_record,
-    relation_record,
+    relation_line,
     verify_relation,
 )
 from .ratpoly import taylor_coeffs
@@ -137,14 +139,16 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValueError(f"bad permutation {args.sigma!r}") from exc
     rc = 0
-    # A sweep shares its series rows.  A relation met again is the same
-    # object, kept for the sweep, and prints its first verification.
+    # A sweep shares its series rows and the text of each index.  A
+    # relation met again is the same object, kept for the sweep, and
+    # prints its first verification.
     rows: dict = {}
+    texts: dict = {}
     records: dict = {}
     for c in kernel_elements(k, sigmas):
         if id(c) not in records:
             ok, _ = verify_relation(c, rows=rows)
-            records[id(c)] = json.dumps(relation_record(c, ok)), ok
+            records[id(c)] = relation_line(c, ok, texts=texts), ok
         line, ok = records[id(c)]
         print(line)
         if not ok:
@@ -156,7 +160,9 @@ def _read_relation_lines(args: argparse.Namespace) -> str:
     if args.bundled:
         return resources.files("npolylog").joinpath(_BUNDLED).read_text(encoding="utf-8")
     if args.file == "-":
-        return sys.stdin.read()
+        # Piped text keeps its "\r" line ends; a file opened by path reads
+        # them as "\n".  A raw "\r" cannot occur inside a JSON string.
+        return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
     with open(args.file, "r", encoding="utf-8") as fh:
         return fh.read()
 
@@ -171,7 +177,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = 0
     # The lines of one file share their series rows, as a kernel sweep does.
     # They end at "\n" only, not at U+2028, U+2029 or U+0085, which JSON allows
-    # raw in a string; the "\r" of a "\r\n" is JSON whitespace.
+    # raw in a string; every source has read "\r\n" and "\r" as "\n".
     rows: dict = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():

@@ -45,7 +45,10 @@ a new value is built from the cached value of its longest cached tail,
 iteratively, and series rows the same way from tail rows at the same
 bound, in a dict the caller of verify_relation may share across a
 stream of relations.  kernel_elements expands the closed-form product
-of each distinct arrangement once per sweep.
+of each distinct arrangement once per sweep, and relation_line formats
+each index of a sweep once, in a dict the sweep shares the same way.
+relation_line is the one definition of the record format:
+relation_record is its text parsed back.
 That closed form lives in magnus and nfold_product reads it; only
 magnus_product_identity derives it again, multiplying out the brackets
 of M(k) x1 in Q<X>, as the independent side of the identity it states.
@@ -53,13 +56,15 @@ of M(k) x1 in Q<X>, as the independent side of the identity it states.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .freealg import NcPoly, _add_term, poly_x_to_y
+from .freealg import NcPoly, _add_term, _term_key, poly_x_to_y
 from .magnus import _product_terms, lie_power, word_to_magnus
 from .ratpoly import RatFun, _combine, euler_deriv, geom_mul, taylor_coeffs
 from .words import MultiIndex, Scalar, _is_count, _require_magnus, _require_plain, _scalar
@@ -76,6 +81,7 @@ __all__ = [
     "kernel_element",
     "kernel_elements",
     "verify_relation",
+    "relation_line",
     "relation_record",
     "relation_from_record",
 ]
@@ -311,26 +317,50 @@ def verify_relation(c: LinComb, *, rows: Rows | None = None) -> tuple[bool, RatF
     return False, f * Fraction(1, scale)
 
 
-def _relation_terms(c: LinComb) -> list[dict[str, object]]:
-    """The JSON term list of a combination, in display order."""
-    return [{"coef": str(coef), "index": list(letters)} for letters, coef in c.sorted_terms()]
+# Entries -> (_term_key("Y", entries), '"index": [..]}' text, weight): the
+# per-index part of a record line, which one sweep of records shares.
+Texts = dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], str, int]]
+
+
+def relation_line(c: LinComb, verified: bool, *, texts: Texts | None = None) -> str:
+    """The JSON-line record for a relation, as text: terms, verified, weight, depth.
+
+    Terms are in display order, each {"coef": str(coef), "index": [..]}.
+    Weight and depth are the common values over all terms, or null when
+    the combination is not homogeneous (products of depth-one values
+    reduce to lower weight, so mixed records are legitimate).  The text
+    is json.dumps of relation_record.
+
+    texts holds the sort key, index text and weight of each index met;
+    a sweep of records passes one dict to every call, so each index is
+    formatted once per sweep.
+    """
+    texts = {} if texts is None else texts
+    rows = []
+    for entries, coef in c._terms.items():
+        t = texts.get(entries)
+        if t is None:
+            t = texts[entries] = (_term_key("Y", entries), f'"index": {json.dumps(list(entries))}}}', sum(entries))
+        rows.append((t, coef))
+    # Distinct entries have distinct sort keys, so each t orders by its key.
+    rows.sort(key=itemgetter(0))
+    weights = {t[2] for t, _ in rows}
+    depths = {len(entries) for entries in c._terms}
+    terms = ", ".join(['{"coef": "' + str(coef) + '", ' + t[1] for t, coef in rows])
+    flag = "true" if verified is True else "false" if verified is False else json.dumps(verified)
+    weight = str(weights.pop()) if len(weights) == 1 else "null"
+    depth = str(depths.pop()) if len(depths) == 1 else "null"
+    return f'{{"terms": [{terms}], "verified": {flag}, "weight": {weight}, "depth": {depth}}}'
 
 
 def relation_record(c: LinComb, verified: bool) -> dict[str, object]:
-    """The JSON-line record for a relation: terms, verified, weight, depth.
+    """The JSON-line record for a relation as a dict: relation_line, parsed."""
+    return json.loads(relation_line(c, verified))
 
-    Weight and depth are the common values over all terms, or null
-    when the combination is not homogeneous (products of depth-one
-    values reduce to lower weight, so mixed records are legitimate).
-    """
-    weights = {sum(entries) for entries in c._terms}
-    depths = {len(entries) for entries in c._terms}
-    return {
-        "terms": _relation_terms(c),
-        "verified": verified,
-        "weight": weights.pop() if len(weights) == 1 else None,
-        "depth": depths.pop() if len(depths) == 1 else None,
-    }
+
+def _relation_terms(c: LinComb) -> list[dict[str, object]]:
+    """The JSON term list of a combination, in display order."""
+    return relation_record(c, True)["terms"]
 
 
 # Python 3.10's Fraction string syntax in ASCII, read the same on every

@@ -186,9 +186,9 @@ def _combine(pairs: Iterable[tuple[Scalar, RatFun]]) -> RatFun:
     """sum c*f over (c, f) in pairs, over the common denominator (1-z)^d.
 
     Numerators that share a denominator power d_i are summed as they
-    are.  Each such sum is then raised once to the largest power d by
-    the signed binomial row of (1-z)^(d - d_i), and the total is
-    canonicalised once.
+    are.  Each such sum below the largest power d is then raised once
+    to d by the signed binomial row of (1-z)^(d - d_i) and added to the
+    sum already at d, and the total is canonicalised once.
     """
     groups: dict[int, list[Scalar]] = {}
     for c, f in pairs:
@@ -198,7 +198,8 @@ def _combine(pairs: Iterable[tuple[Scalar, RatFun]]) -> RatFun:
         for i, p in enumerate(f.num):
             acc[i] += c * p
     d = max(groups, default=0)
-    out: list[Scalar] = [0] * max((len(acc) + d - di for di, acc in groups.items()), default=0)
+    out = groups.pop(d, [])
+    out.extend([0] * (max((len(acc) + d - di for di, acc in groups.items()), default=0) - len(out)))
     for di, acc in groups.items():
         row = [(-1) ** k * comb(d - di, k) for k in range(d - di + 1)]
         for i, p in enumerate(acc):
@@ -241,10 +242,13 @@ def euler_power(f: RatFun, e: int = 1) -> RatFun:
     q_j = j P_j + (d+1-j) P_(j-1), one pass per step over a plain list.  For
     d >= 1, q(1) = d P(1) != 0, so q is canonical once trailing zeros are
     gone; only the result is wrapped and made int where integral.  A
-    polynomial (d = 0) stays one and goes through the constructor.
+    polynomial (d = 0) stays one and goes through the constructor, and
+    e = 0 returns f itself.
     """
     if not _is_count(e):
         raise ValueError("exponent must be an integer >= 0")
+    if not e:
+        return f
     p, d = f.num, f.dpow
     if not d:
         return RatFun([i**e * c for i, c in enumerate(p)])

@@ -1,7 +1,8 @@
 """Slow, independent constructions that the fast library code is checked against.
 
 Each follows its definition literally and is meant for small inputs only.
-BuildLog, last, is a rows dict for the tests that count series row builds.
+BuildLog, last, is a dict for the tests that count series row and index
+text builds.
 """
 
 import itertools
@@ -150,6 +151,45 @@ def taylor_coeffs_by_comb(f: RatFun, n_max: int) -> list:
     return out
 
 
+def combine_by_rows(pairs) -> RatFun:
+    """sum c*f over the common denominator, every group raised by its binomial row; oracle for _combine.
+
+    Sums the numerators that share a power d_i, then convolves each sum
+    with the signed binomial row of (1-z)^(d - d_i), the row [1] at d_i = d
+    included.
+    """
+    groups: dict[int, list[Scalar]] = {}
+    for c, f in pairs:
+        acc = groups.setdefault(f.dpow, [])
+        acc.extend([0] * (len(f.num) - len(acc)))
+        for i, p in enumerate(f.num):
+            acc[i] += c * p
+    d = max(groups, default=0)
+    out: list[Scalar] = [0] * max((len(acc) + d - di for di, acc in groups.items()), default=0)
+    for di, acc in groups.items():
+        row = [(-1) ** k * comb(d - di, k) for k in range(d - di + 1)]
+        for i, p in enumerate(acc):
+            for k, b in enumerate(row):
+                out[i + k] += p * b
+    return RatFun(out, d)
+
+
+def relation_record_by_dicts(c: LinComb, verified: bool) -> dict[str, object]:
+    """The relation record built as a dict, terms in sorted_terms order; oracle for relation_line.
+
+    Weight and depth are the common values over all terms, or None when
+    they differ.
+    """
+    weights = {sum(entries) for entries in c._terms}
+    depths = {len(entries) for entries in c._terms}
+    return {
+        "terms": [{"coef": str(coef), "index": list(letters)} for letters, coef in c.sorted_terms()],
+        "verified": verified,
+        "weight": weights.pop() if len(weights) == 1 else None,
+        "depth": depths.pop() if len(depths) == 1 else None,
+    }
+
+
 def _mul_one_minus_z(coeffs: Sequence[Scalar]) -> list[Scalar]:
     out = list(coeffs) + [0]
     for i in range(len(out) - 1, 0, -1):
@@ -179,7 +219,7 @@ def add_by_raising(f: RatFun, g: RatFun) -> RatFun:
 
 
 class BuildLog(dict):
-    """A rows dict that logs the key of every row stored in it."""
+    """A dict that logs the key of every value stored in it."""
 
     def __init__(self):
         super().__init__()

@@ -3,8 +3,11 @@
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +304,40 @@ def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
     # would build some twice.
     assert sum(len(e) for line in sweep.splitlines() for e in relation_from_record(json.loads(line))._terms) > len(wanted)
     assert sorted(log.stored) == sorted(wanted)
+
+
+def test_kernel_formats_each_index_once_per_sweep(capsys, monkeypatch):
+    built, passed = [], []
+    key, line = pl._term_key, cli.relation_line
+    monkeypatch.setattr(pl, "_term_key", lambda alphabet, letters: built.append(letters) or key(alphabet, letters))
+    monkeypatch.setattr(cli, "relation_line", lambda c, ok, texts: passed.append((texts, len(texts))) or line(c, ok, texts=texts))
+    sweeps = []
+    for _ in range(2):
+        built.clear()
+        passed.clear()
+        code, sweep, err = run(capsys, "kernel", "(1,2,1,2,1;1)", "--all-sigma")
+        assert (code, err) == (0, "")
+        terms = [tuple(t["index"]) for record in sweep.splitlines() for t in json.loads(record)["terms"]]
+        # Indices recur across the 15 distinct relations; each is formatted once.
+        assert len(terms) > len(set(terms)) and sorted(built) == sorted(set(terms))
+        # One dict per command call, empty when the call starts.
+        assert len(passed) == 15 and passed[0][1] == 0 and all(texts is passed[0][0] for texts, _ in passed)
+        sweeps.append((sweep, passed[0][0]))
+    assert sweeps[0][0] == sweeps[1][0] and sweeps[0][1] is not sweeps[1][1]
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n", "\n"], ids=["CR", "CRLF", "LF"])
+def test_verify_reads_the_same_bytes_alike_piped_and_by_path(tmp_path, end):
+    data = (GOOD_LINE + end + BAD_LINE + end).encode()
+    path = tmp_path / "relations.jsonl"
+    path.write_bytes(data)
+    command = [sys.executable, "-m", "npolylog.cli", "verify"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    piped = subprocess.run(command + ["-"], input=data, capture_output=True, env=env)
+    by_path = subprocess.run(command + [str(path)], capture_output=True, env=env)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (by_path.returncode, by_path.stdout, by_path.stderr)
+    assert piped.returncode == 1 and piped.stderr == b""
+    assert piped.stdout == b"line 1: ok\nline 2: FAIL witness=z/(1-z)\nchecked 2 relations: 1 ok, 1 failed\n"
 
 
 def test_verify_stdin_reports_failures(capsys, monkeypatch):

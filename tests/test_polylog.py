@@ -1,8 +1,10 @@
 """Evaluation, series oracles, product expansions, and relation generation."""
 
 import itertools
+import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,13 +25,21 @@ from npolylog.polylog import (
     polylog_map,
     polylog_rational,
     relation_from_record,
+    relation_line,
     relation_record,
     series_coeffs,
     verify_relation,
 )
 from npolylog.ratpoly import RatFun, taylor_coeffs
 from npolylog.words import magnus_index, mpl_index
-from oracles import BuildLog, nfold_product_by_choices, polylog_by_fold, product_letter_word, series_coeffs_by_chains
+from oracles import (
+    BuildLog,
+    nfold_product_by_choices,
+    polylog_by_fold,
+    product_letter_word,
+    relation_record_by_dicts,
+    series_coeffs_by_chains,
+)
 
 
 def plain_indices(max_depth, max_weight):
@@ -669,6 +679,54 @@ def test_relation_record_coefficients_are_exact_strings():
     rec = relation_record(c, verified=False)
     assert rec["terms"][0]["coef"] == "5/33"
     assert relation_from_record(rec) == c
+
+
+def assert_line_is_the_dumped_record(c, texts=None):
+    for verified in (True, False):
+        want = relation_record_by_dicts(c, verified)
+        assert relation_line(c, verified, texts=texts) == json.dumps(want)
+        assert relation_record(c, verified) == want
+
+
+def test_relation_line_is_the_dumped_record_on_every_small_kernel_relation():
+    # One texts dict for the whole run, as a sweep shares one: an index met
+    # in an earlier relation is read back, not formatted again.
+    texts = {}
+    seen = 0
+    for depth in range(4):
+        for weight in range(7):
+            for k in magnus.magnus_indices(depth, weight):
+                cs = {id(c): c for c in kernel_elements(k, itertools.permutations(range(1, depth + 2)))}
+                for c in cs.values():
+                    assert_line_is_the_dumped_record(c, texts)
+                    assert_line_is_the_dumped_record(c)
+                    seen += 1
+    assert seen > 1000 and len(texts) > 100
+
+
+def test_relation_line_is_the_dumped_record_on_edge_combinations():
+    assert_line_is_the_dumped_record(LinComb())
+    assert relation_line(LinComb(), True) == '{"terms": [], "verified": true, "weight": null, "depth": null}'
+    fractions = LinComb({mpl_index(4): Fraction(5, 33), mpl_index(1, 2): Fraction(-7, 2), mpl_index(): 3})
+    assert_line_is_the_dumped_record(fractions)
+    assert relation_line(fractions, False) == (
+        '{"terms": [{"coef": "3", "index": []}, {"coef": "5/33", "index": [4]}, {"coef": "-7/2", "index": [1, 2]}], '
+        '"verified": false, "weight": null, "depth": null}'
+    )
+    # Mixed depth, mixed weight, and both mixed.
+    assert_line_is_the_dumped_record(nfold_product([4, 5]) - LinComb({mpl_index(9): 1}))
+    assert_line_is_the_dumped_record(LinComb({mpl_index(2): 1, mpl_index(3): 1}))
+    assert_line_is_the_dumped_record(LinComb({mpl_index(2): 1, mpl_index(0, 3): -1}))
+
+
+def test_relation_line_raises_the_digit_limit_error_of_the_record():
+    if not getattr(sys, "get_int_max_str_digits", int)():
+        pytest.skip("this Python sets no int-to-str digit limit")
+    c = LinComb({mpl_index(1): 10 ** (sys.get_int_max_str_digits() + 1)})
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        json.dumps(relation_record_by_dicts(c, True))
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        relation_line(c, True)
 
 
 def test_relation_from_record_rejects_malformed_input():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npolylog.ratpoly import RatFun, euler_deriv, euler_power, geom_mul, taylor_coeffs
-from oracles import add_by_raising, euler_deriv_by_formula, taylor_coeffs_by_comb
+from npolylog.ratpoly import RatFun, _combine, euler_deriv, euler_power, geom_mul, taylor_coeffs
+from oracles import add_by_raising, combine_by_rows, euler_deriv_by_formula, taylor_coeffs_by_comb
 
 
 def random_ratfun(rng, max_deg=4, max_dpow=4):
@@ -189,6 +189,28 @@ def test_euler_power_is_the_repeated_reference_formula():
             assert_same(euler_power(f, e), want)
             want = euler_deriv_by_formula(want)
     assert euler_deriv is euler_power
+
+
+def test_euler_power_of_zero_steps_is_its_argument():
+    for f in (RatFun(), RatFun.one(), RatFun((0, 1), 1), RatFun((Fraction(1, 2), 3), 4)):
+        assert euler_power(f, 0) is f
+
+
+def test_combine_matches_raising_every_group_by_its_row():
+    rng = random.Random(557)
+    for trial in range(300):
+        # Every trial on an odd number is one group at a single power, as
+        # every term of a homogeneous kernel relation is.
+        powers = [rng.randint(0, 5)] if trial % 2 else list(range(6))
+        pairs = [
+            (rng.choice([1, -3, Fraction(2, 7)]), canonical_ratfun(rng, rng.randint(0, 5), rng.choice(powers)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        if trial % 7 == 0:
+            pairs.append((-pairs[0][0], pairs[0][1]))
+        assert_same(_combine(pairs), combine_by_rows(pairs))
+    assert_same(_combine([]), combine_by_rows([]))
+    assert _combine([]) == 0
 
 
 @pytest.mark.parametrize("e", [-1, True, 1.0])
