@@ -9,7 +9,8 @@ permutations, emitted as JSON lines), verify (recheck a relation
 file), and duality-check (basis-change sweeps).  All output is
 byte-deterministic.  Exit codes: 0 success, 1 verification failure,
 2 parse or usage error, 3 the two evaluation pipelines disagreed and
-the relation was left undecided.
+the relation was left undecided.  Every count argument is read as an
+index entry is, in ASCII digits.
 
 One kernel sweep or one verify file is one stream of relations that
 share their series rows.  A kernel sweep also shares the text of each
@@ -33,13 +34,13 @@ from .freealg import NcPoly, poly_to_json_obj
 from .magnus import grade_report, magnus_poly
 from .polylog import (
     PipelineDisagreement,
-    _relation_terms,
     expand_to_products,
     kernel_elements,
     nfold_product,
     polylog_rational,
     relation_from_record,
     relation_line,
+    relation_record,
     verify_relation,
 )
 from .ratpoly import taylor_coeffs
@@ -66,10 +67,20 @@ def _unlimited_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def _count(text: str, name: str) -> int:
+    """A count argument, ASCII digits as in an index; a "-" sign is kept for the library to refuse."""
+    t = text.strip()
+    try:
+        return -_parse_int(t[1:], text) if t.startswith("-") else _parse_int(t, text)
+    except ValueError:
+        raise ValueError(f"bad {name} {text!r}: a count is written in ASCII digits") from None
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     idx = _require_plain(parse_index(args.index))
+    n_max = None if args.series is None else _count(args.series, "--series")
     f = polylog_rational(idx)
-    series = taylor_coeffs(f, args.series) if args.series is not None else None
+    series = None if n_max is None else taylor_coeffs(f, n_max)
     with _unlimited_digits():
         if args.json:
             obj: dict[str, object] = {"index": list(idx.entries), "value": f.to_json_obj()}
@@ -94,7 +105,7 @@ def cmd_magnus(args: argparse.Namespace) -> int:
             "index": str(k),
             "magnus": poly_to_json_obj(magnus_poly(k)),
             "image": poly_to_json_obj(image),
-            "product": {"factors": list(factors), "terms": _relation_terms(expansion)},
+            "product": {"factors": list(factors), "terms": relation_record(expansion, True)["terms"]},
         }
         print(json.dumps(obj))
     else:
@@ -119,10 +130,11 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    c = nfold_product(args.factors)
-    label = "*".join(f"Li({f})" for f in args.factors)
+    factors = [_count(f, "factor") for f in args.factors]
+    c = nfold_product(factors)
+    label = "*".join(f"Li({f})" for f in factors)
     if args.json:
-        print(json.dumps({"factors": list(args.factors), "terms": _relation_terms(c)}))
+        print(json.dumps({"factors": factors, "terms": relation_record(c, True)["terms"]}))
     else:
         print(f"{label} = {c}")
     return 0
@@ -206,9 +218,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_duality_check(args: argparse.Namespace) -> int:
+    max_depth, max_weight = _count(args.max_depth, "--max-depth"), _count(args.max_weight, "--max-weight")
     cells = []
     ok = True
-    for cell in grade_report(args.max_depth, args.max_weight):
+    for cell in grade_report(max_depth, max_weight):
         ok = ok and cell["ok"]
         if args.json:
             cells.append(cell)
@@ -216,7 +229,7 @@ def cmd_duality_check(args: argparse.Namespace) -> int:
             state = "ok" if cell["ok"] else "FAIL"
             print(f"depth={cell['depth']} weight={cell['weight']} size={cell['size']} {state}")
     if args.json:
-        print(json.dumps({"max_depth": args.max_depth, "max_weight": args.max_weight, "cells": cells, "ok": ok}))
+        print(json.dumps({"max_depth": max_depth, "max_weight": max_weight, "cells": cells, "ok": ok}))
     else:
         print("all graded pieces ok" if ok else "FAIL")
     return 0 if ok else 1
@@ -234,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="rational value of Li at one plain index")
     p.add_argument("index", help='plain index, e.g. "(1,2)" or "()"')
-    p.add_argument("--series", type=int, metavar="N", help="also print coefficients of z^0..z^N")
+    p.add_argument("--series", metavar="N", help="also print coefficients of z^0..z^N")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
@@ -249,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("product", help="expand a product of depth-one values")
-    p.add_argument("factors", nargs="+", type=int, help="single indices, e.g. 5 4")
+    p.add_argument("factors", nargs="+", help="single indices, e.g. 5 4")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_product)
 
@@ -267,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("duality-check", help="basis-change sweeps over graded pieces")
-    p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--max-weight", type=int, default=6)
+    p.add_argument("--max-depth", default="3")
+    p.add_argument("--max-weight", default="6")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_duality_check)
 

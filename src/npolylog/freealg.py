@@ -3,15 +3,15 @@
 An NcPoly is a finite Q-linear combination of words, stored as a
 mapping from words to coefficients.  A word is a tuple of letter
 codes (see words), the only word type of the package.  Coefficients
-are ints and Fractions, an int when integral (the scalar rule of
-words), so each polynomial has one representation and integer inputs
-(every Magnus polynomial and basis change, for instance) stay in
-integer arithmetic throughout.  Zero coefficients are dropped
-eagerly, so equality is plain dictionary equality and membership
-tests against the kernel of the polylogarithm map stay exact.
-Display and serialization order terms by word length and then
-lexicographically by letter codes, a Y-word as its X-embedding would
-sort, which keeps every output byte-deterministic.
+are ints and Fractions, an int when integral (words._exact), so each
+polynomial has one representation and integer inputs (every Magnus
+polynomial and basis change, for instance) stay in integer arithmetic
+throughout.  Sums and products accumulate through _add_term, the one
+sparse sum, which drops zero coefficients eagerly, so equality is plain
+dictionary equality and kernel membership tests stay exact.  Display
+and serialization order terms by word length and then lexicographically
+by letter codes, a Y-word as its X-embedding would sort, which keeps
+every output byte-deterministic.
 
 The module also provides the Lie bracket [u, v] = uv - vu and the
 splitting isomorphism between Q<X>x1 and Q<Y>: a word that ends in x1
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .words import Scalar, _is_count, _letters_x_to_y, _letters_y_to_x, _scalar, _word_display, _word_json
+from .words import Scalar, _exact, _is_count, _letters_x_to_y, _letters_y_to_x, _scalar, _word_display, _word_json
 
 __all__ = [
     "NcPoly",
@@ -56,8 +56,7 @@ def _add_term(out: dict[Letters, Scalar], letters: Letters, coef: Scalar) -> Non
     """out[letters] += coef in place, keeping the int rule and dropping zeros."""
     s = out.get(letters, 0) + coef
     if s:
-        # A Fraction sum is already in lowest terms.
-        out[letters] = s if type(s) is int or s.denominator != 1 else s.numerator
+        out[letters] = _exact(s)
     else:
         out.pop(letters, None)
 
@@ -153,7 +152,10 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._require_same(other)
-        return self._trusted(self.alphabet, _combine(((1, self), (1, other))))
+        out = dict(self._terms)
+        for w, v in other._terms.items():
+            _add_term(out, w, v)
+        return self._trusted(self.alphabet, out)
 
     def __neg__(self) -> "NcPoly":
         return self * -1
@@ -165,7 +167,8 @@ class NcPoly:
 
     def __mul__(self, other: Union["NcPoly", Scalar]) -> "NcPoly":
         if isinstance(other, (int, Fraction)):
-            return self._trusted(self.alphabet, _combine(((_scalar(other), self),)))
+            c = _scalar(other)
+            return self._trusted(self.alphabet, {w: _exact(c * v) for w, v in self._terms.items()} if c else {})
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._require_same(other)
@@ -206,19 +209,6 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.alphabet!r}, {self._terms!r})"
-
-
-def _combine(pairs: Iterable[tuple[Scalar, NcPoly]]) -> dict[Letters, Scalar]:
-    """The terms of sum c*p over (c, p) in pairs, accumulated in place in one dict.
-
-    Every p must be over the same alphabet; no polynomial is built per pair.
-    """
-    out: dict[Letters, Scalar] = {}
-    for c, p in pairs:
-        if c:
-            for w, v in p._terms.items():
-                _add_term(out, w, c * v)
-    return out
 
 
 def lie_bracket(u: NcPoly, v: NcPoly) -> NcPoly:

@@ -19,9 +19,8 @@ w(s) = sum_k binom<s,k> M(k); in the other M(k) = sum_s binom<<k,s>> w(s)
 with a signed dual coefficient.  Both vanish unless depth and weight
 agree, so each graded piece is a finite square matrix and the two
 coefficient families are inverse matrices.  grade_report verifies
-this, reading only the entries that the guards of the two formulas let
-through, together with the expansion of each M(k) in words, on every
-graded piece up to given bounds.
+this on every graded piece up to given bounds, reading a row of <<k,s>>
+at the block words of M(k) x1, which are also its expansion in words.
 
 Split into blocks x0^a x1, M(k) x1 is the closed form of the product
 Li(k1)...Li(kn)Li(kinf) (Theorem main4).  One helper expands it
@@ -32,7 +31,7 @@ and the n-fold product and kernel sweeps of polylog all read it.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .freealg import NcPoly
 from .words import MultiIndex, _is_count, _letters_y_to_x, _require_magnus
@@ -94,7 +93,7 @@ def magnus_poly(k: MultiIndex) -> NcPoly:
 
 
 def basis_word(s: MultiIndex) -> NcPoly:
-    """The monomial w(s) = x0^(s1) x1 ... x0^(sn) x1 x0^(sinf)."""
+    """The monomial basis element w(s) = x0^(s1) x1 ... x0^(sn) x1 x0^(sinf)."""
     _require_magnus(s)
     return NcPoly._trusted("X", {_letters_y_to_x(s.prefix) + (0,) * s.tail: 1})
 
@@ -122,11 +121,12 @@ def array_binom(s: MultiIndex, k: MultiIndex) -> int:
 
 
 def dual_array_binom(k: MultiIndex, s: MultiIndex) -> int:
-    """The coefficient of w(s) in M(k), a signed product of binomials.
+    """The coefficient <<k,s>> of w(s) in M(k), a signed product of binomials.
 
     With the running differences c_j = sum_(i<=j) (k_i - s_i), the
     value is (-1)^(c_1+...+c_n) prod_j C(k_j, c_j); it vanishes unless
-    depth and weight agree and every c_j lies in 0..k_j.
+    depth and weight agree and every c_j lies in 0..k_j.  The checked
+    form of _dual_array_binom; the tests' dense reference for b's rows.
     """
     _require_magnus(k)
     _require_magnus(s)
@@ -136,7 +136,10 @@ def dual_array_binom(k: MultiIndex, s: MultiIndex) -> int:
 
 
 def _dual_array_binom(k: tuple[int, ...], s: tuple[int, ...]) -> int:
-    """dual_array_binom for equal depth and weight, on the prefix of k; zip drops a tail of s."""
+    """The unchecked kernel of dual_array_binom, which b's rows call per entry.
+
+    For equal depth and weight, on the prefix of k; zip drops a tail of s.
+    """
     c = 0
     val = 1
     for kj, sj in zip(k, s):
@@ -163,21 +166,14 @@ def _a_row(s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return {ks + (kj, b + sn - kj + tail): v * comb(b + sn, kj) for ks, b, v in partial for kj in range(b + sn + 1)}
 
 
-def _b_row(k: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Row k of b = <<k,s>> by entries, evaluated by _dual_array_binom at each s its guard passes.
+def _b_row(k: tuple[int, ...], blocks: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """Row k of b = <<k,s>> by entries: _dual_array_binom at each s of blocks, zeros dropped.
 
-    Those s have running differences c_j = sum_(i<=j) (k_i - s_i) in
-    0..k_j, so they are walked as s_j = k_j - c_j + c_(j-1).
+    blocks are the block words of M(k) x1, _product_terms(k): the s whose
+    c_j = sum_(i<=j) (k_i - s_i) lie in 0..k_j, the only s the guard passes.
     """
-    if len(k) == 1:
-        return {k: 1}
-    # (entries of s so far, c of the last slot); the last slot comes with the tail.
-    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for kj in k[:-2]:
-        partial = [(ss + (kj - c + prev,), c) for ss, prev in partial for c in range(kj + 1)]
-    prefix, kn, tail = k[:-1], k[-2], k[-1]
-    walked = [ss + (kn - c + prev, tail + c) for ss, prev in partial for c in range(kn + 1)]
-    return {s: v for s in walked if (v := _dual_array_binom(prefix, s))}
+    prefix = k[:-1]
+    return {s: v for s in blocks if (v := _dual_array_binom(prefix, s))}
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -203,7 +199,7 @@ def word_to_magnus(s: MultiIndex) -> dict[MultiIndex, int]:
 
 
 def magnus_to_word(k: MultiIndex) -> dict[MultiIndex, int]:
-    """Nonzero coefficients of M(k) in the monomial basis: w(s) for each block word s of M(k) x1."""
+    """M(k) = sum_s <<k,s>> w(s): the nonzero <<k,s>>, one per block word s of M(k) x1."""
     _require_magnus(k)
     return {MultiIndex(s, magnus=True): v for s, v in _product_terms(k.entries).items()}
 
@@ -212,10 +208,11 @@ def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
     """Check every graded piece with depth <= max_depth, weight <= max_weight.
 
     For each piece a = <s,k> and b = <<k,s>> are built as sparse rows
-    over every entry that their guards do not send to 0.  The piece is
-    square, so a.b = I shows that they are mutually inverse (duality).
-    Each w(s) is one word, so M(k) = sum_s b[k][s] w(s) is checked by
-    reading the terms of M(k) off row k of b; together with a.b = I this
+    over every entry that their guards do not send to 0; row k of b is
+    evaluated at the block words of M(k) x1.  The piece is square, so
+    a.b = I shows that they are mutually inverse (duality).  Each w(s)
+    is one word, so M(k) = sum_s b[k][s] w(s) is checked by comparing
+    the terms of M(k) with row k of b; together with a.b = I this
     gives w(s) = sum_k a[s][k] M(k), so inversion holds exactly when both
     checks pass.  Yields one record per piece as soon as it is checked,
     in order of depth, then weight.  Raises ValueError when a bound is
@@ -229,15 +226,15 @@ def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
 def _grade_cells(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:
     for depth in range(max_depth + 1):
         for weight in range(max_weight + 1):
-            b = {k: _b_row(k) for k in _compositions(weight, depth + 1)}
+            blocks = {k: _product_terms(k) for k in _compositions(weight, depth + 1)}
+            # A block word missing from row k of b makes a.b != I; a spurious
+            # one has dual value 0, so row k of b differs from it below.
+            b = {k: _b_row(k, terms) for k, terms in blocks.items()}
             # The matrices are square, so a.b = I already gives b.a = I.
             duality_ok = _inverts(b)
-            # Each w(s) is one word, so M(k) = sum_s b[k][s] w(s) says that
-            # row k of b is the coefficient table of M(k); words and blocks
-            # are in bijection, w(s) x1 having the blocks s.entries.  Given
-            # that, sum_k a[s][k] M(k) = sum_t (ab)[s][t] w(t), which is
-            # w(s) for every s exactly when a.b = I.
-            inversion_ok = duality_ok and all(_product_terms(k) == row for k, row in b.items())
+            # Words and blocks are in bijection, w(s) x1 having the blocks
+            # s.entries, so row k of b must be the closed form of M(k) x1.
+            inversion_ok = duality_ok and blocks == b
             yield {
                 "depth": depth,
                 "weight": weight,

@@ -358,11 +358,6 @@ def relation_record(c: LinComb, verified: bool) -> dict[str, object]:
     return json.loads(relation_line(c, verified))
 
 
-def _relation_terms(c: LinComb) -> list[dict[str, object]]:
-    """The JSON term list of a combination, in display order."""
-    return relation_record(c, True)["terms"]
-
-
 # Python 3.10's Fraction string syntax in ASCII, read the same on every
 # supported Python: no underscores, no spaces at the slash, ASCII digits only.
 _COEF = re.compile(

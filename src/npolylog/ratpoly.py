@@ -4,17 +4,16 @@ Every value this package evaluates lives in the subring of rational
 functions generated by z and 1/(1-z), so a single distinguished
 denominator suffices: a RatFun is P(z)/(1-z)^d with P a dense tuple of
 coefficients and d >= 0.  Coefficients are ints and Fractions, an int
-when integral (the scalar rule of words), so each value has one
-representation and integer inputs (every polylogarithm value, for
-instance) stay in integer arithmetic throughout.  Canonical form
-requires that P have no trailing zero coefficients and, when d > 0,
-that (1-z) not divide P, which is equivalent to P(1) != 0.  Reduction
-therefore never needs a gcd: evaluate P at 1 and divide synthetically
-while it vanishes.
+when integral (words._exact), so each value has one representation and
+integer inputs (every polylogarithm value, for instance) stay in
+integer arithmetic throughout.  Canonical form requires that P have no
+trailing zero coefficients and, when d > 0, that (1-z) not divide P,
+which is equivalent to P(1) != 0.  Reduction therefore never needs a
+gcd: evaluate P at 1 and divide synthetically while it vanishes.
 
 Every sum, from RatFun addition to the value of a combination of
-polylogarithms, goes through _combine, which raises each group of
-numerators that share a denominator power to the common power once.
+polylogarithms, goes through _combine, the one dense sum, which raises
+each group of numerators that share a denominator power to it once.
 
 Beyond the ring operations the module provides the two operators that
 generate all polylogarithm values here: the Euler operator z d/dz and
@@ -34,7 +33,7 @@ from itertools import accumulate
 from math import comb
 from typing import Iterable, Sequence, Union
 
-from .words import Scalar, _is_count, _scalar
+from .words import Scalar, _exact, _is_count, _scalar
 
 __all__ = [
     "RatFun",
@@ -60,7 +59,7 @@ class RatFun:
         # The quotient's top coefficient is c_0+...+c_(n-1) = -c_n != 0,
         # and a partial sum of Fractions may be integral.
         while dpow > 0 and coeffs and sum(coeffs) == 0:
-            coeffs = [c if type(c) is int else _scalar(c) for c in accumulate(coeffs[:-1])]
+            coeffs = [_exact(c) for c in accumulate(coeffs[:-1])]
             dpow -= 1
         if not coeffs:
             dpow = 0
@@ -261,7 +260,7 @@ def euler_power(f: RatFun, e: int = 1) -> RatFun:
         while not q[-1]:
             q.pop()
         p, d = q, d + 1
-    return RatFun._trusted(tuple([c if type(c) is int else _scalar(c) for c in p]), d)
+    return RatFun._trusted(tuple([_exact(c) for c in p]), d)
 
 
 euler_deriv = euler_power

@@ -14,7 +14,8 @@ caller-side convention.
 
 Each input rule of the package is decided here, once: the index kind
 (_require_plain, _require_magnus), a count such as an entry, power or
-slot number (_is_count, or _parse_int on text), a coefficient (_scalar).
+slot number (_is_count, or _parse_int on text), a coefficient (_scalar,
+which applies the int rule _exact that freealg and ratpoly use on sums).
 
 Text notation: "(1,2,3)" plain, "()" the empty index, "(1;2)" tail
 form, "(;2)" tail form of depth 0.  Words display as "x0x1x0^2" or
@@ -34,12 +35,16 @@ __all__ = ["MultiIndex", "mpl_index", "magnus_index", "parse_index"]
 Scalar = Union[int, Fraction]
 
 
+def _exact(c: Scalar) -> Scalar:
+    """The int rule, unchecked: c as an int when integral (a Fraction is in lowest terms)."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 def _scalar(c: object) -> Scalar:
     """c as an int when integral, else as a Fraction; only ints and Fractions are scalars."""
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise ValueError(f"bad coefficient {c!r}: coefficients are ints or Fractions")
-    # A Fraction is kept in lowest terms, so denominator 1 means integral.
-    return c.numerator if c.denominator == 1 else c
+    return _exact(c)
 
 
 def _is_count(v: object) -> bool:

@@ -622,13 +622,33 @@ def test_duality_check_rejects_negative_bounds(capsys):
         assert err.startswith("error: ") and "must be >= 0" in err
 
 
+COUNT_ARGUMENTS = [
+    pytest.param(lambda v: ("product", v, "2"), id="product-factor"),
+    pytest.param(lambda v: ("eval", "(1)", "--series", v), id="eval-series"),
+    pytest.param(lambda v: ("duality-check", "--max-depth", v, "--max-weight", "1"), id="max-depth"),
+    pytest.param(lambda v: ("duality-check", "--max-depth", "1", "--max-weight", v), id="max-weight"),
+]
+
+
+@pytest.mark.parametrize("argv", COUNT_ARGUMENTS)
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "+2", "-1", "x"])
+def test_count_arguments_take_ascii_digits_only(capsys, argv, value):
+    # A count is read as an index entry is, so int()'s underscores,
+    # non-ASCII digits and "+" sign are refused, like a negative count,
+    # with exit 2 and one error line.
+    code, out, err = run(capsys, *argv(value))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if value == "-1":
+        assert ">= 0" in err
+
+
 def test_parser_is_built_once_and_reused(capsys):
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli.build_parser()
     # Options of one call must not leak into the next through the shared parser.
-    with pytest.raises(SystemExit):
-        cli.main(["eval", "(1)", "--series", "x"])
-    capsys.readouterr()
+    code, _, _ = run(capsys, "eval", "(1)", "--series", "x")
+    assert code == 2
     code, out, _ = run(capsys, "eval", "(1)", "--series", "2")
     assert code == 0 and out == "z/(1-z)^2\nseries: 0, 1, 2\n"
     code, out, _ = run(capsys, "eval", "(1)")

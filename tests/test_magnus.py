@@ -215,6 +215,30 @@ def test_grade_report_catches_a_wrong_magnus_term(monkeypatch):
         assert cell["ok"] is not bad
 
 
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_dual_rows_are_read_at_the_closed_form_block_words(monkeypatch, change):
+    # Row k of b is evaluated at the block words of _product_terms(k).  A
+    # word dropped there leaves b short of a nonzero entry, so a.b != I; a
+    # spurious word has dual value 0, so row k differs from the closed form.
+    exact = magnus._product_terms
+
+    def perturbed(entries):
+        terms = exact(entries)
+        if entries == (1, 1, 1):
+            if change == "drop":
+                del terms[(0, 2, 1)]
+            else:
+                terms[(3, 0, 0)] = 1
+        return terms
+
+    monkeypatch.setattr(magnus, "_product_terms", perturbed)
+    for cell in grade_report(2, 3):
+        bad = (cell["depth"], cell["weight"]) == (2, 3)
+        assert cell["duality_ok"] is not (bad and change == "drop")
+        assert cell["inversion_ok"] is not bad
+        assert cell["ok"] is not bad
+
+
 def test_grade_report_catches_a_wrong_matrix_entry(monkeypatch):
     # The prefixes (2, 1) and (1, 2) meet only in the piece of depth 2,
     # weight 3 within these bounds; (2, 1) dominates (1, 2), so the walk
@@ -254,11 +278,15 @@ def test_grade_report_catches_a_wrong_dual_matrix_entry(monkeypatch):
 
 def walk_disagreements(max_depth, max_weight):
     """(matrix, row, column, dense value, walked value) wherever a walked row differs from the dense formula."""
+
+    def b_row(k):
+        return magnus._b_row(k, magnus._product_terms(k))
+
     out = []
     for depth in range(max_depth + 1):
         for weight in range(max_weight + 1):
             idx = magnus_indices(depth, weight)
-            for name, walk, formula in (("a", magnus._a_row, array_binom), ("b", magnus._b_row, dual_array_binom)):
+            for name, walk, formula in (("a", magnus._a_row, array_binom), ("b", b_row, dual_array_binom)):
                 for s in idx:
                     walked = walk(s.entries)
                     assert set(walked) <= {k.entries for k in idx}
@@ -277,7 +305,7 @@ def test_walked_rows_hold_every_nonzero_entry():
         for weight in range(7):
             for s in magnus_indices(depth, weight):
                 assert all(magnus._a_row(s.entries).values())
-                assert all(magnus._b_row(s.entries).values())
+                assert all(magnus._b_row(s.entries, magnus._product_terms(s.entries)).values())
 
 
 def test_walk_check_catches_an_off_walk_dual_entry(monkeypatch):
