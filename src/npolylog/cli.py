@@ -9,8 +9,10 @@ permutations, emitted as JSON lines), verify (recheck a relation
 file), and duality-check (basis-change sweeps).  All output is
 byte-deterministic.  Exit codes: 0 success, 1 verification failure,
 2 parse or usage error, 3 the two evaluation pipelines disagreed and
-the relation was left undecided.  Every count argument is read as an
-index entry is, in ASCII digits.
+the relation was left undecided.  Every count argument is read by one
+rule, as an index entry is: ASCII digits and no sign, so "-0" is refused
+as "-1" is, with one message.  magnus and product print the product
+identity through one renderer.
 
 One kernel sweep or one verify file is one stream of relations that
 share their series rows.  A kernel sweep also shares the text of each
@@ -29,10 +31,12 @@ import itertools
 import json
 import sys
 from importlib import resources
+from typing import Sequence
 
 from .freealg import NcPoly, poly_to_json_obj
 from .magnus import grade_report, magnus_poly
 from .polylog import (
+    LinComb,
     PipelineDisagreement,
     expand_to_products,
     kernel_elements,
@@ -68,12 +72,21 @@ def _unlimited_digits():
 
 
 def _count(text: str, name: str) -> int:
-    """A count argument, ASCII digits as in an index; a "-" sign is kept for the library to refuse."""
-    t = text.strip()
+    """A count argument, ASCII digits as in an index, so no sign is read."""
     try:
-        return -_parse_int(t[1:], text) if t.startswith("-") else _parse_int(t, text)
+        return _parse_int(text, text)
     except ValueError:
-        raise ValueError(f"bad {name} {text!r}: a count is written in ASCII digits") from None
+        raise ValueError(f"bad {name} {text!r}: a count must be >= 0, written in ASCII digits") from None
+
+
+def _label(factors: Sequence[int]) -> str:
+    return "*".join(f"Li({f})" for f in factors)
+
+
+def _product(factors: Sequence[int]) -> tuple[LinComb, str, dict[str, object]]:
+    """Li(f1)*...*Li(fn) in closed form: the relation, its text line and its JSON object."""
+    c = nfold_product(factors)
+    return c, f"{_label(factors)} = {c}", {"factors": list(factors), "terms": relation_record(c, True)["terms"]}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -96,22 +109,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_magnus(args: argparse.Namespace) -> int:
     k = _require_magnus(parse_index(args.index))
-    expansion = nfold_product(k.entries)
+    expansion, line, product = _product(k.entries)
     image = NcPoly._trusted("Y", expansion._terms)
-    factors = k.entries
-    label = "*".join(f"Li({f})" for f in factors)
     if args.json:
         obj = {
             "index": str(k),
             "magnus": poly_to_json_obj(magnus_poly(k)),
             "image": poly_to_json_obj(image),
-            "product": {"factors": list(factors), "terms": relation_record(expansion, True)["terms"]},
+            "product": product,
         }
         print(json.dumps(obj))
     else:
         print(f"magnus: {magnus_poly(k)}")
         print(f"image: {image}")
-        print(f"product: {label} = {expansion}")
+        print(f"product: {line}")
     return 0
 
 
@@ -121,22 +132,14 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({"index": list(s.entries), "products": {str(k): c for k, c in fam}}))
     else:
-        chunks = []
-        for k, c in fam:
-            prod = "*".join(f"Li({e})" for e in k.entries)
-            chunks.append(prod if c == 1 else f"{c}*{prod}")
+        chunks = [_label(k.entries) if c == 1 else f"{c}*{_label(k.entries)}" for k, c in fam]
         print(f"Li{s} = " + " + ".join(chunks))
     return 0
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    factors = [_count(f, "factor") for f in args.factors]
-    c = nfold_product(factors)
-    label = "*".join(f"Li({f})" for f in factors)
-    if args.json:
-        print(json.dumps({"factors": factors, "terms": relation_record(c, True)["terms"]}))
-    else:
-        print(f"{label} = {c}")
+    _, line, obj = _product([_count(f, "factor") for f in args.factors])
+    print(json.dumps(obj) if args.json else line)
     return 0
 
 

@@ -33,11 +33,13 @@ series pipeline whose truncation bound comes from the input indices
 and decides the verdict on its own.  Disagreement between the two
 raises PipelineDisagreement instead of picking a winner.
 
-Every Li value has integer numerator coefficients, so a combination is
-evaluated in integer arithmetic: its coefficients are scaled by the lcm
-L of their denominators, the scaled values are summed over a common
-denominator by the one sum routine of ratpoly, and rationals come back
-only when the result is divided by L at the end.
+Every Li value has integer numerator coefficients, so verify_relation
+evaluates a combination in integer arithmetic: its coefficients are
+scaled by the lcm L of their denominators, the scaled values are summed
+over a common denominator by the one sum routine of ratpoly, and
+rationals come back only when a witness is divided by L at the end.
+polylog_map, on no verification path, sums the rational coefficients
+as they are through the same routine.
 
 The relations of one graded piece share most of their work, and each
 shared piece is built once.  Li values are cached with every tail, and
@@ -153,19 +155,9 @@ def polylog_rational(s: MultiIndex) -> RatFun:
     return _polylog_entries(s.entries)
 
 
-def _clear_denominators(c: LinComb) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """(L, terms of L*c) with L the lcm of the coefficient denominators."""
-    scale = lcm(*(coef.denominator for coef in c._terms.values()))
-    return scale, [
-        (entries, coef.numerator * (scale // coef.denominator))
-        for entries, coef in c._terms.items()
-    ]
-
-
 def polylog_map(c: LinComb) -> RatFun:
     """Linear extension of polylog_rational to formal combinations."""
-    scale, terms = _clear_denominators(c)
-    return _combine([(a, _polylog_entries(e)) for e, a in terms]) * Fraction(1, scale)
+    return _combine([(a, _polylog_entries(e)) for e, a in c._terms.items()])
 
 
 def series_coeffs(s: MultiIndex, n_max: int) -> list[int]:
@@ -303,7 +295,8 @@ def verify_relation(c: LinComb, *, rows: Rows | None = None) -> tuple[bool, RatF
     relations passes one dict to every call, so each tail row is built once per D.
     """
     rows = {} if rows is None else rows
-    scale, terms = _clear_denominators(c)
+    scale = lcm(*(coef.denominator for coef in c._terms.values()))
+    terms = [(entries, coef.numerator * (scale // coef.denominator)) for entries, coef in c._terms.items()]
     f = _combine([(a, _polylog_entries(e)) for e, a in terms])
     bound = max((sum(entries) + len(entries) for entries, _ in terms), default=0)
     direct = [0] * (bound + 1)
@@ -347,7 +340,7 @@ def relation_line(c: LinComb, verified: bool, *, texts: Texts | None = None) -> 
     weights = {t[2] for t, _ in rows}
     depths = {len(entries) for entries in c._terms}
     terms = ", ".join(['{"coef": "' + str(coef) + '", ' + t[1] for t, coef in rows])
-    flag = "true" if verified is True else "false" if verified is False else json.dumps(verified)
+    flag = "true" if verified else "false"
     weight = str(weights.pop()) if len(weights) == 1 else "null"
     depth = str(depths.pop()) if len(depths) == 1 else "null"
     return f'{{"terms": [{terms}], "verified": {flag}, "weight": {weight}, "depth": {depth}}}'

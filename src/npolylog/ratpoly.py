@@ -38,7 +38,6 @@ from .words import Scalar, _exact, _is_count, _scalar
 __all__ = [
     "RatFun",
     "euler_deriv",
-    "euler_power",
     "geom_mul",
     "taylor_coeffs",
 ]
@@ -234,8 +233,8 @@ def _poly_str(coeffs: Sequence[Scalar]) -> str:
     return "".join(chunks)
 
 
-def euler_power(f: RatFun, e: int = 1) -> RatFun:
-    """The Euler operator z d/dz applied e times, exact on P/(1-z)^d; euler_deriv names it too.
+def euler_deriv(f: RatFun, e: int = 1) -> RatFun:
+    """The Euler operator z d/dz applied e times, exact on P/(1-z)^d.
 
     z d/dz (P/(1-z)^d) = z (P'(z)(1-z) + d P(z)) / (1-z)^(d+1) has numerator
     q_j = j P_j + (d+1-j) P_(j-1), one pass per step over a plain list.  For
@@ -261,9 +260,6 @@ def euler_power(f: RatFun, e: int = 1) -> RatFun:
             q.pop()
         p, d = q, d + 1
     return RatFun._trusted(tuple([_exact(c) for c in p]), d)
-
-
-euler_deriv = euler_power
 
 
 def geom_mul(f: RatFun) -> RatFun:

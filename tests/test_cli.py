@@ -109,6 +109,17 @@ def test_magnus_expands_the_magnus_polynomial_once(capsys, monkeypatch):
     assert out.startswith("magnus: ") and "\nproduct: Li(1)*Li(2)*Li(3)*Li(4) = " in out
 
 
+@pytest.mark.parametrize("index", ["(1;2)", "(;0)", "(3,1;2)", "(1,2,3;4)"])
+def test_magnus_prints_the_product_as_product_does(capsys, index):
+    factors = [str(e) for e in parse_index(index).entries]
+    _, text, _ = run(capsys, "magnus", index)
+    _, product_text, _ = run(capsys, "product", *factors)
+    assert text.splitlines()[-1] == "product: " + product_text.rstrip("\n")
+    _, obj, _ = run(capsys, "magnus", index, "--json")
+    _, product_obj, _ = run(capsys, "product", *factors, "--json")
+    assert json.loads(obj)["product"] == json.loads(product_obj)
+
+
 def test_expand(capsys):
     code, out, err = run(capsys, "expand", "(2,1)")
     assert code == 0
@@ -631,16 +642,15 @@ COUNT_ARGUMENTS = [
 
 
 @pytest.mark.parametrize("argv", COUNT_ARGUMENTS)
-@pytest.mark.parametrize("value", ["1_0", "\u0663", "+2", "-1", "x"])
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "+2", "-1", "-0", " -0 ", "x"])
 def test_count_arguments_take_ascii_digits_only(capsys, argv, value):
     # A count is read as an index entry is, so int()'s underscores,
-    # non-ASCII digits and "+" sign are refused, like a negative count,
-    # with exit 2 and one error line.
+    # non-ASCII digits and any sign, "-0" too, are refused with exit 2
+    # and one error line, the same message for each.
     code, out, err = run(capsys, *argv(value))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    if value == "-1":
-        assert ">= 0" in err
+    assert "must be >= 0" in err
 
 
 def test_parser_is_built_once_and_reused(capsys):

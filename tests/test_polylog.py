@@ -211,6 +211,23 @@ def test_verify_relation_witness_matches_per_term_sum():
     assert ok and witness is None
 
 
+def test_polylog_map_is_the_witness_of_the_integer_path():
+    # polylog_map sums rational coefficients as they are; verify_relation
+    # clears denominators first and divides the witness at the end.
+    c = LinComb({mpl_index(1, 2): Fraction(1, 3), mpl_index(0, 3): Fraction(-5, 7), mpl_index(4): 2})
+    assert polylog_map(c) == verify_relation(c)[1]
+    rng = random.Random(477)
+    pool = plain_indices(3, 4)
+    for _ in range(30):
+        c = random_rational_combination(rng, pool, rng.randint(1, 5))
+        assert polylog_map(c) == verify_relation(c)[1]
+    for depth in range(3):
+        for weight in range(6):
+            for k in magnus.magnus_indices(depth, weight):
+                for c in kernel_elements(k, itertools.permutations(range(1, depth + 2))):
+                    assert polylog_map(c).is_zero()
+
+
 def test_lincomb_basics():
     a = mpl_index(1, 2)
     b = mpl_index(0, 3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npolylog.ratpoly import RatFun, _combine, euler_deriv, euler_power, geom_mul, taylor_coeffs
+from npolylog.ratpoly import RatFun, _combine, euler_deriv, geom_mul, taylor_coeffs
 from oracles import add_by_raising, combine_by_rows, euler_deriv_by_formula, taylor_coeffs_by_comb
 
 
@@ -186,14 +186,13 @@ def test_euler_power_is_the_repeated_reference_formula():
     for f in fs:
         want = f
         for e in range(6):
-            assert_same(euler_power(f, e), want)
+            assert_same(euler_deriv(f, e), want)
             want = euler_deriv_by_formula(want)
-    assert euler_deriv is euler_power
 
 
 def test_euler_power_of_zero_steps_is_its_argument():
     for f in (RatFun(), RatFun.one(), RatFun((0, 1), 1), RatFun((Fraction(1, 2), 3), 4)):
-        assert euler_power(f, 0) is f
+        assert euler_deriv(f, 0) is f
 
 
 def test_combine_matches_raising_every_group_by_its_row():
@@ -216,7 +215,7 @@ def test_combine_matches_raising_every_group_by_its_row():
 @pytest.mark.parametrize("e", [-1, True, 1.0])
 def test_euler_power_refuses_a_bad_exponent(e):
     with pytest.raises(ValueError, match="exponent must be an integer >= 0"):
-        euler_power(RatFun.one(), e)
+        euler_deriv(RatFun.one(), e)
 
 
 def test_taylor_coeffs_match_the_comb_reference():
