@@ -18,8 +18,8 @@ One kernel sweep or one verify file is one stream of relations that
 share their series rows.  A kernel sweep also shares the text of each
 index across its record lines, and prints a relation met again from
 its first verification.  Nothing is kept from one command call to the
-next.  verify reads "\r\n" and a bare "\r" as line ends, piped or by
-path alike.
+next.  verify reads one source, a path, "-" or --bundled, as it is, and
+turns its "\r\n" and bare "\r" line ends into "\n" in one place.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ def _unlimited_digits():
     The limit guards parsing against huge untrusted numbers, so it is
     restored before any further input is read.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -109,37 +106,41 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_magnus(args: argparse.Namespace) -> int:
     k = _require_magnus(parse_index(args.index))
-    expansion, line, product = _product(k.entries)
-    image = NcPoly._trusted("Y", expansion._terms)
-    if args.json:
-        obj = {
-            "index": str(k),
-            "magnus": poly_to_json_obj(magnus_poly(k)),
-            "image": poly_to_json_obj(image),
-            "product": product,
-        }
-        print(json.dumps(obj))
-    else:
-        print(f"magnus: {magnus_poly(k)}")
-        print(f"image: {image}")
-        print(f"product: {line}")
+    with _unlimited_digits():
+        expansion, line, product = _product(k.entries)
+        image = NcPoly._trusted("Y", expansion._terms)
+        if args.json:
+            obj = {
+                "index": str(k),
+                "magnus": poly_to_json_obj(magnus_poly(k)),
+                "image": poly_to_json_obj(image),
+                "product": product,
+            }
+            print(json.dumps(obj))
+        else:
+            print(f"magnus: {magnus_poly(k)}")
+            print(f"image: {image}")
+            print(f"product: {line}")
     return 0
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
     s = _require_plain(parse_index(args.index))
     fam = sorted(expand_to_products(s).items(), key=lambda kv: kv[0].entries)
-    if args.json:
-        print(json.dumps({"index": list(s.entries), "products": {str(k): c for k, c in fam}}))
-    else:
-        chunks = [_label(k.entries) if c == 1 else f"{c}*{_label(k.entries)}" for k, c in fam]
-        print(f"Li{s} = " + " + ".join(chunks))
+    with _unlimited_digits():
+        if args.json:
+            print(json.dumps({"index": list(s.entries), "products": {str(k): c for k, c in fam}}))
+        else:
+            chunks = [_label(k.entries) if c == 1 else f"{c}*{_label(k.entries)}" for k, c in fam]
+            print(f"Li{s} = " + " + ".join(chunks))
     return 0
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    _, line, obj = _product([_count(f, "factor") for f in args.factors])
-    print(json.dumps(obj) if args.json else line)
+    factors = [_count(f, "factor") for f in args.factors]
+    with _unlimited_digits():
+        _, line, obj = _product(factors)
+        print(json.dumps(obj) if args.json else line)
     return 0
 
 
@@ -160,39 +161,33 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     rows: dict = {}
     texts: dict = {}
     records: dict = {}
-    for c in kernel_elements(k, sigmas):
-        if id(c) not in records:
-            ok, _ = verify_relation(c, rows=rows)
-            records[id(c)] = relation_line(c, ok, texts=texts), ok
-        line, ok = records[id(c)]
-        print(line)
-        if not ok:
-            rc = 1
+    with _unlimited_digits():
+        for c in kernel_elements(k, sigmas):
+            if id(c) not in records:
+                ok, _ = verify_relation(c, rows=rows)
+                records[id(c)] = relation_line(c, ok, texts=texts), ok
+            line, ok = records[id(c)]
+            print(line)
+            if not ok:
+                rc = 1
     return rc
 
 
-def _read_relation_lines(args: argparse.Namespace) -> str:
-    if args.bundled:
-        return resources.files("npolylog").joinpath(_BUNDLED).read_text(encoding="utf-8")
-    if args.file == "-":
-        # Piped text keeps its "\r" line ends; a file opened by path reads
-        # them as "\n".  A raw "\r" cannot occur inside a JSON string.
-        return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
-    with open(args.file, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.bundled and args.file is not None:
-        raise ValueError("give either a relation file or --bundled, not both")
-    if not args.bundled and args.file is None:
-        raise ValueError("give a relation file, '-' for stdin, or --bundled")
-    text = _read_relation_lines(args)
+    if args.bundled:
+        text = resources.files("npolylog").joinpath(_BUNDLED).read_text(encoding="utf-8")
+    elif args.file == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.file, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    # Each source is read as it is; its line ends become "\n" here and
+    # nowhere else.  A raw "\r" cannot occur inside a JSON string, while
+    # U+2028, U+2029 and U+0085 can, so they do not end a line.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     checked = 0
     failed = 0
     # The lines of one file share their series rows, as a kernel sweep does.
-    # They end at "\n" only, not at U+2028, U+2029 or U+0085, which JSON allows
-    # raw in a string; every source has read "\r\n" and "\r" as "\n".
     rows: dict = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -277,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("verify", help="recheck a relation file (JSON lines)")
-    p.add_argument("file", nargs="?", help="path to a .jsonl file, or '-' for stdin")
-    p.add_argument("--bundled", action="store_true", help="check the relations shipped with the package")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("file", nargs="?", help="path to a .jsonl file, or '-' for stdin")
+    g.add_argument("--bundled", action="store_true", help="check the relations shipped with the package")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -373,7 +373,7 @@ def _parse_coef(text: str) -> Scalar:
     sign, num, den, dec, exp = m.groups()
     dec = dec or ""
     power = int(exp or 0)
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = sys.get_int_max_str_digits()
     # 10**exp is built here, and the int-to-str digit limit does not see
     # it: the exponent counts as digits of the mantissa.
     if 0 < limit < len(num) + len(dec) + abs(power):
@@ -389,7 +389,9 @@ def relation_from_record(obj: dict[str, object]) -> LinComb:
     """Parse the terms of a relation record; raises ValueError when malformed.
 
     One pass over the parsed JSON: each term is checked and added to
-    the combination as it is read.
+    the combination as it is read.  A coefficient is a JSON string in
+    _COEF syntax or a JSON integer: a JSON number with a fraction or an
+    exponent reaches here already rounded to a float, so it is refused.
     """
     if not isinstance(obj, dict) or "terms" not in obj:
         raise ValueError("relation record must be an object with a 'terms' array")
@@ -401,6 +403,8 @@ def relation_from_record(obj: dict[str, object]) -> LinComb:
         if not isinstance(item, dict) or "coef" not in item or "index" not in item:
             raise ValueError(f"term {i} must be an object with 'coef' and 'index'")
         try:
+            if type(item["coef"]) not in (str, int):
+                raise ValueError(item["coef"])
             coef = _parse_coef(str(item["coef"]))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"term {i} has a bad coefficient {item['coef']!r}") from exc

@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -337,9 +338,13 @@ def test_kernel_formats_each_index_once_per_sweep(capsys, monkeypatch):
     assert sweeps[0][0] == sweeps[1][0] and sweeps[0][1] is not sweeps[1][1]
 
 
-@pytest.mark.parametrize("end", ["\r", "\r\n", "\n"], ids=["CR", "CRLF", "LF"])
-def test_verify_reads_the_same_bytes_alike_piped_and_by_path(tmp_path, end):
-    data = (GOOD_LINE + end + BAD_LINE + end).encode()
+@pytest.mark.parametrize(
+    "ends",
+    [("\r", "\r", "\r"), ("\r\n", "\r\n", "\r\n"), ("\n", "\n", "\n"), ("\n", "\r\n", "\r")],
+    ids=["CR", "CRLF", "LF", "mixed"],
+)
+def test_verify_reads_the_same_bytes_alike_piped_and_by_path(tmp_path, ends):
+    data = "".join(line + end for line, end in zip([GOOD_LINE, BAD_LINE, GOOD_LINE], ends)).encode()
     path = tmp_path / "relations.jsonl"
     path.write_bytes(data)
     command = [sys.executable, "-m", "npolylog.cli", "verify"]
@@ -348,7 +353,7 @@ def test_verify_reads_the_same_bytes_alike_piped_and_by_path(tmp_path, end):
     by_path = subprocess.run(command + [str(path)], capture_output=True, env=env)
     assert (piped.returncode, piped.stdout, piped.stderr) == (by_path.returncode, by_path.stdout, by_path.stderr)
     assert piped.returncode == 1 and piped.stderr == b""
-    assert piped.stdout == b"line 1: ok\nline 2: FAIL witness=z/(1-z)\nchecked 2 relations: 1 ok, 1 failed\n"
+    assert piped.stdout == b"line 1: ok\nline 2: FAIL witness=z/(1-z)\nline 3: ok\nchecked 3 relations: 2 ok, 1 failed\n"
 
 
 def test_verify_stdin_reports_failures(capsys, monkeypatch):
@@ -457,16 +462,17 @@ def test_verify_rejects_bool_index_entries(capsys, monkeypatch):
     assert err == "line 1: parse error: term 0 has a bad index [True]\n"
 
 
-# verify reads a coefficient, from a JSON string or number alike, in the
-# string syntax of Python 3.10's Fraction on every supported Python: no
-# underscores, no spaces around the slash.
+# verify reads a coefficient from a JSON string, in the string syntax of
+# Python 3.10's Fraction on every supported Python (no underscores, no
+# spaces around the slash), or from a JSON integer.  A JSON number with a
+# fraction or an exponent arrives already rounded to a float: it is refused.
 ACCEPTED_COEFFICIENTS = [
     ('" 2 "', 2, "2z/(1-z)^2"),
     ('"1.5"', Fraction(3, 2), "(3/2)z/(1-z)^2"),
     ('"1e-7"', Fraction(1, 10**7), "(1/10000000)z/(1-z)^2"),
     ('"-3/9"', Fraction(-1, 3), "(-1/3)z/(1-z)^2"),
     ('"4/2"', 2, "2z/(1-z)^2"),
-    ("1.5", Fraction(3, 2), "(3/2)z/(1-z)^2"),
+    ("-7", -7, "-7z/(1-z)^2"),
     ('"1e4299"', 10**4299, "1" + "0" * 4299 + "z/(1-z)^2"),
 ]
 REJECTED_TERMS = [
@@ -481,16 +487,17 @@ REJECTED_TERMS = [
     ('"\u0663"', "[1]", "term 0 has a bad coefficient '\u0663'"),
     ('"\uff11/2"', "[1]", "term 0 has a bad coefficient '\uff11/2'"),
     ('"7\\u2028"', "[1]", "term 0 has a bad coefficient '7\\u2028'"),
+    ("1.00000000000000000001", "[1]", "term 0 has a bad coefficient 1.0"),
+    ("1.5", "[1]", "term 0 has a bad coefficient 1.5"),
+    ("2.0", "[1]", "term 0 has a bad coefficient 2.0"),
+    ("-0.0", "[1]", "term 0 has a bad coefficient -0.0"),
+    # The int-to-str digit limit bounds the exponent of a coefficient too:
+    # its mantissa digits plus the size of its exponent count as its digits.
+    ('"1e5000"', "[1]", "term 0 has a bad coefficient '1e5000'"),
+    ('"1e-5000"', "[1]", "term 0 has a bad coefficient '1e-5000'"),
+    ('"1e4300"', "[1]", "term 0 has a bad coefficient '1e4300'"),
+    ('"1e-4300"', "[1]", "term 0 has a bad coefficient '1e-4300'"),
 ]
-# The int-to-str digit limit bounds the exponent of a coefficient too:
-# its mantissa digits plus the size of its exponent count as its digits.
-if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits():
-    REJECTED_TERMS += [
-        ('"1e5000"', "[1]", "term 0 has a bad coefficient '1e5000'"),
-        ('"1e-5000"', "[1]", "term 0 has a bad coefficient '1e-5000'"),
-        ('"1e4300"', "[1]", "term 0 has a bad coefficient '1e4300'"),
-        ('"1e-4300"', "[1]", "term 0 has a bad coefficient '1e-4300'"),
-    ]
 
 
 @pytest.mark.parametrize("coef, value, witness", ACCEPTED_COEFFICIENTS, ids=[c for c, _, _ in ACCEPTED_COEFFICIENTS])
@@ -556,8 +563,6 @@ def test_pipeline_disagreement_exits_3(capsys, monkeypatch):
 @pytest.fixture
 def digit_limit_640():
     """Python's int-to-str digit limit at its minimum, 640, for one test."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int-to-str digit limit")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     yield
@@ -581,6 +586,30 @@ def test_values_past_the_digit_limit_are_printed(capsys, monkeypatch, digit_limi
     assert sys.get_int_max_str_digits() == 640
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("product", "2200", "1"), ("product", "2200", "1", "--json"), ("magnus", "(2200;1)"), ("expand", "(2200,0)")],
+    ids=["product", "product-json", "magnus", "expand"],
+)
+def test_every_command_prints_values_past_the_digit_limit(capsys, digit_limit_640, argv):
+    # C(2200, 1100), a coefficient of each of these, has 661 digits.
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == 640
+    with cli._unlimited_digits():
+        assert str(math.comb(2200, 1100)) in out
+
+
+def test_kernel_prints_values_past_the_digit_limit(capsys, monkeypatch, digit_limit_640):
+    c = pl.LinComb({parse_index("(1)"): 7 * 10**699})
+    monkeypatch.setattr(cli, "kernel_elements", lambda k, sigmas: iter([c]))
+    monkeypatch.setattr(cli, "verify_relation", lambda c, rows: (True, None))
+    code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", "2 1")
+    assert (code, err) == (0, "")
+    assert out == '{"terms": [{"coef": "7%s", "index": [1]}], "verified": true, "weight": 1, "depth": 1}\n' % ("0" * 699)
+    assert sys.get_int_max_str_digits() == 640
+
+
 def test_verify_parses_under_the_digit_limit_after_a_long_witness(capsys, monkeypatch, digit_limit_640):
     huge = json.dumps({"terms": [{"coef": "7" * 700, "index": [1]}]})
     monkeypatch.setattr(sys, "stdin", io.StringIO(LI_400 + "\n" + huge + "\n"))
@@ -599,10 +628,12 @@ def test_verify_bundled(capsys):
 
 
 def test_verify_refuses_a_file_together_with_bundled(capsys):
-    for path in ("/nonexistent/path.jsonl", "-"):
-        code, out, err = run(capsys, "verify", path, "--bundled")
-        assert code == 2 and out == ""
-        assert err == "error: give either a relation file or --bundled, not both\n"
+    for argv in (["/nonexistent/path.jsonl", "--bundled"], ["-", "--bundled"], ["--bundled", "-"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument" in err
 
 
 def test_duality_check(capsys):
@@ -677,9 +708,10 @@ def test_usage_errors_exit_2(capsys):
     code, out, err = run(capsys, "verify", "/nonexistent/path.jsonl")
     assert code == 2
     assert err.startswith("error:")
-    code, out, err = run(capsys, "verify")
-    assert code == 2
-    assert err == "error: give a relation file, '-' for stdin, or --bundled\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == 2
+    assert "one of the arguments file --bundled is required" in capsys.readouterr().err
 
 
 def test_argparse_rejects_missing_or_conflicting_sigma(capsys):
