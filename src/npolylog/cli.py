@@ -17,9 +17,15 @@ identity through one renderer.
 One kernel sweep or one verify file is one stream of relations that
 share their series rows.  A kernel sweep also shares the text of each
 index across its record lines, and prints a relation met again from
-its first verification.  Nothing is kept from one command call to the
-next.  verify reads one source, a path, "-" or --bundled, as it is, and
-turns its "\r\n" and bare "\r" line ends into "\n" in one place.
+its first verification.  The rows, texts and records of a sweep live
+for one command call; the Li cache polylog._LI lives for the process,
+so repeated main() calls in one process share it.  verify reads one
+source, a path, "-" or --bundled, as it is, and turns its "\r\n" and
+bare "\r" line ends into "\n" in one place.
+
+Importing this module loads no dataclasses, typing or
+importlib.resources: each command call is a new process, and start-up
+is paid on every call.
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ import functools
 import itertools
 import json
 import sys
-from importlib import resources
-from typing import Sequence
+from collections.abc import Sequence
 
 from .freealg import NcPoly, poly_to_json_obj
 from .magnus import grade_report, magnus_poly
@@ -175,6 +180,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.bundled:
+        # Only this branch reads package data, so only it pays for the import.
+        from importlib import resources
+
         text = resources.files("npolylog").joinpath(_BUNDLED).read_text(encoding="utf-8")
     elif args.file == "-":
         text = sys.stdin.read()

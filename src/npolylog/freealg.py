@@ -20,8 +20,8 @@ factors uniquely into blocks x0^k x1, and each block is renamed y_k.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
 
 from .words import Scalar, _exact, _is_count, _letters_x_to_y, _letters_y_to_x, _scalar, _word_display, _word_json
 
@@ -77,7 +77,7 @@ class NcPoly:
         self._terms = clean
 
     @classmethod
-    def _trusted(cls, alphabet: str, terms: dict[Letters, Scalar]) -> "NcPoly":
+    def _trusted(cls, alphabet: str, terms: dict[Letters, Scalar]) -> NcPoly:
         """Wrap terms as they are: valid letters, no zero, int when integral.
 
         The dict is taken over, not copied.
@@ -99,17 +99,17 @@ class NcPoly:
             raise ValueError(f"unknown alphabet {alphabet!r}")
 
     @classmethod
-    def zero(cls, alphabet: str) -> "NcPoly":
+    def zero(cls, alphabet: str) -> NcPoly:
         cls._check_alphabet(alphabet)
         return cls._trusted(alphabet, {})
 
     @classmethod
-    def one(cls, alphabet: str) -> "NcPoly":
+    def one(cls, alphabet: str) -> NcPoly:
         cls._check_alphabet(alphabet)
         return cls._trusted(alphabet, {(): 1})
 
     @classmethod
-    def monomial(cls, alphabet: str, letters: Iterable[int], coef: Scalar = 1) -> "NcPoly":
+    def monomial(cls, alphabet: str, letters: Iterable[int], coef: Scalar = 1) -> NcPoly:
         cls._check_alphabet(alphabet)
         letters = tuple(letters)
         _check_letters(alphabet, letters)
@@ -144,11 +144,11 @@ class NcPoly:
 
     # arithmetic -----------------------------------------------------------
 
-    def _require_same(self, other: "NcPoly") -> None:
+    def _require_same(self, other: NcPoly) -> None:
         if self.alphabet != other.alphabet:
             raise ValueError(f"alphabet mismatch: {self.alphabet} vs {other.alphabet}")
 
-    def __add__(self, other: "NcPoly") -> "NcPoly":
+    def __add__(self, other: NcPoly) -> NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._require_same(other)
@@ -157,15 +157,15 @@ class NcPoly:
             _add_term(out, w, v)
         return self._trusted(self.alphabet, out)
 
-    def __neg__(self) -> "NcPoly":
+    def __neg__(self) -> NcPoly:
         return self * -1
 
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
+    def __sub__(self, other: NcPoly) -> NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: Union["NcPoly", Scalar]) -> "NcPoly":
+    def __mul__(self, other: NcPoly | Scalar) -> NcPoly:
         if isinstance(other, (int, Fraction)):
             c = _scalar(other)
             return self._trusted(self.alphabet, {w: _exact(c * v) for w, v in self._terms.items()} if c else {})
@@ -180,7 +180,7 @@ class NcPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "NcPoly":
+    def __pow__(self, n: int) -> NcPoly:
         if not _is_count(n):
             raise ValueError("exponent must be an integer >= 0")
         out = self._trusted(self.alphabet, {(): 1})

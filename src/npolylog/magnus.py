@@ -30,8 +30,8 @@ and the n-fold product and kernel sweeps of polylog all read it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from math import comb
-from typing import Iterable, Iterator
 
 from .freealg import NcPoly
 from .words import MultiIndex, _is_count, _letters_y_to_x, _require_magnus

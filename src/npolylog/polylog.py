@@ -61,10 +61,10 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .freealg import NcPoly, _add_term, _term_key, poly_x_to_y
 from .magnus import _product_terms, lie_power, word_to_magnus

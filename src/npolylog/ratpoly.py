@@ -28,10 +28,10 @@ sums of P taken d times, one pass per factor 1/(1-z).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import Iterable, Sequence, Union
 
 from .words import Scalar, _exact, _is_count, _scalar
 
@@ -66,7 +66,7 @@ class RatFun:
         self.dpow = dpow
 
     @classmethod
-    def _trusted(cls, num: tuple[Scalar, ...], dpow: int) -> "RatFun":
+    def _trusted(cls, num: tuple[Scalar, ...], dpow: int) -> RatFun:
         """Wrap num/(1-z)^dpow as it is, already canonical.
 
         num must hold ints where integral, end in a nonzero coefficient,
@@ -80,15 +80,15 @@ class RatFun:
     # construction ---------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "RatFun":
+    def zero(cls) -> RatFun:
         return cls()
 
     @classmethod
-    def one(cls) -> "RatFun":
+    def one(cls) -> RatFun:
         return cls((1,))
 
     @classmethod
-    def const(cls, c: Scalar) -> "RatFun":
+    def const(cls, c: Scalar) -> RatFun:
         return cls((c,))
 
     # inspection -----------------------------------------------------------
@@ -112,7 +112,7 @@ class RatFun:
 
     # arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: Union["RatFun", Scalar]) -> "RatFun":
+    def __add__(self, other: RatFun | Scalar) -> RatFun:
         if isinstance(other, (int, Fraction)):
             other = RatFun.const(other)
         if not isinstance(other, RatFun):
@@ -121,20 +121,20 @@ class RatFun:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "RatFun":
+    def __neg__(self) -> RatFun:
         return RatFun([-c for c in self.num], self.dpow)
 
-    def __sub__(self, other: Union["RatFun", Scalar]) -> "RatFun":
+    def __sub__(self, other: RatFun | Scalar) -> RatFun:
         if isinstance(other, (int, Fraction)):
             other = RatFun.const(other)
         if not isinstance(other, RatFun):
             return NotImplemented
         return _combine(((1, self), (-1, other)))
 
-    def __rsub__(self, other: Scalar) -> "RatFun":
+    def __rsub__(self, other: Scalar) -> RatFun:
         return RatFun.const(other) - self
 
-    def __mul__(self, other: Union["RatFun", Scalar]) -> "RatFun":
+    def __mul__(self, other: RatFun | Scalar) -> RatFun:
         if isinstance(other, (int, Fraction)):
             other = _scalar(other)
             return RatFun([other * a for a in self.num], self.dpow)
@@ -149,7 +149,7 @@ class RatFun:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "RatFun":
+    def __pow__(self, n: int) -> RatFun:
         if not _is_count(n):
             raise ValueError("exponent must be an integer >= 0")
         out = RatFun.one()

@@ -26,13 +26,12 @@ empty word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 __all__ = ["MultiIndex", "mpl_index", "magnus_index", "parse_index"]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def _exact(c: Scalar) -> Scalar:
@@ -52,22 +51,47 @@ def _is_count(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-@dataclass(frozen=True)
 class MultiIndex:
-    """An index (s1,...,sr), or (k1,...,kn;kinf) when ``magnus`` is set."""
+    """An index (s1,...,sr), or (k1,...,kn;kinf) when ``magnus`` is set.
 
-    entries: tuple[int, ...]
-    magnus: bool = False
+    A frozen value: equality, hash and repr are those of the pair
+    (entries, magnus), and an index is copied and pickled by that pair.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for e in self.entries:
+    __slots__ = ("entries", "magnus")
+    __match_args__ = ("entries", "magnus")
+
+    def __init__(self, entries: Iterable[int], magnus: bool = False) -> None:
+        entries = tuple(entries)
+        for e in entries:
             if not _is_count(e):
                 raise ValueError(f"bad index entry {e!r}: entries are integers >= 0")
-        if not isinstance(self.magnus, bool):
-            raise ValueError(f"the magnus flag must be True or False, got {self.magnus!r}")
-        if self.magnus and not self.entries:
+        if not isinstance(magnus, bool):
+            raise ValueError(f"the magnus flag must be True or False, got {magnus!r}")
+        if magnus and not entries:
             raise ValueError("a magnus index needs at least its tail entry")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "magnus", magnus)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return MultiIndex, (self.entries, self.magnus)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries and self.magnus == other.magnus
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.magnus))
+
+    def __repr__(self) -> str:
+        return f"MultiIndex(entries={self.entries!r}, magnus={self.magnus!r})"
 
     @property
     def depth(self) -> int:

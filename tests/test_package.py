@@ -1,12 +1,23 @@
-"""The package namespace and the README session that imports from it."""
+"""The package namespace, its annotations, what importing the CLI loads, and the README session."""
 
 import doctest
+import inspect
+import subprocess
+import sys
+import typing
 from pathlib import Path
 
+import pytest
+
 import npolylog
-from npolylog import freealg, magnus, polylog, ratpoly, words
+from npolylog import cli, freealg, magnus, polylog, ratpoly, words
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(npolylog.__file__).resolve().parents[1]
+
+# Standard-library modules that importing the CLI must not load: each
+# costs milliseconds of start-up for every command call.
+UNLOADED = ["dataclasses", "inspect", "typing", "importlib.resources"]
 
 
 def test_every_module_export_is_the_same_object_on_the_package():
@@ -25,3 +36,53 @@ def test_readme_quick_session_runs_as_a_doctest():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_cli_import_loads_none_of_the_slow_modules():
+    child = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import npolylog.cli\n"
+        "npolylog.cli.build_parser()\n"
+        "loaded = [m for m in sys.argv[2:] if m in sys.modules]\n"
+        "code = npolylog.cli.main(['verify', '--bundled'])\n"
+        "print(loaded, code, file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", child, str(SRC), *UNLOADED], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    # verify --bundled reads the package data through the deferred import.
+    assert done.stderr == "[] 0\n"
+    assert done.stdout.endswith(" ok, 0 failed\n")
+
+
+def _annotated(module):
+    """Every function, method and property defined in module."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj.__qualname__, obj
+        elif inspect.isclass(obj):
+            for name, member in vars(obj).items():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                if isinstance(member, property):
+                    yield f"{obj.__qualname__}.{name}", member.fget
+                elif inspect.isfunction(member):
+                    yield member.__qualname__, member
+
+
+@pytest.mark.parametrize("module", [words, freealg, ratpoly, magnus, polylog, cli], ids=lambda m: m.__name__)
+def test_every_annotation_resolves(module):
+    # Annotations are strings until evaluated, so a name missing from
+    # the module's imports shows up only here.
+    failed = []
+    count = 0
+    for name, fn in _annotated(module):
+        count += 1
+        try:
+            typing.get_type_hints(fn)
+        except Exception as exc:
+            failed.append(f"{name}: {exc!r}")
+    assert count >= 5
+    assert failed == []

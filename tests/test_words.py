@@ -1,6 +1,8 @@
 """Indices, words, and the maps between them."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -59,6 +61,29 @@ def test_index_notation_round_trip():
     assert parse_index(" ( 1 , 2 ) ") == mpl_index(1, 2)
     assert parse_index("(0,1;2)") == magnus_index(0, 1, 2)
     assert parse_index("(;5)") == magnus_index(5)
+
+
+@pytest.mark.parametrize("magnus", [False, True], ids=["plain", "magnus"])
+def test_index_is_a_frozen_value_of_its_entries_and_flag(magnus):
+    s = MultiIndex([1, 2], magnus=magnus)
+    assert type(s.entries) is tuple and s.entries == (1, 2) and s.magnus is magnus
+    assert s == MultiIndex((1, 2), magnus) and hash(s) == hash(((1, 2), magnus))
+    assert s != MultiIndex((1, 2), not magnus) and s != MultiIndex((1, 3), magnus)
+    assert s != ((1, 2), magnus)
+    assert repr(s) == f"MultiIndex(entries=(1, 2), magnus={magnus})"
+    match s:
+        case MultiIndex(entries, flag):
+            assert (entries, flag) == ((1, 2), magnus)
+        case _:
+            pytest.fail("a positional class pattern does not match")
+    for name in ("entries", "magnus", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, (3,))
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert s.entries == (1, 2) and s.magnus is magnus
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(twin) is MultiIndex and twin == s and repr(twin) == repr(s)
 
 
 @pytest.mark.parametrize("bad", ["1,2", "(1,,2)", "(1;2;3)", "(a)", "(1, -2)", "", "(1 2)", "(\u0663)", "(\uff11,2)"])
