@@ -15,13 +15,17 @@ as "-1" is, with one message.  magnus and product print the product
 identity through one renderer.
 
 One kernel sweep or one verify file is one stream of relations that
-share their series rows.  A kernel sweep also shares the text of each
-index across its record lines, and prints a relation met again from
-its first verification.  The rows, texts and records of a sweep live
-for one command call; the Li cache polylog._LI lives for the process,
-so repeated main() calls in one process share it.  verify reads one
-source, a path, "-" or --bundled, as it is, and turns its "\r\n" and
-bare "\r" line ends into "\n" in one place.
+share their series rows.  A kernel sweep evaluates k and each distinct
+arrangement sigma(k) once, not each relation, so it costs its distinct
+arrangements: "(1,2,1,2,1;1)" --all-sigma evaluates 15, counting k,
+and --sigma evaluates k and one arrangement, or none for the identity.
+It also shares the text of each index across its record lines, and
+prints a relation met again from its first record line.  The rows,
+texts and records of a sweep live for one command call; the Li cache
+polylog._LI lives for the process, so repeated main() calls in one
+process share it.  verify reads one source, a path, "-" or --bundled,
+as it is, and turns its "\r\n" and bare "\r" line ends into "\n" in
+one place.
 
 Importing this module loads no dataclasses, typing or
 importlib.resources: each command call is a new process, and start-up
@@ -43,8 +47,8 @@ from .magnus import grade_report, magnus_poly
 from .polylog import (
     LinComb,
     PipelineDisagreement,
+    _kernel_verdicts,
     expand_to_products,
-    kernel_elements,
     nfold_product,
     polylog_rational,
     relation_from_record,
@@ -160,19 +164,15 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValueError(f"bad permutation {args.sigma!r}") from exc
     rc = 0
-    # A sweep shares its series rows and the text of each index.  A
-    # relation met again is the same object, kept for the sweep, and
-    # prints its first verification.
-    rows: dict = {}
+    # A sweep shares the text of each index.  A relation met again is
+    # the same object, and prints its first record line.
     texts: dict = {}
     records: dict = {}
     with _unlimited_digits():
-        for c in kernel_elements(k, sigmas):
+        for c, ok in _kernel_verdicts(k, sigmas):
             if id(c) not in records:
-                ok, _ = verify_relation(c, rows=rows)
-                records[id(c)] = relation_line(c, ok, texts=texts), ok
-            line, ok = records[id(c)]
-            print(line)
+                records[id(c)] = relation_line(c, ok, texts=texts)
+            print(records[id(c)])
             if not ok:
                 rc = 1
     return rc

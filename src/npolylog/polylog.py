@@ -32,6 +32,10 @@ through the rational-function pipeline and through an independent
 series pipeline whose truncation bound comes from the input indices
 and decides the verdict on its own.  Disagreement between the two
 raises PipelineDisagreement instead of picking a winner.
+_kernel_verdicts decides the relations of a slot-permutation sweep the
+same way, by arrangement: the relation of sigma is zero exactly when
+the closed forms of k and of sigma(k) have one value, so k and each
+distinct arrangement are evaluated once, through both pipelines.
 
 Every Li value has integer numerator coefficients, so verify_relation
 evaluates a combination in integer arithmetic: its coefficients are
@@ -46,9 +50,11 @@ shared piece is built once.  Li values are cached with every tail, and
 a new value is built from the cached value of its longest cached tail,
 iteratively, and series rows the same way from tail rows at the same
 bound, in a dict the caller of verify_relation may share across a
-stream of relations.  kernel_elements expands the closed-form product
-of each distinct arrangement once per sweep, and relation_line formats
-each index of a sweep once, in a dict the sweep shares the same way.
+stream of relations, and _kernel_verdicts shares across its sweep.
+kernel_elements and _kernel_verdicts walk one loop that expands the
+closed-form product of each distinct arrangement once per sweep, and
+relation_line formats each index of a sweep once, in a dict the sweep
+shares the same way.
 relation_line is the one definition of the record format:
 relation_record is its text parsed back.
 That closed form lives in magnus and nfold_product reads it; only
@@ -61,7 +67,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -237,12 +243,15 @@ def magnus_product_identity(k: MultiIndex) -> tuple[LinComb, LinComb]:
     return nfold_product(k.entries), LinComb._trusted("Y", poly_x_to_y(m)._terms)
 
 
-def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[LinComb]:
-    """kernel_element(k, sigma) for each sigma in turn, lazily.
+def _arrangements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[tuple[dict, dict | None, LinComb]]:
+    """(closed form of k, closed form of sigma(k), kernel_element(k, sigma)) for each sigma in turn, lazily.
 
-    The relation depends only on the arrangement sigma(k), so each
-    distinct arrangement is expanded and subtracted once, and a repeat
-    yields the same LinComb again; nothing is kept past the generator.
+    The one check of sigma and the one loop over arrangements: the
+    relation depends only on the arrangement sigma(k), so each distinct
+    arrangement is expanded and subtracted once.  A repeat, and
+    sigma(k) = k with its zero relation, yield None for the closed form
+    of sigma(k) and the same relation again.  Only the relations are
+    kept, and only until the generator ends.
     """
     _require_magnus(k)
     r = k.depth + 1
@@ -253,12 +262,19 @@ def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[
         if not all(map(_is_count, sig)) or sorted(sig) != list(range(1, r + 1)):
             raise ValueError(f"sigma must be a permutation of 1..{r} in one-line notation, got {sig}")
         arranged = tuple(k.entries[i - 1] for i in sig)
+        terms = None
         if arranged not in made:
+            terms = _product_terms(arranged)
             diff = dict(base)
-            for letters, coef in _product_terms(arranged).items():
+            for letters, coef in terms.items():
                 _add_term(diff, letters, -coef)
             made[arranged] = LinComb._trusted("Y", diff)
-        yield made[arranged]
+        yield base, terms, made[arranged]
+
+
+def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[LinComb]:
+    """kernel_element(k, sigma) for each sigma in turn, lazily; a repeated arrangement yields the same LinComb again."""
+    return (c for _, _, c in _arrangements(k, sigmas))
 
 
 def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:
@@ -274,6 +290,26 @@ def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:
 
 class PipelineDisagreement(RuntimeError):
     """The rational and series pipelines gave different answers."""
+
+
+_DISAGREE = "rational and series pipelines disagree; refusing to answer"
+
+
+def _evaluate(terms: Collection[tuple[tuple[int, ...], int]], bound: int, rows: Rows) -> tuple[RatFun, list[int]]:
+    """Li of sum a*Li(entries) over integer terms: its rational value and its series row z^0..z^bound.
+
+    The two come from independent pipelines, and the truncated series
+    of the value must equal the row, else PipelineDisagreement.  Rows
+    of single indices are read from and stored in rows.
+    """
+    f = _combine([(a, _polylog_entries(e)) for e, a in terms])
+    direct = [0] * (bound + 1)
+    for entries, a in terms:
+        for n, v in enumerate(_series_row(entries, bound, rows)):
+            direct[n] += a * v
+    if taylor_coeffs(f, bound) != direct:
+        raise PipelineDisagreement(_DISAGREE)
+    return f, direct
 
 
 def verify_relation(c: LinComb, *, rows: Rows | None = None) -> tuple[bool, RatFun | None]:
@@ -294,20 +330,57 @@ def verify_relation(c: LinComb, *, rows: Rows | None = None) -> tuple[bool, RatF
     rows maps (entries, D) to the row of Li(entries) up to z^D; a stream of
     relations passes one dict to every call, so each tail row is built once per D.
     """
-    rows = {} if rows is None else rows
     scale = lcm(*(coef.denominator for coef in c._terms.values()))
     terms = [(entries, coef.numerator * (scale // coef.denominator)) for entries, coef in c._terms.items()]
-    f = _combine([(a, _polylog_entries(e)) for e, a in terms])
     bound = max((sum(entries) + len(entries) for entries, _ in terms), default=0)
-    direct = [0] * (bound + 1)
-    for entries, a in terms:
-        for n, v in enumerate(_series_row(entries, bound, rows)):
-            direct[n] += a * v
-    if taylor_coeffs(f, bound) != direct or f.is_zero() == any(direct):
-        raise PipelineDisagreement("rational and series pipelines disagree; refusing to answer")
+    f, direct = _evaluate(terms, bound, {} if rows is None else rows)
+    if f.is_zero() == any(direct):
+        raise PipelineDisagreement(_DISAGREE)
     if f.is_zero():
         return True, None
     return False, f * Fraction(1, scale)
+
+
+def _kernel_verdicts(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[tuple[LinComb, bool]]:
+    """(kernel_element(k, sigma), its verdict) for each sigma in turn, lazily.
+
+    The relation is the closed form of k minus that of sigma(k), so Li
+    maps it to zero exactly when the two closed forms have one value.
+    Each is a combination of weight w and depth r, so D = w + r decides
+    as in verify_relation.  k is evaluated once, and each distinct
+    arrangement once, through both pipelines of verify_relation, each
+    value checked against its own row.  The verdict compares the
+    arrangement with k twice, value with value and row with row; if the
+    two comparisons differ, PipelineDisagreement is raised.  It is the
+    verdict of verify_relation on the relation.  The zero relation of
+    sigma(k) = k has no arrangement of its own to compare, and
+    verify_relation decides it as it decides any relation, at D = 0
+    without evaluating a word; k is evaluated only when an arrangement
+    other than k is met.
+
+    One rows dict serves the whole sweep.  A repeated arrangement yields
+    the same relation and verdict again, and each pair is yielded before
+    the next arrangement is evaluated.
+    """
+    rows: Rows = {}
+    bound = sum(k.entries) + len(k.entries)
+    verdicts: dict[int, bool] = {}
+    value_k: tuple[RatFun, list[int]] | None = None
+    for base, terms, c in _arrangements(k, sigmas):
+        if id(c) in verdicts:
+            pass
+        elif terms is None:
+            # A relation met first without a closed form is that of sigma(k) = k.
+            verdicts[id(c)] = verify_relation(c)[0]
+        else:
+            if value_k is None:
+                value_k = _evaluate(base.items(), bound, rows)
+            f, row = _evaluate(terms.items(), bound, rows)
+            rational, series = f == value_k[0], row == value_k[1]
+            if rational != series:
+                raise PipelineDisagreement(_DISAGREE)
+            verdicts[id(c)] = rational
+        yield c, verdicts[id(c)]
 
 
 # Entries -> (_term_key("Y", entries), '"index": [..]}' text, weight): the

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import npolylog.polylog as pl
-from npolylog import cli
+from npolylog import cli, magnus
 from npolylog.polylog import _parse_coef, kernel_element, nfold_product, relation_from_record, relation_record
 from npolylog.words import parse_index
 from oracles import BuildLog
@@ -203,23 +203,48 @@ def test_kernel_prints_each_record_before_the_next_is_verified(capsys, monkeypat
     assert [json.loads(line)["verified"] for line in out.splitlines()] == [True, True, True]
 
 
-@pytest.mark.parametrize(
-    "index, records, distinct",
-    [("(1,2,1,2,1;1)", 720, 15), ("(1,1;2)", 6, 3)],
-    ids=["720-records", "6-records"],
-)
-def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, index, records, distinct):
-    # The relation of sigma depends only on the arrangement sigma(k): the
-    # 15 arrangements of {1,1,1,1,2,2}, or the 3 of {1,1,2}, identity included.
+def count_evaluations(monkeypatch):
+    """Log the terms of every evaluation polylog._evaluate makes, in order."""
     calls = []
-    good = cli.verify_relation
-    monkeypatch.setattr(cli, "verify_relation", lambda c, rows: calls.append(c) or good(c, rows=rows))
-    code, out, err = run(capsys, "kernel", index, "--all-sigma")
+    good = pl._evaluate
+
+    def logged(terms, bound, rows):
+        calls.append(dict(terms))
+        return good(terms, bound, rows)
+
+    monkeypatch.setattr(pl, "_evaluate", logged)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, records, evaluations",
+    [
+        (("(1,2,1,2,1;1)", "--all-sigma"), 720, 15),
+        (("(1,1;2)", "--all-sigma"), 6, 3),
+        (("(1,2,3;4)", "--sigma", "2 1 4 3"), 1, 2),
+        (("(1,2;3)", "--sigma", "1 2 3"), 1, 0),
+    ],
+    ids=["720-records", "6-records", "one-sigma", "identity"],
+)
+def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, argv, records, evaluations):
+    # The relation of sigma depends only on the arrangement sigma(k): the
+    # 15 arrangements of {1,1,1,1,2,2}, or the 3 of {1,1,2}, identity
+    # included.  The zero relation of sigma(k) = k is verify_relation's,
+    # one evaluation of no word; k is evaluated when another arrangement
+    # is met, then each other arrangement once.
+    calls = count_evaluations(monkeypatch)
+    code, out, err = run(capsys, "kernel", *argv)
     assert (code, err) == (0, "")
-    assert len(out.splitlines()) == records and len(calls) == distinct
-    k = parse_index(index)
+    k = parse_index(argv[0])
+    sigmas = list(itertools.permutations(range(1, k.depth + 2))) if argv[1] == "--all-sigma" else [tuple(map(int, argv[2].split()))]
+    arrangements = list(dict.fromkeys(tuple(k.entries[i - 1] for i in sigma) for sigma in sigmas))
+    others = [entries for entries in arrangements if entries != k.entries]
+    closed_forms = [k.entries, *others] if others else []
+    assert len(out.splitlines()) == records and len(closed_forms) == evaluations
+    assert [terms for terms in calls if terms] == [magnus._product_terms(entries) for entries in closed_forms]
+    assert calls.count({}) == int(k.entries in arrangements)
     one_by_one = []
-    for sigma in itertools.permutations(range(1, k.depth + 2)):
+    for sigma in sigmas:
         c = kernel_element(k, sigma)
         ok, _ = pl.verify_relation(c)
         one_by_one.append(json.dumps(relation_record(c, ok)) + "\n")
@@ -227,10 +252,68 @@ def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, index,
 
 
 def test_kernel_exits_1_when_a_relation_is_refused(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_relation", lambda c, rows: (False, pl.RatFun.one()))
+    monkeypatch.setattr(cli, "_kernel_verdicts", lambda k, sigmas: ((c, False) for c in pl.kernel_elements(k, sigmas)))
     code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", "2 1")
     assert (code, err) == (1, "")
     assert json.loads(out)["verified"] is False
+
+
+def test_kernel_refuses_only_the_relations_of_a_broken_arrangement(capsys, monkeypatch):
+    # One block word dropped from the closed form of (2,1,1): its value is
+    # no longer that of k = (1,1,2), and the relations of sigma = (3,1,2)
+    # and (3,2,1), which arrange k as (2,1,1), are false.
+    good = pl._product_terms
+
+    def dropped(entries):
+        terms = good(entries)
+        if entries == (2, 1, 1):
+            terms.pop(next(iter(terms)))
+        return terms
+
+    monkeypatch.setattr(pl, "_product_terms", dropped)
+    code, out, err = run(capsys, "kernel", "(1,1;2)", "--all-sigma")
+    assert (code, err) == (1, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [rec["verified"] for rec in records] == [True, True, True, True, False, False]
+    for rec in records:
+        assert rec["verified"] == pl.verify_relation(relation_from_record(rec))[0]
+
+
+def test_kernel_refuses_a_lying_row_on_a_word_that_cancels(capsys, monkeypatch):
+    # Li(0,2,2) has coefficient -1 in the closed forms of both (1,1,2) and
+    # (2,1,1), so it cancels in their relation, but each closed form is
+    # evaluated through both pipelines on its own.
+    k, sigma = parse_index("(1,1;2)"), (3, 1, 2)
+    assert (0, 2, 2) not in kernel_element(k, sigma)._terms
+    good = pl._series_row
+
+    def lying(entries, n_max, rows):
+        out = list(good(entries, n_max, rows))
+        if entries == (0, 2, 2):
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(pl, "_series_row", lying)
+    code, out, err = run(capsys, "kernel", str(k), "--sigma", "3 1 2")
+    assert (code, out) == (3, "")
+    assert err == "error: rational and series pipelines disagree; refusing to answer\n"
+
+
+def test_kernel_records_are_the_verified_relations_of_every_small_index(capsys):
+    seen = 0
+    for depth in range(4):
+        for weight in range(7):
+            for k in magnus.magnus_indices(depth, weight):
+                code, out, err = run(capsys, "kernel", str(k), "--all-sigma")
+                assert (code, err) == (0, "")
+                lines, want = {}, []
+                for c in pl.kernel_elements(k, itertools.permutations(range(1, depth + 2))):
+                    if id(c) not in lines:
+                        lines[id(c)] = pl.relation_line(c, pl.verify_relation(c)[0]) + "\n"
+                    want.append(lines[id(c)])
+                assert out == "".join(want)
+                seen += len(want)
+    assert seen > 1000
 
 
 @pytest.mark.parametrize("sigma", ["\u0662 \u0661", "+2 1", "2_0 1"], ids=["arabic-indic", "plus", "underscore"])
@@ -307,14 +390,21 @@ def test_verify_reads_each_series_row_once_per_file(capsys, monkeypatch):
 
 
 def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
-    log, passed = record_series_builds(monkeypatch)
-    code, sweep, err = run(capsys, "kernel", "(1,2;1)", "--all-sigma")
+    log, passed = BuildLog(), []
+    good = pl._series_row
+    monkeypatch.setattr(pl, "_series_row", lambda entries, n_max, rows: passed.append(rows) or good(entries, n_max, log))
+    code, sweep, err = run(capsys, "kernel", "(0,2;2)", "--all-sigma")
     assert code == 0 and err == "" and len(sweep.splitlines()) == 6
     assert passed and all(rows is passed[0] for rows in passed)
-    wanted = series_rows(sweep)
-    # The relations share rows and tails, so a build per term and tail
-    # would build some twice.
-    assert sum(len(e) for line in sweep.splitlines() for e in relation_from_record(json.loads(line))._terms) > len(wanted)
+    # Every tail of every word of each distinct arrangement's closed form,
+    # at D = weight + depth = 7.  Li(0,2,2) cancels in every relation, so
+    # only the evaluation of each closed form reads its row.
+    words = [w for arranged in set(itertools.permutations((0, 2, 2))) for w in magnus._product_terms(arranged)]
+    wanted = {(w[i:], 7) for w in words for i in range(len(w))}
+    assert wanted - series_rows(sweep) == {((0, 2, 2), 7), ((2, 2), 7)}
+    # The arrangements share words and tails, so a build per word and
+    # tail would build some twice.
+    assert sum(map(len, words)) > len(wanted)
     assert sorted(log.stored) == sorted(wanted)
 
 
@@ -602,8 +692,7 @@ def test_every_command_prints_values_past_the_digit_limit(capsys, digit_limit_64
 
 def test_kernel_prints_values_past_the_digit_limit(capsys, monkeypatch, digit_limit_640):
     c = pl.LinComb({parse_index("(1)"): 7 * 10**699})
-    monkeypatch.setattr(cli, "kernel_elements", lambda k, sigmas: iter([c]))
-    monkeypatch.setattr(cli, "verify_relation", lambda c, rows: (True, None))
+    monkeypatch.setattr(cli, "_kernel_verdicts", lambda k, sigmas: iter([(c, True)]))
     code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", "2 1")
     assert (code, err) == (0, "")
     assert out == '{"terms": [{"coef": "7%s", "index": [1]}], "verified": true, "weight": 1, "depth": 1}\n' % ("0" * 699)

@@ -582,6 +582,23 @@ def test_verify_relation_refuses_a_nonzero_value_with_a_zero_series(monkeypatch)
         verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
 
 
+def test_kernel_verdicts_refuse_when_values_and_rows_disagree(monkeypatch):
+    # The second value, that of sigma(k) = (2,1), gains z^6 past D = 5:
+    # it still matches its own row, and that row is k's, but the value is
+    # not k's.
+    good, calls = pl._combine, []
+
+    def shifted(pairs):
+        calls.append(pairs)
+        f = good(pairs)
+        return f + RatFun((0,) * 6 + (1,)) if len(calls) == 2 else f
+
+    monkeypatch.setattr(pl, "_combine", shifted)
+    with pytest.raises(PipelineDisagreement, match="refusing to answer"):
+        list(pl._kernel_verdicts(magnus_index(1, 2), [(2, 1)]))
+    assert len(calls) == 2
+
+
 def count_calls(monkeypatch, module, name):
     """Wrap module.name so that each call is counted; returns the counter."""
     good = getattr(module, name)
