@@ -9,9 +9,11 @@ permutations, emitted as JSON lines), verify (recheck a relation
 file), and duality-check (basis-change sweeps).  All output is
 byte-deterministic.  Exit codes: 0 success, 1 verification failure,
 2 parse or usage error, 3 the two evaluation pipelines disagreed and
-the relation was left undecided.  Every count argument is read by one
-rule, as an index entry is: ASCII digits and no sign, so "-0" is refused
-as "-1" is, with one message.  magnus and product print the product
+the relation was left undecided, 141 (128 + SIGPIPE, what the shell
+reports for a process killed by SIGPIPE) the reader closed stdout,
+with nothing on stderr.  Every count argument is read by one rule, as
+an index entry is: ASCII digits and no sign, so "-0" is refused as
+"-1" is, with one message.  magnus and product print the product
 identity through one renderer.
 
 One kernel sweep or one verify file is one stream of relations that
@@ -19,13 +21,13 @@ share their series rows.  A kernel sweep evaluates k and each distinct
 arrangement sigma(k) once, not each relation, so it costs its distinct
 arrangements: "(1,2,1,2,1;1)" --all-sigma evaluates 15, counting k,
 and --sigma evaluates k and one arrangement, or none for the identity.
-It also shares the text of each index across its record lines, and
-prints a relation met again from its first record line.  The rows,
-texts and records of a sweep live for one command call; the Li cache
-polylog._LI lives for the process, so repeated main() calls in one
-process share it.  verify reads one source, a path, "-" or --bundled,
-as it is, and turns its "\r\n" and bare "\r" line ends into "\n" in
-one place.
+polylog._kernel_records keeps the sweep's one dict, from each
+arrangement met to its record line and verdict, and kernel prints the
+lines it yields.  The rows, texts and record lines of a sweep live for
+one command call; the Li cache polylog._LI lives for the process, so
+repeated main() calls in one process share it.  verify reads one
+source, a path, "-" or --bundled, as it is, and turns its "\r\n" and
+bare "\r" line ends into "\n" in one place.
 
 Importing this module loads no dataclasses, typing or
 importlib.resources: each command call is a new process, and start-up
@@ -39,6 +41,7 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
 from collections.abc import Sequence
 
@@ -47,12 +50,11 @@ from .magnus import grade_report, magnus_poly
 from .polylog import (
     LinComb,
     PipelineDisagreement,
-    _kernel_verdicts,
+    _kernel_records,
     expand_to_products,
     nfold_product,
     polylog_rational,
     relation_from_record,
-    relation_line,
     relation_record,
     verify_relation,
 )
@@ -164,15 +166,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValueError(f"bad permutation {args.sigma!r}") from exc
     rc = 0
-    # A sweep shares the text of each index.  A relation met again is
-    # the same object, and prints its first record line.
-    texts: dict = {}
-    records: dict = {}
     with _unlimited_digits():
-        for c, ok in _kernel_verdicts(k, sigmas):
-            if id(c) not in records:
-                records[id(c)] = relation_line(c, ok, texts=texts)
-            print(records[id(c)])
+        for line, ok in _kernel_records(k, sigmas):
+            print(line)
             if not ok:
                 rc = 1
     return rc
@@ -302,7 +298,15 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        # A reader that closed the pipe is met here, not at exit.
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # As the Python docs' note on SIGPIPE does: the flush at exit
+        # writes to devnull and cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

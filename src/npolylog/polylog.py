@@ -32,7 +32,7 @@ through the rational-function pipeline and through an independent
 series pipeline whose truncation bound comes from the input indices
 and decides the verdict on its own.  Disagreement between the two
 raises PipelineDisagreement instead of picking a winner.
-_kernel_verdicts decides the relations of a slot-permutation sweep the
+_kernel_records decides the relations of a slot-permutation sweep the
 same way, by arrangement: the relation of sigma is zero exactly when
 the closed forms of k and of sigma(k) have one value, so k and each
 distinct arrangement are evaluated once, through both pipelines.
@@ -50,11 +50,13 @@ shared piece is built once.  Li values are cached with every tail, and
 a new value is built from the cached value of its longest cached tail,
 iteratively, and series rows the same way from tail rows at the same
 bound, in a dict the caller of verify_relation may share across a
-stream of relations, and _kernel_verdicts shares across its sweep.
-kernel_elements and _kernel_verdicts walk one loop that expands the
-closed-form product of each distinct arrangement once per sweep, and
-relation_line formats each index of a sweep once, in a dict the sweep
-shares the same way.
+stream of relations.  _kernel_records keeps one such dict for its
+sweep, and keys the sweep by the arrangement sigma(k): one dict maps
+each arrangement met to its record line and verdict, so the closed
+form of each distinct arrangement is expanded, evaluated and written
+once per sweep.  relation_line formats each index of a sweep once, in
+a dict the sweep shares the same way.  kernel_element is the
+definition for one arrangement, and keeps nothing.
 relation_line is the one definition of the record format:
 relation_record is its text parsed back.
 That closed form lives in magnus and nfold_product reads it; only
@@ -243,38 +245,20 @@ def magnus_product_identity(k: MultiIndex) -> tuple[LinComb, LinComb]:
     return nfold_product(k.entries), LinComb._trusted("Y", poly_x_to_y(m)._terms)
 
 
-def _arrangements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[tuple[dict, dict | None, LinComb]]:
-    """(closed form of k, closed form of sigma(k), kernel_element(k, sigma)) for each sigma in turn, lazily.
-
-    The one check of sigma and the one loop over arrangements: the
-    relation depends only on the arrangement sigma(k), so each distinct
-    arrangement is expanded and subtracted once.  A repeat, and
-    sigma(k) = k with its zero relation, yield None for the closed form
-    of sigma(k) and the same relation again.  Only the relations are
-    kept, and only until the generator ends.
-    """
-    _require_magnus(k)
+def _arranged(k: MultiIndex, sigma: Sequence[int]) -> tuple[int, ...]:
+    """The entries of sigma(k), slot i holding slot sigma_i of k; raises ValueError unless sigma permutes the slots."""
+    sig = tuple(sigma)
     r = k.depth + 1
-    base = _product_terms(k.entries)
-    made = {k.entries: LinComb._trusted("Y", {})}
-    for sigma in sigmas:
-        sig = tuple(sigma)
-        if not all(map(_is_count, sig)) or sorted(sig) != list(range(1, r + 1)):
-            raise ValueError(f"sigma must be a permutation of 1..{r} in one-line notation, got {sig}")
-        arranged = tuple(k.entries[i - 1] for i in sig)
-        terms = None
-        if arranged not in made:
-            terms = _product_terms(arranged)
-            diff = dict(base)
-            for letters, coef in terms.items():
-                _add_term(diff, letters, -coef)
-            made[arranged] = LinComb._trusted("Y", diff)
-        yield base, terms, made[arranged]
+    if not all(map(_is_count, sig)) or sorted(sig) != list(range(1, r + 1)):
+        raise ValueError(f"sigma must be a permutation of 1..{r} in one-line notation, got {sig}")
+    return tuple(k.entries[i - 1] for i in sig)
 
 
-def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[LinComb]:
-    """kernel_element(k, sigma) for each sigma in turn, lazily; a repeated arrangement yields the same LinComb again."""
-    return (c for _, _, c in _arrangements(k, sigmas))
+def _minus(diff: dict[tuple[int, ...], Scalar], terms: Mapping[tuple[int, ...], Scalar]) -> LinComb:
+    """diff - terms as a LinComb, subtracted in place in diff."""
+    for letters, coef in terms.items():
+        _add_term(diff, letters, -coef)
+    return LinComb._trusted("Y", diff)
 
 
 def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:
@@ -285,7 +269,13 @@ def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:
     The image under Li is zero because both Magnus polynomials expand
     the same (commutative) product of depth-one values.
     """
-    return next(kernel_elements(k, (sigma,)))
+    arranged = _arranged(_require_magnus(k), sigma)
+    return _minus(_product_terms(k.entries), _product_terms(arranged))
+
+
+def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[LinComb]:
+    """kernel_element(k, sigma) for each sigma in turn, lazily."""
+    return (kernel_element(k, sigma) for sigma in sigmas)
 
 
 class PipelineDisagreement(RuntimeError):
@@ -341,48 +331,6 @@ def verify_relation(c: LinComb, *, rows: Rows | None = None) -> tuple[bool, RatF
     return False, f * Fraction(1, scale)
 
 
-def _kernel_verdicts(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[tuple[LinComb, bool]]:
-    """(kernel_element(k, sigma), its verdict) for each sigma in turn, lazily.
-
-    The relation is the closed form of k minus that of sigma(k), so Li
-    maps it to zero exactly when the two closed forms have one value.
-    Each is a combination of weight w and depth r, so D = w + r decides
-    as in verify_relation.  k is evaluated once, and each distinct
-    arrangement once, through both pipelines of verify_relation, each
-    value checked against its own row.  The verdict compares the
-    arrangement with k twice, value with value and row with row; if the
-    two comparisons differ, PipelineDisagreement is raised.  It is the
-    verdict of verify_relation on the relation.  The zero relation of
-    sigma(k) = k has no arrangement of its own to compare, and
-    verify_relation decides it as it decides any relation, at D = 0
-    without evaluating a word; k is evaluated only when an arrangement
-    other than k is met.
-
-    One rows dict serves the whole sweep.  A repeated arrangement yields
-    the same relation and verdict again, and each pair is yielded before
-    the next arrangement is evaluated.
-    """
-    rows: Rows = {}
-    bound = sum(k.entries) + len(k.entries)
-    verdicts: dict[int, bool] = {}
-    value_k: tuple[RatFun, list[int]] | None = None
-    for base, terms, c in _arrangements(k, sigmas):
-        if id(c) in verdicts:
-            pass
-        elif terms is None:
-            # A relation met first without a closed form is that of sigma(k) = k.
-            verdicts[id(c)] = verify_relation(c)[0]
-        else:
-            if value_k is None:
-                value_k = _evaluate(base.items(), bound, rows)
-            f, row = _evaluate(terms.items(), bound, rows)
-            rational, series = f == value_k[0], row == value_k[1]
-            if rational != series:
-                raise PipelineDisagreement(_DISAGREE)
-            verdicts[id(c)] = rational
-        yield c, verdicts[id(c)]
-
-
 # Entries -> (_term_key("Y", entries), '"index": [..]}' text, weight): the
 # per-index part of a record line, which one sweep of records shares.
 Texts = dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], str, int]]
@@ -417,6 +365,51 @@ def relation_line(c: LinComb, verified: bool, *, texts: Texts | None = None) -> 
     weight = str(weights.pop()) if len(weights) == 1 else "null"
     depth = str(depths.pop()) if len(depths) == 1 else "null"
     return f'{{"terms": [{terms}], "verified": {flag}, "weight": {weight}, "depth": {depth}}}'
+
+
+def _kernel_records(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[tuple[str, bool]]:
+    """(record line, verdict) of kernel_element(k, sigma) for each sigma in turn, lazily.
+
+    The relation depends only on the arrangement sigma(k), and one dict
+    per sweep maps each arrangement met to its record line and verdict;
+    a repeat yields the stored pair again.  The dict starts with k and
+    the zero relation of sigma(k) = k, which verify_relation decides at
+    D = 0 without evaluating a word.  The relation of any other
+    arrangement is the closed form of k minus that of sigma(k), so Li
+    maps it to zero exactly when the two closed forms have one value.
+    Each is a combination of weight w and depth r, so D = w + r decides
+    as in verify_relation.  k is evaluated once, when the first other
+    arrangement is met, and each distinct arrangement once, through
+    both pipelines of verify_relation, each value checked against its
+    own row.  The verdict compares the arrangement with k twice, value
+    with value and row with row; if the two comparisons differ,
+    PipelineDisagreement is raised.  It is the verdict of
+    verify_relation on the relation.
+
+    The sweep shares one rows dict and one texts dict, and each pair is
+    yielded before the next arrangement is evaluated.
+    """
+    _require_magnus(k)
+    rows: Rows = {}
+    texts: Texts = {}
+    zero = LinComb()
+    ok = verify_relation(zero)[0]
+    records = {k.entries: (relation_line(zero, ok, texts=texts), ok)}
+    base = _product_terms(k.entries)
+    bound = sum(k.entries) + len(k.entries)
+    value_k: tuple[RatFun, list[int]] | None = None
+    for sigma in sigmas:
+        arranged = _arranged(k, sigma)
+        if arranged not in records:
+            if value_k is None:
+                value_k = _evaluate(base.items(), bound, rows)
+            terms = _product_terms(arranged)
+            f, row = _evaluate(terms.items(), bound, rows)
+            ok = f == value_k[0]
+            if ok != (row == value_k[1]):
+                raise PipelineDisagreement(_DISAGREE)
+            records[arranged] = relation_line(_minus(dict(base), terms), ok, texts=texts), ok
+        yield records[arranged]
 
 
 def relation_record(c: LinComb, verified: bool) -> dict[str, object]:

@@ -223,15 +223,17 @@ def count_evaluations(monkeypatch):
         (("(1,1;2)", "--all-sigma"), 6, 3),
         (("(1,2,3;4)", "--sigma", "2 1 4 3"), 1, 2),
         (("(1,2;3)", "--sigma", "1 2 3"), 1, 0),
+        (("(1,1;1)", "--all-sigma"), 6, 0),
     ],
-    ids=["720-records", "6-records", "one-sigma", "identity"],
+    ids=["720-records", "6-records", "one-sigma", "identity", "every-sigma-arranges-k"],
 )
 def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, argv, records, evaluations):
     # The relation of sigma depends only on the arrangement sigma(k): the
     # 15 arrangements of {1,1,1,1,2,2}, or the 3 of {1,1,2}, identity
     # included.  The zero relation of sigma(k) = k is verify_relation's,
-    # one evaluation of no word; k is evaluated when another arrangement
-    # is met, then each other arrangement once.
+    # one evaluation of no word, once per sweep, whether or not a sigma
+    # arranges k as k; k is evaluated when another arrangement is met,
+    # then each other arrangement once.
     calls = count_evaluations(monkeypatch)
     code, out, err = run(capsys, "kernel", *argv)
     assert (code, err) == (0, "")
@@ -242,7 +244,7 @@ def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, argv, 
     closed_forms = [k.entries, *others] if others else []
     assert len(out.splitlines()) == records and len(closed_forms) == evaluations
     assert [terms for terms in calls if terms] == [magnus._product_terms(entries) for entries in closed_forms]
-    assert calls.count({}) == int(k.entries in arrangements)
+    assert calls.count({}) == 1
     one_by_one = []
     for sigma in sigmas:
         c = kernel_element(k, sigma)
@@ -252,7 +254,10 @@ def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, argv, 
 
 
 def test_kernel_exits_1_when_a_relation_is_refused(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_kernel_verdicts", lambda k, sigmas: ((c, False) for c in pl.kernel_elements(k, sigmas)))
+    # With the closed form of (2,1) emptied, the relation of sigma = (2,1)
+    # is the closed form of k alone, whose value is not zero.
+    good = pl._product_terms
+    monkeypatch.setattr(pl, "_product_terms", lambda entries: {} if entries == (2, 1) else good(entries))
     code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", "2 1")
     assert (code, err) == (1, "")
     assert json.loads(out)["verified"] is False
@@ -307,13 +312,42 @@ def test_kernel_records_are_the_verified_relations_of_every_small_index(capsys):
                 code, out, err = run(capsys, "kernel", str(k), "--all-sigma")
                 assert (code, err) == (0, "")
                 lines, want = {}, []
-                for c in pl.kernel_elements(k, itertools.permutations(range(1, depth + 2))):
-                    if id(c) not in lines:
-                        lines[id(c)] = pl.relation_line(c, pl.verify_relation(c)[0]) + "\n"
-                    want.append(lines[id(c)])
+                for sigma in itertools.permutations(range(1, depth + 2)):
+                    arranged = tuple(k.entries[i - 1] for i in sigma)
+                    if arranged not in lines:
+                        c = kernel_element(k, sigma)
+                        lines[arranged] = pl.relation_line(c, pl.verify_relation(c)[0]) + "\n"
+                    want.append(lines[arranged])
                 assert out == "".join(want)
                 seen += len(want)
     assert seen > 1000
+
+
+def test_kernel_expands_each_arrangement_once_per_sweep(capsys, monkeypatch):
+    # One closed-form expansion per distinct arrangement sigma(k), k
+    # included, however many sigma arrange k alike.
+    good, calls = pl._product_terms, []
+    monkeypatch.setattr(pl, "_product_terms", lambda entries: calls.append(entries) or good(entries))
+    for index, distinct in [("(1,2,3;4)", 24), ("(1,2,1,2,1;1)", 15), ("(1,1;2)", 3), ("(1,1;1)", 1)]:
+        calls.clear()
+        code, out, err = run(capsys, "kernel", index, "--all-sigma")
+        assert (code, err) == (0, "")
+        entries = parse_index(index).entries
+        assert len(out.splitlines()) == math.factorial(len(entries))
+        assert len(calls) == distinct and set(calls) == set(itertools.permutations(entries))
+
+
+@pytest.mark.parametrize("index, read", [("(1,2,1,2,1;1)", 1), ("(1;2)", 0)], ids=["after-one-line", "before-any-line"])
+def test_kernel_into_a_closed_pipe_exits_141_quietly(index, read):
+    # 141 = 128 + SIGPIPE, as the shell reports for `yes | head -1`.
+    command = [sys.executable, "-m", "npolylog.cli", "kernel", index, "--all-sigma"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        for _ in range(read):
+            assert proc.stdout.readline().startswith(b'{"terms": ')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 @pytest.mark.parametrize("sigma", ["\u0662 \u0661", "+2 1", "2_0 1"], ids=["arabic-indic", "plus", "underscore"])
@@ -410,9 +444,9 @@ def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
 
 def test_kernel_formats_each_index_once_per_sweep(capsys, monkeypatch):
     built, passed = [], []
-    key, line = pl._term_key, cli.relation_line
+    key, line = pl._term_key, pl.relation_line
     monkeypatch.setattr(pl, "_term_key", lambda alphabet, letters: built.append(letters) or key(alphabet, letters))
-    monkeypatch.setattr(cli, "relation_line", lambda c, ok, texts: passed.append((texts, len(texts))) or line(c, ok, texts=texts))
+    monkeypatch.setattr(pl, "relation_line", lambda c, ok, texts: passed.append((texts, len(texts))) or line(c, ok, texts=texts))
     sweeps = []
     for _ in range(2):
         built.clear()
@@ -691,11 +725,16 @@ def test_every_command_prints_values_past_the_digit_limit(capsys, digit_limit_64
 
 
 def test_kernel_prints_values_past_the_digit_limit(capsys, monkeypatch, digit_limit_640):
-    c = pl.LinComb({parse_index("(1)"): 7 * 10**699})
-    monkeypatch.setattr(cli, "_kernel_verdicts", lambda k, sigmas: iter([(c, True)]))
+    # Both closed forms scaled by 7*10^699: the relation is still true,
+    # and each coefficient is written past the limit by the real record.
+    good, scale = pl._product_terms, 7 * 10**699
+    c = scale * kernel_element(parse_index("(1;2)"), (2, 1))
+    monkeypatch.setattr(pl, "_product_terms", lambda entries: {w: scale * a for w, a in good(entries).items()})
     code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", "2 1")
     assert (code, err) == (0, "")
-    assert out == '{"terms": [{"coef": "7%s", "index": [1]}], "verified": true, "weight": 1, "depth": 1}\n' % ("0" * 699)
+    with cli._unlimited_digits():
+        assert out == pl.relation_line(c, True) + "\n"
+        assert str(scale) in out
     assert sys.get_int_max_str_digits() == 640
 
 

@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -582,59 +581,21 @@ def test_verify_relation_refuses_a_nonzero_value_with_a_zero_series(monkeypatch)
         verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
 
 
-def test_kernel_verdicts_refuse_when_values_and_rows_disagree(monkeypatch):
-    # The second value, that of sigma(k) = (2,1), gains z^6 past D = 5:
-    # it still matches its own row, and that row is k's, but the value is
-    # not k's.
+def test_kernel_records_refuse_when_values_and_rows_disagree(monkeypatch):
+    # The sums are the zero relation's, k's, then that of sigma(k) = (2,1).
+    # The last gains z^6 past D = 5: it still matches its own row, and
+    # that row is k's, but the value is not k's.
     good, calls = pl._combine, []
 
     def shifted(pairs):
         calls.append(pairs)
         f = good(pairs)
-        return f + RatFun((0,) * 6 + (1,)) if len(calls) == 2 else f
+        return f + RatFun((0,) * 6 + (1,)) if len(calls) == 3 else f
 
     monkeypatch.setattr(pl, "_combine", shifted)
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
-        list(pl._kernel_verdicts(magnus_index(1, 2), [(2, 1)]))
-    assert len(calls) == 2
-
-
-def count_calls(monkeypatch, module, name):
-    """Wrap module.name so that each call is counted; returns the counter."""
-    good = getattr(module, name)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return good(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_kernel_elements_expand_each_permuted_index_once(monkeypatch):
-    calls = count_calls(monkeypatch, pl, "_product_terms")
-    for entries, distinct in [((1, 2, 3, 4), 24), ((1, 2, 1, 2, 1, 1), 15), ((1, 1, 2), 3)]:
-        calls.clear()
-        k = magnus_index(*entries)
-        cs = list(kernel_elements(k, itertools.permutations(range(1, len(entries) + 1))))
-        assert len(calls) == distinct
-        assert {args[0] for args in calls} == set(itertools.permutations(entries))
-        assert len(cs) == math.factorial(len(entries))
-
-
-def test_kernel_elements_yield_one_object_per_arrangement():
-    entries = (1, 2, 1, 2, 1, 1)
-    k = magnus_index(*entries)
-    sigmas = list(itertools.permutations(range(1, len(entries) + 1)))
-    cs = list(kernel_elements(k, sigmas))
-    by_arrangement = {}
-    for sigma, c in zip(sigmas, cs):
-        by_arrangement.setdefault(tuple(entries[i - 1] for i in sigma), set()).add(id(c))
-    assert len(by_arrangement) == 15
-    assert all(len(ids) == 1 for ids in by_arrangement.values())
-    assert len({id(c) for c in cs}) == 15
-    assert cs[0] == LinComb()
+        list(pl._kernel_records(magnus_index(1, 2), [(2, 1)]))
+    assert len(calls) == 3 and calls[0] == []
 
 
 def test_kernel_elements_are_nfold_differences():
@@ -730,8 +691,9 @@ def test_relation_line_is_the_dumped_record_on_every_small_kernel_relation():
     for depth in range(4):
         for weight in range(7):
             for k in magnus.magnus_indices(depth, weight):
-                cs = {id(c): c for c in kernel_elements(k, itertools.permutations(range(1, depth + 2)))}
-                for c in cs.values():
+                # One sigma per arrangement sigma(k): the relation depends on nothing else.
+                sigmas = {tuple(k.entries[i - 1] for i in sigma): sigma for sigma in itertools.permutations(range(1, depth + 2))}
+                for c in kernel_elements(k, sigmas.values()):
                     assert_line_is_the_dumped_record(c, texts)
                     assert_line_is_the_dumped_record(c)
                     seen += 1
