@@ -23,14 +23,17 @@ this on every graded piece up to given bounds, reading a row of <<k,s>>
 at the block words of M(k) x1, which are also its expansion in words.
 
 Split into blocks x0^a x1, M(k) x1 is the closed form of the product
-Li(k1)...Li(kn)Li(kinf) (Theorem main4).  One helper expands it
-bracket by bracket; magnus_poly, magnus_to_word, the graded sweeps,
-and the n-fold product and kernel sweeps of polylog all read it.
+Li(k1)...Li(kn)Li(kinf) (Theorem main4), a fold of one bracket step
+over the entries; magnus_poly, magnus_to_word, the graded sweeps, and
+the n-fold product and kernel sweeps of polylog all read it.  A row of
+<s,k> is a fold of one budget step.  A graded piece walks its indices
+in lexicographic order, so each prefix takes both steps once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
+from itertools import combinations
 from math import comb
 
 from .freealg import NcPoly
@@ -57,6 +60,26 @@ def lie_power(n: int) -> NcPoly:
     return NcPoly._trusted("X", terms)
 
 
+# The partial of no entries: (head, carry, value) for the empty prefix.
+_SEED = [((), 0, 1)]
+
+
+def _bracket(partial: list, e: int) -> list:
+    """One bracket x1^(e) more: each (blocks, i of the last bracket, coefficient) branches per i in 0..e."""
+    row = [(-1) ** i * comb(e, i) for i in range(e + 1)]
+    return [(blocks + (e - i + carry,), i, coef * c) for blocks, carry, coef in partial for i, c in enumerate(row)]
+
+
+def _budget(partial: list, sj: int) -> list:
+    """One entry s_j more: each (k so far, budget left, value) branches per k_j in 0..budget + s_j."""
+    return [(ks + (kj,), b + sj - kj, v * comb(b + sj, kj)) for ks, b, v in partial for kj in range(b + sj + 1)]
+
+
+def _close(partial: list, last: int) -> dict[tuple[int, ...], int]:
+    """The terms of a fold whose last entry, with the carry or budget left, fills the final slot."""
+    return {head + (last + carry,): v for head, carry, v in partial}
+
+
 def _product_terms(entries: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """The closed form of Li(e1)...Li(en): the blocks of M(e) x1 as Y-words.
 
@@ -66,17 +89,10 @@ def _product_terms(entries: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     coefficient prod_j (-1)^(i_j) C(e_j, i_j).  Distinct choices give
     distinct words, so there are exactly prod_(j<n) (e_j + 1) terms.
     """
-    # (blocks so far, i of the last bracket, coefficient), one per choice
-    # of i_1..i_j, extended bracket by bracket.
-    partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+    partial = _SEED
     for e in entries[:-1]:
-        row = [(-1) ** i * comb(e, i) for i in range(e + 1)]
-        partial = [
-            (blocks + (e - i + carry,), i, coef * c)
-            for blocks, carry, coef in partial
-            for i, c in enumerate(row)
-        ]
-    return {blocks + (entries[-1] + carry,): coef for blocks, carry, coef in partial}
+        partial = _bracket(partial, e)
+    return _close(partial, entries[-1])
 
 
 def magnus_poly(k: MultiIndex) -> NcPoly:
@@ -151,38 +167,32 @@ def _dual_array_binom(k: tuple[int, ...], s: tuple[int, ...]) -> int:
 
 
 def _a_row(s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Row s of a = <s,k> by entries, over the k that s dominates (no prefix sum above s's).
+    """Row s of a = <s,k> by entries, over the k that s dominates: at any other k, array_binom meets budget < k_j."""
+    partial = _SEED
+    for sj in s[:-1]:
+        partial = _budget(partial, sj)
+    return _close(partial, s[-1])
 
-    Each k_j is drawn from 0 up to the running budget, carrying the
-    product of binomials; at any other k array_binom meets budget < k_j.
+
+def _walk(total: int, length: int) -> Iterator[tuple[tuple[int, ...], int, list, list]]:
+    """(p, total - sum(p), bracket and budget partials of p) for each p of length entries summing to <= total.
+
+    Depth first on a stack, in lexicographic order; each prefix is stepped once and shared by all p under it.
     """
-    if len(s) == 1:
-        return {s: 1}
-    # (entries of k so far, budget left, value); the last slot comes with the tail.
-    partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
-    for sj in s[:-2]:
-        partial = [(ks + (kj,), b + sj - kj, v * comb(b + sj, kj)) for ks, b, v in partial for kj in range(b + sj + 1)]
-    sn, tail = s[-2:]
-    return {ks + (kj, b + sn - kj + tail): v * comb(b + sn, kj) for ks, b, v in partial for kj in range(b + sn + 1)}
-
-
-def _b_row(k: tuple[int, ...], blocks: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
-    """Row k of b = <<k,s>> by entries: _dual_array_binom at each s of blocks, zeros dropped.
-
-    blocks are the block words of M(k) x1, _product_terms(k): the s whose
-    c_j = sum_(i<=j) (k_i - s_i) lie in 0..k_j, the only s the guard passes.
-    """
-    prefix = k[:-1]
-    return {s: v for s in blocks if (v := _dual_array_binom(prefix, s))}
+    stack = [((), total, _SEED, _SEED)]
+    while stack:
+        p, left, brackets, budgets = stack.pop()
+        if len(p) == length:
+            yield p, left, brackets, budgets
+        else:
+            stack += [(p + (e,), left - e, _bracket(brackets, e), _budget(budgets, e)) for e in range(left, -1, -1)]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The compositions of total into parts, in lexicographic order: stars and bars, bars in increasing position."""
+    stars = total + parts - 1
+    for bars in combinations(range(stars), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (stars,)))
 
 
 def magnus_indices(depth: int, weight: int) -> list[MultiIndex]:
@@ -207,16 +217,15 @@ def magnus_to_word(k: MultiIndex) -> dict[MultiIndex, int]:
 def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:
     """Check every graded piece with depth <= max_depth, weight <= max_weight.
 
-    For each piece a = <s,k> and b = <<k,s>> are built as sparse rows
-    over every entry that their guards do not send to 0; row k of b is
-    evaluated at the block words of M(k) x1.  The piece is square, so
-    a.b = I shows that they are mutually inverse (duality).  Each w(s)
-    is one word, so M(k) = sum_s b[k][s] w(s) is checked by comparing
-    the terms of M(k) with row k of b; together with a.b = I this
-    gives w(s) = sum_k a[s][k] M(k), so inversion holds exactly when both
-    checks pass.  Yields one record per piece as soon as it is checked,
-    in order of depth, then weight.  Raises ValueError when a bound is
-    negative, at the call rather than at the first record.
+    Each piece builds a = <s,k> and b = <<k,s>> as sparse rows over every
+    entry that their guards do not send to 0, row k of b at the block
+    words of M(k) x1.  The piece is square, so a.b = I shows that they are
+    mutually inverse (duality).  Each w(s) is one word, so comparing row
+    k of b with the terms of M(k) x1 checks M(k) = sum_s b[k][s] w(s);
+    with a.b = I this gives w(s) = sum_k a[s][k] M(k), so inversion holds
+    exactly when both checks pass.  Yields one record per piece as soon
+    as it is checked, in order of depth, then weight.  Raises ValueError
+    when a bound is negative, at the call rather than at the first record.
     """
     if not (_is_count(max_depth) and _is_count(max_weight)):
         raise ValueError(f"max depth and max weight must be >= 0, got {max_depth} and {max_weight}")
@@ -226,34 +235,25 @@ def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
 def _grade_cells(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:
     for depth in range(max_depth + 1):
         for weight in range(max_weight + 1):
-            blocks = {k: _product_terms(k) for k in _compositions(weight, depth + 1)}
-            # A block word missing from row k of b makes a.b != I; a spurious
-            # one has dual value 0, so row k of b differs from it below.
-            b = {k: _b_row(k, terms) for k, terms in blocks.items()}
-            # The matrices are square, so a.b = I already gives b.a = I.
-            duality_ok = _inverts(b)
-            # Words and blocks are in bijection, w(s) x1 having the blocks
-            # s.entries, so row k of b must be the closed form of M(k) x1.
-            inversion_ok = duality_ok and blocks == b
-            yield {
-                "depth": depth,
-                "weight": weight,
-                "size": len(b),
-                "duality_ok": duality_ok,
-                "inversion_ok": inversion_ok,
-                "ok": duality_ok and inversion_ok,
-            }
-
-
-def _inverts(b: dict[tuple[int, ...], dict[tuple[int, ...], int]]) -> bool:
-    """Whether a.b = I, for the rows of b keyed in lexicographic order; rows of a.b sum by position."""
-    pos = {k: j for j, k in enumerate(b)}
-    at = {k: [(pos[t], v) for t, v in row.items()] for k, row in b.items()}
-    for i, s in enumerate(b):
-        out = [0] * len(b)
-        for k, v in _a_row(s).items():
-            for j, w in at[k]:
-                out[j] += v * w
-        if out[i] != 1 or out.count(0) != len(b) - 1:
-            return False
-    return True
+            n = comb(weight + depth, depth)
+            pos, at, duality_ok, inversion_ok = {}, {}, True, True
+            # Each k = p + (tail,) of the walk is row k of b, then row s = k of a.b.
+            # Row s of a holds only the k that s dominates, each k <= s, so the
+            # rows of b it reads are built, keyed by p: the piece fixes k[-1].
+            for p, tail, brackets, budgets in _walk(weight, depth):
+                k = p + (tail,)
+                i = pos[k] = len(pos)
+                closed = _close(brackets, tail)
+                # A block word missing from b's row makes a.b != I; a spurious
+                # one has dual value 0, so the row differs from M(k) x1.
+                row = {s: v for s in closed if (v := _dual_array_binom(p, s))}
+                inversion_ok = inversion_ok and row == closed
+                at[p] = [(pos[s], v) for s, v in row.items()]
+                out = [0] * n
+                for ks, _, v in budgets:
+                    for j, w in at[ks]:
+                        out[j] += v * w
+                duality_ok = duality_ok and out[i] == 1 and out.count(0) == n - 1
+            inversion_ok = duality_ok and inversion_ok
+            yield {"depth": depth, "weight": weight, "size": len(pos), "duality_ok": duality_ok,
+                   "inversion_ok": inversion_ok, "ok": duality_ok and inversion_ok}

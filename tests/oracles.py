@@ -10,7 +10,7 @@ from math import comb
 from typing import Sequence
 
 from npolylog.freealg import NcPoly, _add_term, lie_bracket
-from npolylog.magnus import lie_power
+from npolylog.magnus import _dual_array_binom, lie_power
 from npolylog.polylog import LinComb
 from npolylog.ratpoly import RatFun, Scalar
 from npolylog.words import MultiIndex, _is_count, _require_plain
@@ -37,6 +37,74 @@ def magnus_poly_by_products(k: MultiIndex) -> NcPoly:
     for kj in k.prefix:
         out = out * lie_power(kj)
     return out * NcPoly.monomial("X", (0,) * k.tail)
+
+
+def product_terms_by_brackets(entries: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The closed form of Li(e1)...Li(en), bracket by bracket for one index; oracle for the walk's closed forms."""
+    partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+    for e in entries[:-1]:
+        row = [(-1) ** i * comb(e, i) for i in range(e + 1)]
+        partial = [
+            (blocks + (e - i + carry,), i, coef * c)
+            for blocks, carry, coef in partial
+            for i, c in enumerate(row)
+        ]
+    return {blocks + (entries[-1] + carry,): coef for blocks, carry, coef in partial}
+
+
+def a_row_by_budgets(s: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Row s of a = <s,k> for one row, each k_j drawn up to the running budget; oracle for the walk's rows of a."""
+    if len(s) == 1:
+        return {s: 1}
+    partial: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+    for sj in s[:-2]:
+        partial = [(ks + (kj,), b + sj - kj, v * comb(b + sj, kj)) for ks, b, v in partial for kj in range(b + sj + 1)]
+    sn, tail = s[-2:]
+    return {ks + (kj, b + sn - kj + tail): v * comb(b + sn, kj) for ks, b, v in partial for kj in range(b + sn + 1)}
+
+
+def compositions_by_recursion(total: int, parts: int):
+    """The compositions of total into parts in lexicographic order, first entry first; oracle for the walk's order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions_by_recursion(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def grade_report_by_rows(max_depth: int, max_weight: int):
+    """The records of grade_report, each piece built index by index; oracle for grade_report's walk.
+
+    Per piece: the closed form of every k, row k of b as the dual
+    coefficient at its block words, a.b summed row by row into a dense
+    row of the piece's size, and the closed forms compared with b.
+    """
+    for depth in range(max_depth + 1):
+        for weight in range(max_weight + 1):
+            idx = list(compositions_by_recursion(weight, depth + 1))
+            blocks = {k: product_terms_by_brackets(k) for k in idx}
+            b = {k: {s: v for s in terms if (v := _dual_array_binom(k[:-1], s))} for k, terms in blocks.items()}
+            pos = {k: j for j, k in enumerate(b)}
+            at = {k: [(pos[t], v) for t, v in row.items()] for k, row in b.items()}
+            duality_ok = True
+            for i, s in enumerate(idx):
+                out = [0] * len(b)
+                for k, v in a_row_by_budgets(s).items():
+                    for j, w in at[k]:
+                        out[j] += v * w
+                if out[i] != 1 or out.count(0) != len(b) - 1:
+                    duality_ok = False
+                    break
+            inversion_ok = duality_ok and blocks == b
+            yield {
+                "depth": depth,
+                "weight": weight,
+                "size": len(b),
+                "duality_ok": duality_ok,
+                "inversion_ok": inversion_ok,
+                "ok": duality_ok and inversion_ok,
+            }
 
 
 def nfold_product_by_choices(factors) -> LinComb:

@@ -21,7 +21,14 @@ from npolylog.magnus import (
     word_to_magnus,
 )
 from npolylog.words import magnus_index
-from oracles import lie_power_by_brackets, magnus_poly_by_products
+from oracles import (
+    a_row_by_budgets,
+    compositions_by_recursion,
+    grade_report_by_rows,
+    lie_power_by_brackets,
+    magnus_poly_by_products,
+    product_terms_by_brackets,
+)
 
 
 def small_indices(max_depth, max_entry):
@@ -197,17 +204,28 @@ def test_grade_report_rejects_negative_bounds():
     assert len(list(grade_report(0, 0))) == 1
 
 
-def test_grade_report_catches_a_wrong_magnus_term(monkeypatch):
-    exact = magnus._product_terms
+def closed_form_of(k, change):
+    """A stand-in for magnus._close that applies change to the closed form of k only.
 
-    def perturbed(entries):
-        terms = exact(entries)
-        if entries == (1, 1):
-            # The choice i = 0 gives the block word of the entries themselves.
-            terms[entries] += 1
+    The choice i = 0 at every bracket gives the block word of k itself,
+    the largest word of its closed form, so that word names the index.
+    """
+    exact = magnus._close
+
+    def perturbed(partial, last):
+        terms = exact(partial, last)
+        if max(terms) == k:
+            change(terms)
         return terms
 
-    monkeypatch.setattr(magnus, "_product_terms", perturbed)
+    return perturbed
+
+
+def test_grade_report_catches_a_wrong_magnus_term(monkeypatch):
+    def change(terms):
+        terms[(1, 1)] += 1
+
+    monkeypatch.setattr(magnus, "_close", closed_form_of((1, 1), change))
     for cell in grade_report(2, 3):
         assert cell["duality_ok"]
         bad = (cell["depth"], cell["weight"]) == (1, 2)
@@ -217,21 +235,16 @@ def test_grade_report_catches_a_wrong_magnus_term(monkeypatch):
 
 @pytest.mark.parametrize("change", ["drop", "add"])
 def test_dual_rows_are_read_at_the_closed_form_block_words(monkeypatch, change):
-    # Row k of b is evaluated at the block words of _product_terms(k).  A
+    # Row k of b is evaluated at the block words of the closed form of k.  A
     # word dropped there leaves b short of a nonzero entry, so a.b != I; a
     # spurious word has dual value 0, so row k differs from the closed form.
-    exact = magnus._product_terms
+    def perturb(terms):
+        if change == "drop":
+            del terms[(0, 2, 1)]
+        else:
+            terms[(3, 0, 0)] = 1
 
-    def perturbed(entries):
-        terms = exact(entries)
-        if entries == (1, 1, 1):
-            if change == "drop":
-                del terms[(0, 2, 1)]
-            else:
-                terms[(3, 0, 0)] = 1
-        return terms
-
-    monkeypatch.setattr(magnus, "_product_terms", perturbed)
+    monkeypatch.setattr(magnus, "_close", closed_form_of((1, 1, 1), perturb))
     for cell in grade_report(2, 3):
         bad = (cell["depth"], cell["weight"]) == (2, 3)
         assert cell["duality_ok"] is not (bad and change == "drop")
@@ -240,20 +253,43 @@ def test_dual_rows_are_read_at_the_closed_form_block_words(monkeypatch, change):
 
 
 def test_grade_report_catches_a_wrong_matrix_entry(monkeypatch):
-    # The prefixes (2, 1) and (1, 2) meet only in the piece of depth 2,
-    # weight 3 within these bounds; (2, 1) dominates (1, 2), so the walk
-    # of row (2, 1) of a reaches the entry.
-    exact = magnus._a_row
+    # The budget step that ends at the prefix (2, 1) gives the terms of row
+    # (2, 1, 0) of a, keyed by k[:-1]; the prefix itself is their largest
+    # key.  The prefixes (2, 1) and (1, 2) meet only in the piece of depth
+    # 2, weight 3 within these bounds, and (2, 1) dominates (1, 2), so the
+    # walk of row (2, 1, 0) reaches the entry a[(2, 1, 0)][(1, 2, 0)].
+    exact = magnus._budget
 
-    def perturbed(s):
-        row = exact(s)
-        if s == (2, 1, 0):
-            row[(1, 2, 0)] += 1
-        return row
+    def perturbed(partial, sj):
+        terms = exact(partial, sj)
+        if max(ks for ks, _, _ in terms) == (2, 1):
+            terms.append(((1, 2), 0, 1))
+        return terms
 
-    monkeypatch.setattr(magnus, "_a_row", perturbed)
+    monkeypatch.setattr(magnus, "_budget", perturbed)
     for cell in grade_report(2, 3):
         bad = (cell["depth"], cell["weight"]) == (2, 3)
+        assert cell["duality_ok"] is not bad
+        assert cell["inversion_ok"] is not bad
+        assert cell["ok"] is not bad
+
+
+def test_grade_report_catches_a_wrong_diagonal_entry(monkeypatch):
+    # Row (0, 0, w) of a holds only its diagonal and row (0, 0, w) of b only
+    # the word (0, 0, w), so doubling that entry of a doubles the diagonal of
+    # a.b and leaves the rest of its row 0.  Every piece of depth 2 holds
+    # the prefix (0, 0); no other piece within these bounds does.
+    exact = magnus._budget
+
+    def perturbed(partial, sj):
+        terms = exact(partial, sj)
+        if max(ks for ks, _, _ in terms) == (0, 0):
+            terms.append(((0, 0), 0, 1))
+        return terms
+
+    monkeypatch.setattr(magnus, "_budget", perturbed)
+    for cell in grade_report(2, 3):
+        bad = cell["depth"] == 2
         assert cell["duality_ok"] is not bad
         assert cell["inversion_ok"] is not bad
         assert cell["ok"] is not bad
@@ -276,12 +312,13 @@ def test_grade_report_catches_a_wrong_dual_matrix_entry(monkeypatch):
         assert cell["ok"] is not bad
 
 
+def b_row(k):
+    """Row k of b as grade_report reads it: the dual coefficient at each block word of k, zeros dropped."""
+    return {s: v for s in magnus._product_terms(k) if (v := magnus._dual_array_binom(k[:-1], s))}
+
+
 def walk_disagreements(max_depth, max_weight):
     """(matrix, row, column, dense value, walked value) wherever a walked row differs from the dense formula."""
-
-    def b_row(k):
-        return magnus._b_row(k, magnus._product_terms(k))
-
     out = []
     for depth in range(max_depth + 1):
         for weight in range(max_weight + 1):
@@ -305,7 +342,7 @@ def test_walked_rows_hold_every_nonzero_entry():
         for weight in range(7):
             for s in magnus_indices(depth, weight):
                 assert all(magnus._a_row(s.entries).values())
-                assert all(magnus._b_row(s.entries, magnus._product_terms(s.entries)).values())
+                assert all(b_row(s.entries).values())
 
 
 def test_walk_check_catches_an_off_walk_dual_entry(monkeypatch):
@@ -324,18 +361,46 @@ def test_walk_check_catches_an_off_walk_dual_entry(monkeypatch):
 
 def test_grade_report_yields_each_piece_once_checked(monkeypatch):
     built = []
-    exact = magnus._compositions
+    exact = magnus._walk
 
-    def counting(weight, parts):
-        built.append((parts - 1, weight))
-        return exact(weight, parts)
+    def counting(weight, depth):
+        built.append((depth, weight))
+        return exact(weight, depth)
 
-    monkeypatch.setattr(magnus, "_compositions", counting)
+    monkeypatch.setattr(magnus, "_walk", counting)
     cells = grade_report(4, 8)
     assert built == []
     first = next(cells)
     assert (first["depth"], first["weight"], first["size"], first["ok"]) == (0, 0, 1, True)
     assert built == [(0, 0)]
+
+
+def test_grade_report_equals_the_per_index_path():
+    # The walk against the path it replaced: closed forms per index, rows
+    # of a per row, and a dense row of a.b per row of a.
+    assert list(grade_report(5, 8)) == list(grade_report_by_rows(5, 8))
+
+
+def test_walk_gives_each_index_its_closed_form_and_row():
+    # In every piece the walk meets the indices in lexicographic order, and
+    # the partials it shares close to the per-index folds, which equal the
+    # loops they were written from.
+    for depth in range(5):
+        for weight in range(9):
+            walked = list(magnus._walk(weight, depth))
+            assert [p + (tail,) for p, tail, _, _ in walked] == list(compositions_by_recursion(weight, depth + 1))
+            for p, tail, brackets, budgets in walked:
+                k = p + (tail,)
+                assert magnus._close(brackets, tail) == magnus._product_terms(k) == product_terms_by_brackets(k)
+                assert magnus._close(budgets, tail) == magnus._a_row(k) == a_row_by_budgets(k)
+
+
+def test_deep_boxes_need_no_recursion():
+    # Depth past the interpreter's recursion limit: one index per piece.
+    assert [k.entries for k in magnus_indices(1200, 0)] == [(0,) * 1201]
+    cells = list(grade_report(1100, 0))
+    assert [(c["depth"], c["size"]) for c in cells] == [(d, 1) for d in range(1101)]
+    assert all(c["ok"] for c in cells)
 
 
 def test_polynomials_store_integer_coefficients():
