@@ -26,8 +26,9 @@ Split into blocks x0^a x1, M(k) x1 is the closed form of the product
 Li(k1)...Li(kn)Li(kinf) (Theorem main4), a fold of one bracket step
 over the entries; magnus_poly, magnus_to_word, the graded sweeps, and
 the n-fold product and kernel sweeps of polylog all read it.  A row of
-<s,k> is a fold of one budget step.  A graded piece walks its indices
-in lexicographic order, so each prefix takes both steps once.
+<s,k> is a fold of one budget step.  One walk per depth, shared by all
+its weights, meets the indices of every piece of the depth in
+lexicographic order, so each prefix takes both steps once per depth.
 """
 
 from __future__ import annotations
@@ -178,14 +179,16 @@ def _walk(total: int, length: int) -> Iterator[tuple[tuple[int, ...], int, list,
     """(p, total - sum(p), bracket and budget partials of p) for each p of length entries summing to <= total.
 
     Depth first on a stack, in lexicographic order; each prefix is stepped once and shared by all p under it.
+    A popped node of level n writes its entry at path[n - 1] (the root the spare slot), so p is built at leaves only.
     """
-    stack = [((), total, _SEED, _SEED)]
+    path = [0] * (length + 1)
+    stack = [(0, 0, total, _SEED, _SEED)]
     while stack:
-        p, left, brackets, budgets = stack.pop()
-        if len(p) == length:
-            yield p, left, brackets, budgets
+        n, path[n - 1], left, brackets, budgets = stack.pop()
+        if n == length:
+            yield tuple(path[:length]), left, brackets, budgets
         else:
-            stack += [(p + (e,), left - e, _bracket(brackets, e), _budget(budgets, e)) for e in range(left, -1, -1)]
+            stack += [(n + 1, e, left - e, _bracket(brackets, e), _budget(budgets, e)) for e in range(left, -1, -1)]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -223,9 +226,10 @@ def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
     mutually inverse (duality).  Each w(s) is one word, so comparing row
     k of b with the terms of M(k) x1 checks M(k) = sum_s b[k][s] w(s);
     with a.b = I this gives w(s) = sum_k a[s][k] M(k), so inversion holds
-    exactly when both checks pass.  Yields one record per piece as soon
-    as it is checked, in order of depth, then weight.  Raises ValueError
-    when a bound is negative, at the call rather than at the first record.
+    exactly when both checks pass.  Each depth takes one walk, shared by all
+    its weights; its records come in weight order when that walk ends, before
+    the next depth's.  Raises ValueError when a bound is negative, at the
+    call rather than at the first record.
     """
     if not (_is_count(max_depth) and _is_count(max_weight)):
         raise ValueError(f"max depth and max weight must be >= 0, got {max_depth} and {max_weight}")
@@ -233,27 +237,31 @@ def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
 
 
 def _grade_cells(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:
+    weights = range(max_weight + 1)
     for depth in range(max_depth + 1):
-        for weight in range(max_weight + 1):
-            n = comb(weight + depth, depth)
-            pos, at, duality_ok, inversion_ok = {}, {}, True, True
-            # Each k = p + (tail,) of the walk is row k of b, then row s = k of a.b.
-            # Row s of a holds only the k that s dominates, each k <= s, so the
-            # rows of b it reads are built, keyed by p: the piece fixes k[-1].
-            for p, tail, brackets, budgets in _walk(weight, depth):
-                k = p + (tail,)
-                i = pos[k] = len(pos)
+        # One walk per depth: leaf p is k = p + (tail,) of piece sum(p) + tail for
+        # every tail, each piece with its own state.  k is row k of b, then row s = k
+        # of a.b; a piece meets its k in lexicographic order and row s of a holds only
+        # k <= s, so the rows of b it reads are built, keyed by p: the piece fixes k[-1].
+        pos, at = [{} for _ in weights], [{} for _ in weights]
+        duality_ok, inversion_ok = [True] * len(weights), [True] * len(weights)
+        for p, left, brackets, budgets in _walk(max_weight, depth):
+            for tail in range(left + 1):
+                w = max_weight - left + tail
+                k, n, pos_w, at_w = p + (tail,), comb(w + depth, depth), pos[w], at[w]
+                i = pos_w[k] = len(pos_w)
                 closed = _close(brackets, tail)
                 # A block word missing from b's row makes a.b != I; a spurious
                 # one has dual value 0, so the row differs from M(k) x1.
                 row = {s: v for s in closed if (v := _dual_array_binom(p, s))}
-                inversion_ok = inversion_ok and row == closed
-                at[p] = [(pos[s], v) for s, v in row.items()]
+                inversion_ok[w] = inversion_ok[w] and row == closed
+                at_w[p] = [(pos_w[s], v) for s, v in row.items()]
                 out = [0] * n
                 for ks, _, v in budgets:
-                    for j, w in at[ks]:
-                        out[j] += v * w
-                duality_ok = duality_ok and out[i] == 1 and out.count(0) == n - 1
-            inversion_ok = duality_ok and inversion_ok
-            yield {"depth": depth, "weight": weight, "size": len(pos), "duality_ok": duality_ok,
-                   "inversion_ok": inversion_ok, "ok": duality_ok and inversion_ok}
+                    for j, x in at_w[ks]:
+                        out[j] += v * x
+                duality_ok[w] = duality_ok[w] and out[i] == 1 and out.count(0) == n - 1
+        for w in weights:
+            ok = duality_ok[w] and inversion_ok[w]
+            yield {"depth": depth, "weight": w, "size": len(pos[w]), "duality_ok": duality_ok[w],
+                   "inversion_ok": ok, "ok": ok}

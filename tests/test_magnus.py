@@ -252,12 +252,21 @@ def test_dual_rows_are_read_at_the_closed_form_block_words(monkeypatch, change):
         assert cell["ok"] is not bad
 
 
+def failing(cells):
+    """The (depth, weight) of the pieces failing duality, inversion and ok, in that order."""
+    cells = list(cells)
+    return [{(c["depth"], c["weight"]) for c in cells if not c[key]} for key in ("duality_ok", "inversion_ok", "ok")]
+
+
 def test_grade_report_catches_a_wrong_matrix_entry(monkeypatch):
     # The budget step that ends at the prefix (2, 1) gives the terms of row
-    # (2, 1, 0) of a, keyed by k[:-1]; the prefix itself is their largest
-    # key.  The prefixes (2, 1) and (1, 2) meet only in the piece of depth
-    # 2, weight 3 within these bounds, and (2, 1) dominates (1, 2), so the
-    # walk of row (2, 1, 0) reaches the entry a[(2, 1, 0)][(1, 2, 0)].
+    # (2, 1, tail) of a, keyed by k[:-1]; the prefix itself is their largest
+    # key.  The prefixes (2, 1) and (1, 2) meet in the pieces of depth 2,
+    # weight >= 3, and (2, 1) dominates (1, 2), so the walk of row (2, 1, 0)
+    # reaches the entry a[(2, 1, 0)][(1, 2, 0)].  The one walk of depth 2
+    # shares that step with the rows (2, 1, tail) of the heavier pieces, and
+    # the walk of depth 3 extends it into the rows (2, 1, e, tail), so the
+    # pieces of depth 3, weight >= 3 are bad too.
     exact = magnus._budget
 
     def perturbed(partial, sj):
@@ -267,18 +276,16 @@ def test_grade_report_catches_a_wrong_matrix_entry(monkeypatch):
         return terms
 
     monkeypatch.setattr(magnus, "_budget", perturbed)
-    for cell in grade_report(2, 3):
-        bad = (cell["depth"], cell["weight"]) == (2, 3)
-        assert cell["duality_ok"] is not bad
-        assert cell["inversion_ok"] is not bad
-        assert cell["ok"] is not bad
+    for bounds, bad in (((2, 3), {(2, 3)}), ((3, 5), {(d, w) for d in (2, 3) for w in range(3, 6)})):
+        assert failing(grade_report(*bounds)) == [bad] * 3
 
 
 def test_grade_report_catches_a_wrong_diagonal_entry(monkeypatch):
     # Row (0, 0, w) of a holds only its diagonal and row (0, 0, w) of b only
     # the word (0, 0, w), so doubling that entry of a doubles the diagonal of
     # a.b and leaves the rest of its row 0.  Every piece of depth 2 holds
-    # the prefix (0, 0); no other piece within these bounds does.
+    # the prefix (0, 0), and every piece of depth 3 the prefix (0, 0, 0),
+    # which the walk extends from it; no piece of depth < 2 does.
     exact = magnus._budget
 
     def perturbed(partial, sj):
@@ -288,11 +295,8 @@ def test_grade_report_catches_a_wrong_diagonal_entry(monkeypatch):
         return terms
 
     monkeypatch.setattr(magnus, "_budget", perturbed)
-    for cell in grade_report(2, 3):
-        bad = cell["depth"] == 2
-        assert cell["duality_ok"] is not bad
-        assert cell["inversion_ok"] is not bad
-        assert cell["ok"] is not bad
+    for bounds, bad in (((2, 3), {(2, w) for w in range(4)}), ((3, 5), {(d, w) for d in (2, 3) for w in range(6)})):
+        assert failing(grade_report(*bounds)) == [bad] * 3
 
 
 def test_grade_report_catches_a_wrong_dual_matrix_entry(monkeypatch):
@@ -359,7 +363,10 @@ def test_walk_check_catches_an_off_walk_dual_entry(monkeypatch):
     assert walk_disagreements(2, 3) == [("b", (1, 2, 0), (2, 1, 0), 1, 0)]
 
 
-def test_grade_report_yields_each_piece_once_checked(monkeypatch):
+def test_grade_report_walks_once_per_depth(monkeypatch):
+    # Nothing is walked at the call; the first record comes from the one
+    # walk of depth 0, which runs to the box's weight bound, before any
+    # deeper walk starts.
     built = []
     exact = magnus._walk
 
@@ -372,7 +379,35 @@ def test_grade_report_yields_each_piece_once_checked(monkeypatch):
     assert built == []
     first = next(cells)
     assert (first["depth"], first["weight"], first["size"], first["ok"]) == (0, 0, 1, True)
-    assert built == [(0, 0)]
+    assert built == [(0, 8)]
+    assert len(list(cells)) == 5 * 9 - 1
+    assert built == [(depth, 8) for depth in range(5)]
+
+
+def test_grade_report_steps_each_prefix_once_per_depth(monkeypatch):
+    # One walk per depth shares every prefix among all the pieces of the
+    # depth: the prefixes of length 1..d summing to <= 8 are C(8 + L, L) per
+    # length L, and each takes one bracket and one budget step.
+    calls = {"_bracket": 0, "_budget": 0}
+    for name in calls:
+        def counting(partial, e, exact=getattr(magnus, name), name=name):
+            calls[name] += 1
+            return exact(partial, e)
+
+        monkeypatch.setattr(magnus, name, counting)
+    assert all(cell["ok"] for cell in grade_report(4, 8))
+    expected = sum(comb(8 + length, length) for depth in range(5) for length in range(1, depth + 1))
+    assert expected == 996
+    assert calls == {"_bracket": expected, "_budget": expected}
+
+
+def test_a_piece_record_does_not_depend_on_the_box():
+    # Each piece keeps its own state within the shared walk, so a smaller
+    # box yields exactly the records of its pieces in the larger one.
+    whole = list(grade_report(4, 8))
+    for max_depth, max_weight in [(4, 5), (2, 8), (0, 0), (3, 3), (1, 7)]:
+        within = [c for c in whole if c["depth"] <= max_depth and c["weight"] <= max_weight]
+        assert list(grade_report(max_depth, max_weight)) == within
 
 
 def test_grade_report_equals_the_per_index_path():
