@@ -16,16 +16,16 @@ an index entry is: ASCII digits and no sign, so "-0" is refused as
 "-1" is, with one message.  magnus and product print the product
 identity through one renderer.
 
-One kernel sweep or one verify file is one stream of relations that
-share their series rows.  A kernel sweep evaluates k and each distinct
-arrangement sigma(k) once, not each relation, so it costs its distinct
-arrangements: "(1,2,1,2,1;1)" --all-sigma evaluates 15, counting k,
-and --sigma evaluates k and one arrangement, or none for the identity.
+A kernel sweep evaluates k and each distinct arrangement sigma(k)
+once, not each relation, so it costs its distinct arrangements:
+"(1,2,1,2,1;1)" --all-sigma evaluates 15, counting k, and --sigma
+evaluates k and one arrangement, or none for the identity.
 polylog._kernel_records keeps the sweep's one dict, from each
-arrangement met to its record line and verdict, and kernel prints the
-lines it yields.  The rows, texts and record lines of a sweep live for
-one command call; the Li cache polylog._LI lives for the process, so
-repeated main() calls in one process share it.  verify reads one
+arrangement met to its record line and verdict, for one command call,
+and kernel prints the lines it yields.  The Li values, series rows and
+index texts are cached by polylog for the process, so the relations of
+one sweep or one verify file share them, and so do repeated main()
+calls in one process.  verify reads one
 source, a path, "-" or --bundled, as it is, and turns its "\r\n" and
 bare "\r" line ends into "\n" in one place.
 
@@ -191,8 +191,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     checked = 0
     failed = 0
-    # The lines of one file share their series rows, as a kernel sweep does.
-    rows: dict = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -204,7 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (json.JSONDecodeError, ValueError, RecursionError) as exc:
             print(f"line {lineno}: parse error: {exc}", file=sys.stderr)
             return 2
-        ok, witness = verify_relation(c, rows=rows)
+        ok, witness = verify_relation(c)
         checked += 1
         if not ok:
             failed += 1

@@ -46,17 +46,16 @@ polylog_map, on no verification path, sums the rational coefficients
 as they are through the same routine.
 
 The relations of one graded piece share most of their work, and each
-shared piece is built once.  Li values are cached with every tail, and
-a new value is built from the cached value of its longest cached tail,
-iteratively, and series rows the same way from tail rows at the same
-bound, in a dict the caller of verify_relation may share across a
-stream of relations.  _kernel_records keeps one such dict for its
-sweep, and keys the sweep by the arrangement sigma(k): one dict maps
-each arrangement met to its record line and verdict, so the closed
-form of each distinct arrangement is expanded, evaluated and written
-once per sweep.  relation_line formats each index of a sweep once, in
-a dict the sweep shares the same way.  kernel_element is the
-definition for one arrangement, and keeps nothing.
+shared piece is built once.  This module owns three caches, each kept
+for the life of the process, and no function takes one as an
+argument.  Li values (_LI) and series rows (_ROWS, per bound) are
+cached with every tail, and a new one is built from its longest cached
+tail, iteratively.  relation_line formats each index once (_TEXTS).
+_kernel_records keys a sweep by the arrangement sigma(k): one dict per
+sweep maps each arrangement met to its record line and verdict, so the
+closed form of each distinct arrangement is expanded, evaluated and
+written once per sweep.  kernel_element is the definition for one
+arrangement, and keeps nothing.
 relation_line is the one definition of the record format:
 relation_record is its text parsed back.
 That closed form lives in magnus and nfold_product reads it; only
@@ -132,13 +131,17 @@ class LinComb(NcPoly):
         return li if mag == 1 else f"{mag}*{li}"
 
 
-# Series rows z^0..z^n_max of Li by (entry tuple, n_max).
-Rows = dict[tuple[tuple[int, ...], int], list[int]]
-
-# Li values by entry tuple, kept for the life of the process.  Every
-# tail of a computed index is stored too: the values of one graded piece
-# share their tails, and each new value is built from its longest one.
+# The caches of this module, each kept for the life of the process.
+# Li values by entry tuple.  Every tail of a computed index is stored
+# too: the values of one graded piece share their tails, and each new
+# value is built from its longest one.
 _LI: dict[tuple[int, ...], RatFun] = {(): RatFun.one()}
+# Series rows z^0..z^n of Li by bound n, then entry tuple, stored and
+# built out the same way at each bound.
+_ROWS: dict[int, dict[tuple[int, ...], list[int]]] = {}
+# Entries -> (_term_key("Y", entries), '"index": [..]}' text, weight):
+# the per-index part of a record line, formatted once.
+_TEXTS: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], str, int]] = {}
 
 
 def _polylog_entries(entries: tuple[int, ...]) -> RatFun:
@@ -179,22 +182,26 @@ def series_coeffs(s: MultiIndex, n_max: int) -> list[int]:
     _require_plain(s)
     if not _is_count(n_max):
         raise ValueError("n_max must be >= 0")
-    return _series_row(s.entries, n_max, {})
+    # A copy: the row itself stays in _ROWS for later verdicts.
+    return list(_series_row(s.entries, n_max))
 
 
-def _series_row(entries: tuple[int, ...], n_max: int, rows: Rows) -> list[int]:
-    """series_coeffs at plain entries, built out from the longest tail row at n_max in rows, storing each."""
+def _series_row(entries: tuple[int, ...], n_max: int) -> list[int]:
+    """series_coeffs at plain entries, built out from the longest tail row cached at n_max, caching every tail."""
+    if n_max not in _ROWS:
+        _ROWS[n_max] = {(): [1] + [0] * n_max}
+    rows = _ROWS[n_max]
     start = 0
-    while start < len(entries) and (entries[start:], n_max) not in rows:
+    while entries[start:] not in rows:
         start += 1
-    g = rows.get((entries[start:], n_max)) or [1] + [0] * n_max
+    g = rows[entries[start:]]
     for i in range(start - 1, -1, -1):
         e = entries[i]
         prefix, new = 0, [0] * (n_max + 1)
         for m in range(1, n_max + 1):
             prefix += g[m - 1]
             new[m] = m**e * prefix
-        g = rows[entries[i:], n_max] = new
+        g = rows[entries[i:]] = new
     return g
 
 
@@ -285,24 +292,23 @@ class PipelineDisagreement(RuntimeError):
 _DISAGREE = "rational and series pipelines disagree; refusing to answer"
 
 
-def _evaluate(terms: Collection[tuple[tuple[int, ...], int]], bound: int, rows: Rows) -> tuple[RatFun, list[int]]:
+def _evaluate(terms: Collection[tuple[tuple[int, ...], int]], bound: int) -> tuple[RatFun, list[int]]:
     """Li of sum a*Li(entries) over integer terms: its rational value and its series row z^0..z^bound.
 
     The two come from independent pipelines, and the truncated series
-    of the value must equal the row, else PipelineDisagreement.  Rows
-    of single indices are read from and stored in rows.
+    of the value must equal the row, else PipelineDisagreement.
     """
     f = _combine([(a, _polylog_entries(e)) for e, a in terms])
     direct = [0] * (bound + 1)
     for entries, a in terms:
-        for n, v in enumerate(_series_row(entries, bound, rows)):
+        for n, v in enumerate(_series_row(entries, bound)):
             direct[n] += a * v
     if taylor_coeffs(f, bound) != direct:
         raise PipelineDisagreement(_DISAGREE)
     return f, direct
 
 
-def verify_relation(c: LinComb, *, rows: Rows | None = None) -> tuple[bool, RatFun | None]:
+def verify_relation(c: LinComb) -> tuple[bool, RatFun | None]:
     """Decide whether Li maps the combination to zero, with a witness.
 
     Evaluates L*c, the combination with its denominators cleared,
@@ -316,14 +322,12 @@ def verify_relation(c: LinComb, *, rows: Rows | None = None) -> tuple[bool, RatF
     mismatch means one of the pipelines is broken and raises
     PipelineDisagreement.  Returns (True, None) on kernel membership,
     else (False, witness) with the nonzero rational value of c.
-
-    rows maps (entries, D) to the row of Li(entries) up to z^D; a stream of
-    relations passes one dict to every call, so each tail row is built once per D.
+    Each tail row is built once per D for the life of the process.
     """
     scale = lcm(*(coef.denominator for coef in c._terms.values()))
     terms = [(entries, coef.numerator * (scale // coef.denominator)) for entries, coef in c._terms.items()]
     bound = max((sum(entries) + len(entries) for entries, _ in terms), default=0)
-    f, direct = _evaluate(terms, bound, {} if rows is None else rows)
+    f, direct = _evaluate(terms, bound)
     if f.is_zero() == any(direct):
         raise PipelineDisagreement(_DISAGREE)
     if f.is_zero():
@@ -331,30 +335,21 @@ def verify_relation(c: LinComb, *, rows: Rows | None = None) -> tuple[bool, RatF
     return False, f * Fraction(1, scale)
 
 
-# Entries -> (_term_key("Y", entries), '"index": [..]}' text, weight): the
-# per-index part of a record line, which one sweep of records shares.
-Texts = dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], str, int]]
-
-
-def relation_line(c: LinComb, verified: bool, *, texts: Texts | None = None) -> str:
+def relation_line(c: LinComb, verified: bool) -> str:
     """The JSON-line record for a relation, as text: terms, verified, weight, depth.
 
     Terms are in display order, each {"coef": str(coef), "index": [..]}.
     Weight and depth are the common values over all terms, or null when
     the combination is not homogeneous (products of depth-one values
     reduce to lower weight, so mixed records are legitimate).  The text
-    is json.dumps of relation_record.
-
-    texts holds the sort key, index text and weight of each index met;
-    a sweep of records passes one dict to every call, so each index is
-    formatted once per sweep.
+    is json.dumps of relation_record.  Each index is formatted once
+    for the life of the process, in _TEXTS.
     """
-    texts = {} if texts is None else texts
     rows = []
     for entries, coef in c._terms.items():
-        t = texts.get(entries)
+        t = _TEXTS.get(entries)
         if t is None:
-            t = texts[entries] = (_term_key("Y", entries), f'"index": {json.dumps(list(entries))}}}', sum(entries))
+            t = _TEXTS[entries] = (_term_key("Y", entries), f'"index": {json.dumps(list(entries))}}}', sum(entries))
         rows.append((t, coef))
     # Distinct entries have distinct sort keys, so each t orders by its key.
     rows.sort(key=itemgetter(0))
@@ -384,17 +379,13 @@ def _kernel_records(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[
     own row.  The verdict compares the arrangement with k twice, value
     with value and row with row; if the two comparisons differ,
     PipelineDisagreement is raised.  It is the verdict of
-    verify_relation on the relation.
-
-    The sweep shares one rows dict and one texts dict, and each pair is
-    yielded before the next arrangement is evaluated.
+    verify_relation on the relation.  Each pair is yielded before the
+    next arrangement is evaluated.
     """
     _require_magnus(k)
-    rows: Rows = {}
-    texts: Texts = {}
     zero = LinComb()
     ok = verify_relation(zero)[0]
-    records = {k.entries: (relation_line(zero, ok, texts=texts), ok)}
+    records = {k.entries: (relation_line(zero, ok), ok)}
     base = _product_terms(k.entries)
     bound = sum(k.entries) + len(k.entries)
     value_k: tuple[RatFun, list[int]] | None = None
@@ -402,13 +393,13 @@ def _kernel_records(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[
         arranged = _arranged(k, sigma)
         if arranged not in records:
             if value_k is None:
-                value_k = _evaluate(base.items(), bound, rows)
+                value_k = _evaluate(base.items(), bound)
             terms = _product_terms(arranged)
-            f, row = _evaluate(terms.items(), bound, rows)
+            f, row = _evaluate(terms.items(), bound)
             ok = f == value_k[0]
             if ok != (row == value_k[1]):
                 raise PipelineDisagreement(_DISAGREE)
-            records[arranged] = relation_line(_minus(dict(base), terms), ok, texts=texts), ok
+            records[arranged] = relation_line(_minus(dict(base), terms), ok), ok
         yield records[arranged]
 
 

@@ -132,7 +132,7 @@ class RatFun:
         return _combine(((1, self), (-1, other)))
 
     def __rsub__(self, other: Scalar) -> RatFun:
-        return RatFun.const(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other: RatFun | Scalar) -> RatFun:
         if isinstance(other, (int, Fraction)):

@@ -1,8 +1,8 @@
 """Slow, independent constructions that the fast library code is checked against.
 
 Each follows its definition literally and is meant for small inputs only.
-BuildLog, last, is a dict for the tests that count series row and index
-text builds.
+RowLog, last, stands in for the series-row cache of polylog in the
+tests that count row builds.
 """
 
 import itertools
@@ -286,13 +286,19 @@ def add_by_raising(f: RatFun, g: RatFun) -> RatFun:
     return RatFun(out, d)
 
 
-class BuildLog(dict):
-    """A dict that logs the key of every value stored in it."""
+class RowLog(dict):
+    """A stand-in for polylog._ROWS that logs (entries, bound) of every row stored at any bound."""
 
     def __init__(self):
         super().__init__()
         self.stored = []
 
-    def __setitem__(self, key, row):
-        self.stored.append(key)
-        super().__setitem__(key, row)
+    def __setitem__(self, bound, rows):
+        stored = self.stored
+
+        class Rows(dict):
+            def __setitem__(self, entries, row):
+                stored.append((entries, bound))
+                super().__setitem__(entries, row)
+
+        super().__setitem__(bound, Rows(rows))

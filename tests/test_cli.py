@@ -16,7 +16,7 @@ import npolylog.polylog as pl
 from npolylog import cli, magnus
 from npolylog.polylog import _parse_coef, kernel_element, nfold_product, relation_from_record, relation_record
 from npolylog.words import parse_index
-from oracles import BuildLog
+from oracles import RowLog
 
 GOOD_LINE = (
     '{"terms": [{"coef": "-1", "index": [2, 1]}, {"coef": "3", "index": [1, 2]},'
@@ -190,8 +190,8 @@ def test_kernel_prints_each_record_before_the_next_is_verified(capsys, monkeypat
     # records before it are out when its corrupted row stops the sweep.
     good = pl._series_row
 
-    def lying(entries, n_max, rows):
-        out = list(good(entries, n_max, rows))
+    def lying(entries, n_max):
+        out = list(good(entries, n_max))
         if entries == (2, 2, 2):
             out[-1] += 1
         return out
@@ -208,9 +208,9 @@ def count_evaluations(monkeypatch):
     calls = []
     good = pl._evaluate
 
-    def logged(terms, bound, rows):
+    def logged(terms, bound):
         calls.append(dict(terms))
-        return good(terms, bound, rows)
+        return good(terms, bound)
 
     monkeypatch.setattr(pl, "_evaluate", logged)
     return calls
@@ -292,8 +292,8 @@ def test_kernel_refuses_a_lying_row_on_a_word_that_cancels(capsys, monkeypatch):
     assert (0, 2, 2) not in kernel_element(k, sigma)._terms
     good = pl._series_row
 
-    def lying(entries, n_max, rows):
-        out = list(good(entries, n_max, rows))
+    def lying(entries, n_max):
+        out = list(good(entries, n_max))
         if entries == (0, 2, 2):
             out[-1] += 1
         return out
@@ -396,40 +396,24 @@ def series_rows(sweep):
     return wanted
 
 
-def record_series_builds(monkeypatch):
-    """Send the rows of every verify_relation call of a command to one BuildLog.
-
-    Returns the log and the list of dicts the command passed, which must
-    all be one dict for the log to stand for it.
-    """
-    log, passed = BuildLog(), []
-    good = cli.verify_relation
-
-    def logged(c, rows):
-        passed.append(rows)
-        return good(c, rows=log)
-
-    monkeypatch.setattr(cli, "verify_relation", logged)
-    return log, passed
-
-
 def test_verify_reads_each_series_row_once_per_file(capsys, monkeypatch):
     _, sweep, _ = run(capsys, "kernel", "(1,2;1)", "--all-sigma")
-    log, passed = record_series_builds(monkeypatch)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(sweep))
-    code, out, err = run(capsys, "verify", "-")
-    assert code == 0 and out.endswith("checked 6 relations: 6 ok, 0 failed\n")
-    assert len(passed) == 6 and all(rows is passed[0] for rows in passed)
-    assert sorted(log.stored) == sorted(series_rows(sweep))
+    # The sweep's own rows are dropped, so verify builds every row it reads.
+    log = RowLog()
+    monkeypatch.setattr(pl, "_ROWS", log)
+    for _ in range(2):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(sweep))
+        code, out, err = run(capsys, "verify", "-")
+        assert code == 0 and out.endswith("checked 6 relations: 6 ok, 0 failed\n")
+        # The rows outlive the call: the second verify of the file builds none.
+        assert sorted(log.stored) == sorted(series_rows(sweep))
 
 
 def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
-    log, passed = BuildLog(), []
-    good = pl._series_row
-    monkeypatch.setattr(pl, "_series_row", lambda entries, n_max, rows: passed.append(rows) or good(entries, n_max, log))
+    log = RowLog()
+    monkeypatch.setattr(pl, "_ROWS", log)
     code, sweep, err = run(capsys, "kernel", "(0,2;2)", "--all-sigma")
     assert code == 0 and err == "" and len(sweep.splitlines()) == 6
-    assert passed and all(rows is passed[0] for rows in passed)
     # Every tail of every word of each distinct arrangement's closed form,
     # at D = weight + depth = 7.  Li(0,2,2) cancels in every relation, so
     # only the evaluation of each closed form reads its row.
@@ -443,23 +427,27 @@ def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
 
 
 def test_kernel_formats_each_index_once_per_sweep(capsys, monkeypatch):
-    built, passed = [], []
+    built, lines = [], []
     key, line = pl._term_key, pl.relation_line
     monkeypatch.setattr(pl, "_term_key", lambda alphabet, letters: built.append(letters) or key(alphabet, letters))
-    monkeypatch.setattr(pl, "relation_line", lambda c, ok, texts: passed.append((texts, len(texts))) or line(c, ok, texts=texts))
+    monkeypatch.setattr(pl, "relation_line", lambda c, ok: lines.append(c) or line(c, ok))
     sweeps = []
     for _ in range(2):
         built.clear()
-        passed.clear()
+        lines.clear()
         code, sweep, err = run(capsys, "kernel", "(1,2,1,2,1;1)", "--all-sigma")
         assert (code, err) == (0, "")
-        terms = [tuple(t["index"]) for record in sweep.splitlines() for t in json.loads(record)["terms"]]
-        # Indices recur across the 15 distinct relations; each is formatted once.
-        assert len(terms) > len(set(terms)) and sorted(built) == sorted(set(terms))
-        # One dict per command call, empty when the call starts.
-        assert len(passed) == 15 and passed[0][1] == 0 and all(texts is passed[0][0] for texts, _ in passed)
-        sweeps.append((sweep, passed[0][0]))
-    assert sweeps[0][0] == sweeps[1][0] and sweeps[0][1] is not sweeps[1][1]
+        # One record line per distinct relation: the zero one and 14 others.
+        assert len(lines) == 15
+        sweeps.append((sweep, list(built)))
+    (sweep, first), (again, second) = sweeps
+    terms = [tuple(t["index"]) for record in sweep.splitlines() for t in json.loads(record)["terms"]]
+    # Indices recur across the 15 distinct relations; each is formatted once.
+    assert len(terms) > len(set(terms)) and sorted(first) == sorted(set(terms))
+    assert set(pl._TEXTS) == set(terms)
+    # The texts outlive the call: the same sweep again formats none and
+    # prints the same bytes.
+    assert second == [] and again == sweep
 
 
 @pytest.mark.parametrize(
@@ -548,7 +536,6 @@ def test_verify_splits_lines_at_newlines_only(capsys, monkeypatch, sep):
 
 
 def test_verify_of_a_deep_index_exits_1_without_traceback(capsys, monkeypatch):
-    monkeypatch.setattr(pl, "_LI", {(): pl.RatFun.one()})
     line = json.dumps({"terms": [{"coef": "1", "index": [0] * 1200}]})
     monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
     code, out, err = run(capsys, "verify", "-")
@@ -668,8 +655,8 @@ def test_verify_rejects_malformed_terms(capsys, monkeypatch, coef, index, messag
 def test_pipeline_disagreement_exits_3(capsys, monkeypatch):
     good = pl._series_row
 
-    def lying(entries, n_max, rows):
-        out = list(good(entries, n_max, rows))
+    def lying(entries, n_max):
+        out = list(good(entries, n_max))
         if entries == (1, 2):
             out[-1] += 1
         return out

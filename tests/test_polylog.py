@@ -32,7 +32,7 @@ from npolylog.polylog import (
 from npolylog.ratpoly import RatFun, taylor_coeffs
 from npolylog.words import magnus_index, mpl_index
 from oracles import (
-    BuildLog,
+    RowLog,
     nfold_product_by_choices,
     polylog_by_fold,
     product_letter_word,
@@ -104,10 +104,9 @@ def test_rational_against_series_dp():
         assert taylor_coeffs(polylog_rational(s), 25) == series_coeffs(s, 25)
 
 
-def test_tail_built_values_match_the_fold(monkeypatch):
-    # A fresh cache, filled in a shuffled order, so that some tails are
-    # cached when their index is reached and some are not.
-    monkeypatch.setattr(pl, "_LI", {(): RatFun.one()})
+def test_tail_built_values_match_the_fold():
+    # The test's fresh cache, filled in a shuffled order, so that some
+    # tails are cached when their index is reached and some are not.
     indices = [mpl_index(*e) for r in range(5) for e in itertools.product(range(7), repeat=r)]
     random.Random(6).shuffle(indices)
     for s in indices:
@@ -125,20 +124,33 @@ def test_series_dp_against_chain_enumeration():
 
 def test_series_rows_built_on_one_shared_dict_match_chain_enumeration():
     # Indices of mixed depth whose tails overlap, read at mixed bounds in
-    # a seeded order, so rows are built from cached tails at their own
-    # bound and never from a tail row at another bound.
+    # a seeded order into the test's fresh row cache, so rows are built
+    # from cached tails at their own bound and never from a tail row at
+    # another bound.
     indices = [e for r in range(5) for e in itertools.product(range(3), repeat=r)]
     reads = [(e, n) for e in indices for n in (0, 3, 7, 11)]
     random.Random(18).shuffle(reads)
-    rows = {}
     for entries, n in reads:
-        assert pl._series_row(entries, n, rows) == series_coeffs_by_chains(mpl_index(*entries), n), (entries, n)
-    assert all(len(row) == n + 1 for (_, n), row in rows.items())
-    assert {key for key in rows} == {(e, n) for e, n in reads if e}
+        assert pl._series_row(entries, n) == series_coeffs_by_chains(mpl_index(*entries), n), (entries, n)
+    assert all(len(row) == n + 1 for n, rows in pl._ROWS.items() for row in rows.values())
+    assert {(e, n) for n, rows in pl._ROWS.items() for e in rows} == set(reads)
 
 
-def test_rational_values_from_an_empty_cache_match_the_fold(monkeypatch):
-    monkeypatch.setattr(pl, "_LI", {(): RatFun.one()})
+def test_series_coeffs_returns_a_copy_of_the_cached_row():
+    # Mutating a returned row must not reach the cached row, nor any
+    # row or verdict built on it later.
+    for s, n in [(mpl_index(1, 2), 5), (mpl_index(), 5)]:
+        row = series_coeffs(s, n)
+        want = list(row)
+        row[-1] += 1
+        row.append(7)
+        assert series_coeffs(s, n) == want
+    assert series_coeffs(mpl_index(0, 1, 2), 5) == series_coeffs_by_chains(mpl_index(0, 1, 2), 5)
+    assert verify_relation(kernel_element(magnus_index(1, 2), (2, 1))) == (True, None)
+    assert verify_relation(LinComb({mpl_index(): 1})) == (False, RatFun.one())
+
+
+def test_rational_values_from_an_empty_cache_match_the_fold():
     count = 0
     for depth in range(5):
         for entries in itertools.product(range(9), repeat=depth):
@@ -525,8 +537,8 @@ def test_verify_relation_rejects_nonrelations():
 def test_verify_relation_refuses_on_pipeline_disagreement(monkeypatch):
     good = pl._series_row
 
-    def lying(entries, n_max, rows):
-        out = list(good(entries, n_max, rows))
+    def lying(entries, n_max):
+        out = list(good(entries, n_max))
         if entries == (1, 2):
             out[-1] += 1
         return out
@@ -545,9 +557,9 @@ def corrupt_series(monkeypatch, index, position):
     good = pl._series_row
     bounds = []
 
-    def lying(entries, n_max, rows):
+    def lying(entries, n_max):
         bounds.append(n_max)
-        out = list(good(entries, n_max, rows))
+        out = list(good(entries, n_max))
         if entries == index.entries and n_max >= position:
             out[position] += 1
         return out
@@ -612,47 +624,49 @@ def tails(entries):
     return [entries[i:] for i in range(len(entries))]
 
 
-def test_verify_relation_reads_each_row_once_per_shared_dict():
+def test_verify_relation_reads_each_row_once_per_shared_dict(monkeypatch):
     k = magnus_index(1, 2, 3, 4)
     cs = list(kernel_elements(k, itertools.permutations(range(1, 5))))
-    rows = BuildLog()
-    assert all(verify_relation(c, rows=rows)[0] for c in cs)
+    log = RowLog()
+    monkeypatch.setattr(pl, "_ROWS", log)
     bound = k.weight + k.depth + 1
     wanted = {(t, bound) for c in cs for e in c._terms for t in tails(e)}
     # One build per (tail, D): each tail row is stored once and read by
-    # every row built on it, at the one bound of the piece.
-    assert sorted(rows.stored) == sorted(wanted)
-    # A dict per call builds the tails of each relation again.
-    fresh = [BuildLog() for _ in cs]
+    # every row built on it, at the one bound of the piece.  The rows
+    # outlive the calls, so a second pass over the relations builds none.
+    for _ in range(2):
+        assert all(verify_relation(c)[0] for c in cs)
+        assert sorted(log.stored) == sorted(wanted)
+    # A fresh cache per call builds the tails of each relation again.
+    fresh = [RowLog() for _ in cs]
     for c, own in zip(cs, fresh):
-        verify_relation(c, rows=own)
+        monkeypatch.setattr(pl, "_ROWS", own)
+        verify_relation(c)
         assert sorted(own.stored) == sorted({(t, bound) for e in c._terms for t in tails(e)})
     assert sum(len(own.stored) for own in fresh) > len(wanted)
 
 
-def test_verify_relation_refuses_every_relation_with_a_corrupted_shared_row():
+def test_verify_relation_refuses_every_relation_with_a_corrupted_shared_row(monkeypatch):
     k = magnus_index(1, 2, 3)
     cs = list(kernel_elements(k, itertools.permutations(range(1, 4))))
     bad = mpl_index(2, 2, 2)
     hit = [c for c in cs if c.coefficient(bad)]
     clean = [c for c in cs if not c.coefficient(bad)]
     assert len(hit) >= 2 and clean
-    # One shared dict holds the row of Li(2,2,2) at the piece's D = 9
-    # from the start, corrupted at z^7, with its clean tails; the clean
+    # The row cache holds the row of Li(2,2,2) at the piece's D = 9 from
+    # the start, corrupted at z^7, with its clean tails; the clean
     # relations fill it further, and then every relation that holds the
     # corrupted index is refused, not only the first.
     bound = k.weight + k.depth + 1
-    rows = {}
-    pl._series_row(bad.entries, bound, rows)
-    rows[bad.entries, bound][7] += 1
-    assert [verify_relation(d, rows=rows)[0] for d in clean] == [True] * len(clean)
+    pl._series_row(bad.entries, bound)
+    pl._ROWS[bound][bad.entries][7] += 1
+    assert [verify_relation(d)[0] for d in clean] == [True] * len(clean)
     for c in hit:
         with pytest.raises(PipelineDisagreement, match="refusing to answer"):
-            verify_relation(c, rows=rows)
-    # A row lives only as long as its dict: a fresh dict builds fresh rows
-    # and verifies cleanly.
-    rows = {}
-    assert all(verify_relation(c, rows=rows)[0] for c in cs)
+            verify_relation(c)
+    # A fresh cache builds fresh rows and verifies cleanly.
+    monkeypatch.setattr(pl, "_ROWS", {})
+    assert all(verify_relation(c)[0] for c in cs)
 
 
 def test_relation_record_round_trip():
@@ -676,17 +690,18 @@ def test_relation_record_coefficients_are_exact_strings():
     assert relation_from_record(rec) == c
 
 
-def assert_line_is_the_dumped_record(c, texts=None):
+def assert_line_is_the_dumped_record(c):
     for verified in (True, False):
         want = relation_record_by_dicts(c, verified)
-        assert relation_line(c, verified, texts=texts) == json.dumps(want)
+        assert relation_line(c, verified) == json.dumps(want)
         assert relation_record(c, verified) == want
 
 
-def test_relation_line_is_the_dumped_record_on_every_small_kernel_relation():
-    # One texts dict for the whole run, as a sweep shares one: an index met
-    # in an earlier relation is read back, not formatted again.
-    texts = {}
+def test_relation_line_is_the_dumped_record_on_every_small_kernel_relation(monkeypatch):
+    # One text cache for the whole run, as a process keeps one: an index
+    # met in an earlier relation is read back, not formatted again.  Each
+    # relation is also written from an empty cache.
+    texts = pl._TEXTS
     seen = 0
     for depth in range(4):
         for weight in range(7):
@@ -694,8 +709,10 @@ def test_relation_line_is_the_dumped_record_on_every_small_kernel_relation():
                 # One sigma per arrangement sigma(k): the relation depends on nothing else.
                 sigmas = {tuple(k.entries[i - 1] for i in sigma): sigma for sigma in itertools.permutations(range(1, depth + 2))}
                 for c in kernel_elements(k, sigmas.values()):
-                    assert_line_is_the_dumped_record(c, texts)
                     assert_line_is_the_dumped_record(c)
+                    monkeypatch.setattr(pl, "_TEXTS", {})
+                    assert_line_is_the_dumped_record(c)
+                    monkeypatch.setattr(pl, "_TEXTS", texts)
                     seen += 1
     assert seen > 1000 and len(texts) > 100
 

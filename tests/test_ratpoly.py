@@ -84,8 +84,9 @@ def test_scalar_operands_follow_the_scalar_rule():
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == "bad coefficient True: coefficients are ints or Fractions"
-    with pytest.raises(TypeError):
-        f * 0.5
+    for call in (lambda: f * 0.5, lambda: 0.5 - f, lambda: "a" - f):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_ratfun_is_unhashable():
