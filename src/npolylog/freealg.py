@@ -53,8 +53,12 @@ def _term_key(alphabet: str, letters: Letters) -> tuple[int, Letters]:
 
 
 def _add_term(out: dict[Letters, Scalar], letters: Letters, coef: Scalar) -> None:
-    """out[letters] += coef in place, keeping the int rule and dropping zeros."""
-    s = out.get(letters, 0) + coef
+    """out[letters] += coef in place, keeping the int rule and dropping zeros.
+
+    A new key takes coef as it is, so no sum is made for it.
+    """
+    s = out.get(letters)
+    s = coef if s is None else s + coef
     if s:
         out[letters] = _exact(s)
     else:

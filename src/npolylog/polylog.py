@@ -48,9 +48,11 @@ as they are through the same routine.
 The relations of one graded piece share most of their work, and each
 shared piece is built once.  This module owns three caches, each kept
 for the life of the process, and no function takes one as an
-argument.  Li values (_LI) and series rows (_ROWS, per bound) are
-cached with every tail, and a new one is built from its longest cached
-tail, iteratively.  relation_line formats each index once (_TEXTS).
+argument.  Li values (_LI) and series rows (_ROWS) are cached with
+every tail, and a new one is built from its longest cached tail,
+iteratively.  Each index has one row, whatever the bound: it is grown
+in place when a larger bound is read, and a smaller bound reads a
+prefix of it.  relation_line formats each index once (_TEXTS).
 _kernel_records keys a sweep by the arrangement sigma(k): one dict per
 sweep maps each arrangement met to its record line and verdict, so the
 closed form of each distinct arrangement is expanded, evaluated and
@@ -136,9 +138,10 @@ class LinComb(NcPoly):
 # too: the values of one graded piece share their tails, and each new
 # value is built from its longest one.
 _LI: dict[tuple[int, ...], RatFun] = {(): RatFun.one()}
-# Series rows z^0..z^n of Li by bound n, then entry tuple, stored and
-# built out the same way at each bound.
-_ROWS: dict[int, dict[tuple[int, ...], list[int]]] = {}
+# Series rows of Li by entry tuple, one row per index whatever the
+# bound: a row holds z^0..z^n for the largest n read so far, and is grown
+# in place, from its tail's row, when a larger n is read.
+_ROWS: dict[tuple[int, ...], list[int]] = {(): [1]}
 # Entries -> (_term_key("Y", entries), '"index": [..]}' text, weight):
 # the per-index part of a record line, formatted once.
 _TEXTS: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], str, int]] = {}
@@ -182,26 +185,31 @@ def series_coeffs(s: MultiIndex, n_max: int) -> list[int]:
     _require_plain(s)
     if not _is_count(n_max):
         raise ValueError("n_max must be >= 0")
-    # A copy: the row itself stays in _ROWS for later verdicts.
-    return list(_series_row(s.entries, n_max))
+    # A copy of z^0..z^n_max: the row itself stays in _ROWS for later verdicts.
+    return _series_row(s.entries, n_max)[: n_max + 1]
 
 
-def _series_row(entries: tuple[int, ...], n_max: int) -> list[int]:
-    """series_coeffs at plain entries, built out from the longest tail row cached at n_max, caching every tail."""
-    if n_max not in _ROWS:
-        _ROWS[n_max] = {(): [1] + [0] * n_max}
-    rows = _ROWS[n_max]
+def _series_row(entries: tuple[int, ...], n: int) -> list[int]:
+    """The cached row of Li at plain entries, reaching at least z^n; read only z^0..z^n of it.
+
+    Walks in to the longest tail whose row reaches z^n, then grows each
+    shorter row outward in place, resuming its prefix sum where the row
+    stopped, and stores it again (a new row starts as [0]).
+    """
     start = 0
-    while entries[start:] not in rows:
+    while start < len(entries) and len(_ROWS.get(entries[start:], ())) <= n:
         start += 1
-    g = rows[entries[start:]]
+    g = _ROWS[entries[start:]]
+    if len(g) <= n:
+        # Only the row [1, 0, 0, ...] of Li(()) = 1 can be short here.
+        g = _ROWS[()] = g + [0] * (n + 1 - len(g))
     for i in range(start - 1, -1, -1):
-        e = entries[i]
-        prefix, new = 0, [0] * (n_max + 1)
-        for m in range(1, n_max + 1):
+        e, row = entries[i], _ROWS.get(entries[i:]) or [0]
+        prefix = sum(g[: len(row) - 1])
+        for m in range(len(row), n + 1):
             prefix += g[m - 1]
-            new[m] = m**e * prefix
-        g = rows[entries[i:]] = new
+            row.append(m**e * prefix)
+        g = _ROWS[entries[i:]] = row
     return g
 
 
@@ -301,7 +309,7 @@ def _evaluate(terms: Collection[tuple[tuple[int, ...], int]], bound: int) -> tup
     f = _combine([(a, _polylog_entries(e)) for e, a in terms])
     direct = [0] * (bound + 1)
     for entries, a in terms:
-        for n, v in enumerate(_series_row(entries, bound)):
+        for n, v in zip(range(bound + 1), _series_row(entries, bound)):
             direct[n] += a * v
     if taylor_coeffs(f, bound) != direct:
         raise PipelineDisagreement(_DISAGREE)
@@ -322,7 +330,8 @@ def verify_relation(c: LinComb) -> tuple[bool, RatFun | None]:
     mismatch means one of the pipelines is broken and raises
     PipelineDisagreement.  Returns (True, None) on kernel membership,
     else (False, witness) with the nonzero rational value of c.
-    Each tail row is built once per D for the life of the process.
+    Each tail row is built once, and grown at most once per larger D,
+    for the life of the process.
     """
     scale = lcm(*(coef.denominator for coef in c._terms.values()))
     terms = [(entries, coef.numerator * (scale // coef.denominator)) for entries, coef in c._terms.items()]

@@ -22,8 +22,9 @@ The Euler operator builds each numerator coefficient from two
 neighbouring ones in a single pass, and on a canonical input with
 d >= 1 its result is canonical once trailing zeros are trimmed, as is
 z/(1-z) times it, so both skip the (1-z) reduction; its powers wrap
-only the result.  The Taylor coefficients of P/(1-z)^d are the prefix
-sums of P taken d times, one pass per factor 1/(1-z).
+only the result, and make integral values ints only when an input
+coefficient is a Fraction.  The Taylor coefficients of P/(1-z)^d are
+the prefix sums of P taken d times, one pass per factor 1/(1-z).
 """
 
 from __future__ import annotations
@@ -239,9 +240,10 @@ def euler_deriv(f: RatFun, e: int = 1) -> RatFun:
     z d/dz (P/(1-z)^d) = z (P'(z)(1-z) + d P(z)) / (1-z)^(d+1) has numerator
     q_j = j P_j + (d+1-j) P_(j-1), one pass per step over a plain list.  For
     d >= 1, q(1) = d P(1) != 0, so q is canonical once trailing zeros are
-    gone; only the result is wrapped and made int where integral.  A
-    polynomial (d = 0) stays one and goes through the constructor, and
-    e = 0 returns f itself.
+    gone; only the result is wrapped, and made int where integral unless
+    every input coefficient is an int (every Li value), when every output
+    coefficient is one already.  A polynomial (d = 0) stays one and goes
+    through the constructor, and e = 0 returns f itself.
     """
     if not _is_count(e):
         raise ValueError("exponent must be an integer >= 0")
@@ -250,6 +252,7 @@ def euler_deriv(f: RatFun, e: int = 1) -> RatFun:
     p, d = f.num, f.dpow
     if not d:
         return RatFun([i**e * c for i, c in enumerate(p)])
+    ints = {int} >= set(map(type, p))
     for _ in range(e):
         q, prev = [], 0
         for j, c in enumerate(p):
@@ -259,7 +262,7 @@ def euler_deriv(f: RatFun, e: int = 1) -> RatFun:
         while not q[-1]:
             q.pop()
         p, d = q, d + 1
-    return RatFun._trusted(tuple([_exact(c) for c in p]), d)
+    return RatFun._trusted(tuple(p) if ints else tuple([_exact(c) for c in p]), d)
 
 
 def geom_mul(f: RatFun) -> RatFun:

@@ -10,5 +10,5 @@ from npolylog.ratpoly import RatFun
 def fresh_caches(monkeypatch):
     """Empty Li, series-row and index-text caches for each test, as a new process starts with."""
     monkeypatch.setattr(pl, "_LI", {(): RatFun.one()})
-    monkeypatch.setattr(pl, "_ROWS", {})
+    monkeypatch.setattr(pl, "_ROWS", {(): [1]})
     monkeypatch.setattr(pl, "_TEXTS", {})

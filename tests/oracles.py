@@ -2,7 +2,7 @@
 
 Each follows its definition literally and is meant for small inputs only.
 RowLog, last, stands in for the series-row cache of polylog in the
-tests that count row builds.
+tests that count the rows built or grown.
 """
 
 import itertools
@@ -287,18 +287,12 @@ def add_by_raising(f: RatFun, g: RatFun) -> RatFun:
 
 
 class RowLog(dict):
-    """A stand-in for polylog._ROWS that logs (entries, bound) of every row stored at any bound."""
+    """A stand-in for polylog._ROWS, seeded as it is, that logs (entries, n) of every row stored or grown to reach z^n."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__({(): [1]})
         self.stored = []
 
-    def __setitem__(self, bound, rows):
-        stored = self.stored
-
-        class Rows(dict):
-            def __setitem__(self, entries, row):
-                stored.append((entries, bound))
-                super().__setitem__(entries, row)
-
-        super().__setitem__(bound, Rows(rows))
+    def __setitem__(self, entries, row):
+        self.stored.append((entries, len(row) - 1))
+        super().__setitem__(entries, row)

@@ -387,12 +387,12 @@ def test_kernel_verify_round_trip(tmp_path, capsys):
 
 
 def series_rows(sweep):
-    """The distinct (tail, bound) series rows the relations of a sweep build: every nonempty tail of every term."""
+    """The (tail, bound) series rows the relations of a sweep build: every tail of every term, the empty one included."""
     wanted = set()
     for line in sweep.splitlines():
         entries = relation_from_record(json.loads(line))._terms
         bound = max((sum(e) + len(e) for e in entries), default=0)
-        wanted |= {(e[i:], bound) for e in entries for i in range(len(e))}
+        wanted |= {(e[i:], bound) for e in entries for i in range(len(e) + 1)}
     return wanted
 
 
@@ -405,7 +405,9 @@ def test_verify_reads_each_series_row_once_per_file(capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(sweep))
         code, out, err = run(capsys, "verify", "-")
         assert code == 0 and out.endswith("checked 6 relations: 6 ok, 0 failed\n")
-        # The rows outlive the call: the second verify of the file builds none.
+        # One row per index, stored once at the sweep's one bound D = 7,
+        # the row of Li(()) = 1 grown to it.  The rows outlive the call:
+        # the second verify of the file builds and grows none.
         assert sorted(log.stored) == sorted(series_rows(sweep))
 
 
@@ -415,10 +417,11 @@ def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
     code, sweep, err = run(capsys, "kernel", "(0,2;2)", "--all-sigma")
     assert code == 0 and err == "" and len(sweep.splitlines()) == 6
     # Every tail of every word of each distinct arrangement's closed form,
-    # at D = weight + depth = 7.  Li(0,2,2) cancels in every relation, so
-    # only the evaluation of each closed form reads its row.
+    # the empty tail included, at D = weight + depth = 7.  Li(0,2,2)
+    # cancels in every relation, so only the evaluation of each closed
+    # form reads its row.
     words = [w for arranged in set(itertools.permutations((0, 2, 2))) for w in magnus._product_terms(arranged)]
-    wanted = {(w[i:], 7) for w in words for i in range(len(w))}
+    wanted = {(w[i:], 7) for w in words for i in range(len(w) + 1)}
     assert wanted - series_rows(sweep) == {((0, 2, 2), 7), ((2, 2), 7)}
     # The arrangements share words and tails, so a build per word and
     # tail would build some twice.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from npolylog.freealg import (
     NcPoly,
+    _add_term,
     _term_key,
     lie_bracket,
     poly_to_json_obj,
@@ -193,6 +194,24 @@ def test_integral_coefficients_are_stored_as_int():
     for zero in (0, Fraction(0)):
         assert (half * zero).is_zero() and len(half * zero) == 0
         assert len(zero * half) == 0
+
+
+def test_add_term_keeps_the_int_rule_and_drops_zeros():
+    out = {}
+    # A new key: an integral Fraction is stored as its int, a zero adds nothing.
+    _add_term(out, (1,), Fraction(4, 2))
+    _add_term(out, (0,), 0)
+    _add_term(out, (0, 1), Fraction(0))
+    assert out == {(1,): 2} and type(out[(1,)]) is int
+    _add_term(out, (0,), Fraction(1, 3))
+    assert out == {(1,): 2, (0,): Fraction(1, 3)}
+    # A sum that reaches an integer is stored as an int, and one that
+    # reaches zero removes its key.
+    _add_term(out, (0,), Fraction(2, 3))
+    assert out[(0,)] == 1 and type(out[(0,)]) is int
+    _add_term(out, (1,), Fraction(-4, 2))
+    _add_term(out, (0,), -1)
+    assert out == {}
 
 
 def test_output_bytes_do_not_depend_on_int_or_fraction_input():

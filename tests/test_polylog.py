@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import npolylog.polylog as pl
-from npolylog import magnus
+from npolylog import cli, magnus
 from npolylog.freealg import NcPoly
 from npolylog.polylog import (
     LinComb,
@@ -123,17 +123,57 @@ def test_series_dp_against_chain_enumeration():
 
 
 def test_series_rows_built_on_one_shared_dict_match_chain_enumeration():
-    # Indices of mixed depth whose tails overlap, read at mixed bounds in
-    # a seeded order into the test's fresh row cache, so rows are built
-    # from cached tails at their own bound and never from a tail row at
-    # another bound.
+    # Indices of mixed depth whose tails overlap, read at rising and
+    # falling bounds in a seeded order into the test's fresh row cache:
+    # a row is built from its cached tails, grown in place from the
+    # shorter rows of a tail, or read as a prefix of a longer one.
     indices = [e for r in range(5) for e in itertools.product(range(3), repeat=r)]
     reads = [(e, n) for e in indices for n in (0, 3, 7, 11)]
     random.Random(18).shuffle(reads)
     for entries, n in reads:
-        assert pl._series_row(entries, n) == series_coeffs_by_chains(mpl_index(*entries), n), (entries, n)
-    assert all(len(row) == n + 1 for n, rows in pl._ROWS.items() for row in rows.values())
-    assert {(e, n) for n, rows in pl._ROWS.items() for e in rows} == set(reads)
+        assert series_coeffs(mpl_index(*entries), n) == series_coeffs_by_chains(mpl_index(*entries), n), (entries, n)
+    # One row per index, each reaching the largest bound read at it or
+    # at an index it is a tail of.
+    reach = {}
+    for entries, n in reads:
+        for i in range(len(entries) + 1):
+            reach[entries[i:]] = max(reach.get(entries[i:], 0), n)
+    assert {e: len(row) - 1 for e, row in pl._ROWS.items()} == reach
+
+
+def test_a_row_read_below_its_reach_builds_nothing(monkeypatch):
+    log = RowLog()
+    monkeypatch.setattr(pl, "_ROWS", log)
+    s = mpl_index(1, 0, 2)
+    series_coeffs(s, 12)
+    # Every tail is stored once at z^12, the row of Li(()) = 1 grown to it.
+    assert sorted(log.stored) == sorted((e, 12) for e in tails(s.entries) + [()])
+    log.stored.clear()
+    for n in (12, 3, 0, 7):
+        assert series_coeffs(s, n) == series_coeffs_by_chains(s, n)
+        assert series_coeffs(mpl_index(0, 2), n) == series_coeffs_by_chains(mpl_index(0, 2), n)
+    assert log.stored == []
+    # A larger bound grows each row once, innermost first.
+    series_coeffs(s, 15)
+    assert log.stored == [((), 15), ((2,), 15), ((0, 2), 15), ((1, 0, 2), 15)]
+
+
+def test_verify_reads_only_up_to_its_bound_of_a_longer_row():
+    # Rows first built far past the D = 5 of the relations of (1;2):
+    # verify_relation and a kernel sweep read only z^0..z^5 of them.
+    c = kernel_element(magnus_index(1, 2), (2, 1))
+    for e in c._terms:
+        series_coeffs(mpl_index(*e), 30)
+    assert verify_relation(c) == (True, None)
+    assert verify_relation(c + LinComb({mpl_index(2): 1}))[0] is False
+    assert [ok for _, ok in pl._kernel_records(magnus_index(1, 2), [(1, 2), (2, 1)])] == [True, True]
+
+
+def test_li_values_keep_int_coefficients_after_a_sweep(capsys):
+    assert cli.main(["kernel", "(1,0,2;3)", "--all-sigma"]) == 0
+    capsys.readouterr()
+    assert len(pl._LI) > 20
+    assert {type(c) for f in pl._LI.values() for c in f.num} == {int}
 
 
 def test_series_coeffs_returns_a_copy_of_the_cached_row():
@@ -630,10 +670,10 @@ def test_verify_relation_reads_each_row_once_per_shared_dict(monkeypatch):
     log = RowLog()
     monkeypatch.setattr(pl, "_ROWS", log)
     bound = k.weight + k.depth + 1
-    wanted = {(t, bound) for c in cs for e in c._terms for t in tails(e)}
-    # One build per (tail, D): each tail row is stored once and read by
-    # every row built on it, at the one bound of the piece.  The rows
-    # outlive the calls, so a second pass over the relations builds none.
+    wanted = {(t, bound) for c in cs for e in c._terms for t in tails(e) + [()]}
+    # One build per tail: each tail row is stored once and read by every
+    # row built on it, at the one bound of the piece.  The rows outlive
+    # the calls, so a second pass over the relations builds none.
     for _ in range(2):
         assert all(verify_relation(c)[0] for c in cs)
         assert sorted(log.stored) == sorted(wanted)
@@ -642,7 +682,7 @@ def test_verify_relation_reads_each_row_once_per_shared_dict(monkeypatch):
     for c, own in zip(cs, fresh):
         monkeypatch.setattr(pl, "_ROWS", own)
         verify_relation(c)
-        assert sorted(own.stored) == sorted({(t, bound) for e in c._terms for t in tails(e)})
+        assert sorted(own.stored) == sorted({(t, bound) for e in c._terms for t in tails(e) + [()]})
     assert sum(len(own.stored) for own in fresh) > len(wanted)
 
 
@@ -659,13 +699,15 @@ def test_verify_relation_refuses_every_relation_with_a_corrupted_shared_row(monk
     # corrupted index is refused, not only the first.
     bound = k.weight + k.depth + 1
     pl._series_row(bad.entries, bound)
-    pl._ROWS[bound][bad.entries][7] += 1
+    pl._ROWS[bad.entries][7] += 1
     assert [verify_relation(d)[0] for d in clean] == [True] * len(clean)
     for c in hit:
         with pytest.raises(PipelineDisagreement, match="refusing to answer"):
             verify_relation(c)
+    # Grown to a larger bound, the row keeps its corrupted prefix.
+    assert series_coeffs(bad, 12)[7] == series_coeffs_by_chains(bad, 12)[7] + 1
     # A fresh cache builds fresh rows and verifies cleanly.
-    monkeypatch.setattr(pl, "_ROWS", {})
+    monkeypatch.setattr(pl, "_ROWS", {(): [1]})
     assert all(verify_relation(c)[0] for c in cs)
 
 
