@@ -29,6 +29,15 @@ the n-fold product and kernel sweeps of polylog all read it.  A row of
 <s,k> is a fold of one budget step.  One walk per depth, shared by all
 its weights, meets the indices of every piece of the depth in
 lexicographic order, so each prefix takes both steps once per depth.
+
+Both checks of an index k = p + (t,) read only its prefix p.  The
+entries a[s][k'] and <<k',s'>> depend on prefixes alone, and the tail t
+adds t to the last entry of every k' and s' that the rows of p + (t,)
+reach, a shift that is one to one from the piece of weight sum(p) into
+that of weight sum(p) + t.  So row p + (t,) of a.b is row p + (0,)
+shifted, the same vector for every t, and row p + (t,) of b matches the
+closed form exactly when row p + (0,) does: each leaf p of the walk is
+decided once, in its lightest piece, for every piece it serves.
 """
 
 from __future__ import annotations
@@ -228,8 +237,14 @@ def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
     with a.b = I this gives w(s) = sum_k a[s][k] M(k), so inversion holds
     exactly when both checks pass.  Each depth takes one walk, shared by all
     its weights; its records come in weight order when that walk ends, before
-    the next depth's.  Raises ValueError when a bound is negative, at the
-    call rather than at the first record.
+    the next depth's.  A leaf p of the walk is the index p + (t,) of every
+    piece of weight sum(p) + t, and a tail t only shifts the last entry of
+    every word in both checks' rows, one to one within the piece: the leaf's
+    dual values are evaluated once per head of its closed form, its row of
+    a.b is summed once, in piece sum(p), and both verdicts hold for all its
+    tails, so a piece fails with every heavier piece of its depth.  Raises
+    ValueError when a bound is negative, at the call rather than at the
+    first record.
     """
     if not (_is_count(max_depth) and _is_count(max_weight)):
         raise ValueError(f"max depth and max weight must be >= 0, got {max_depth} and {max_weight}")
@@ -237,31 +252,35 @@ def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]
 
 
 def _grade_cells(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:
-    weights = range(max_weight + 1)
     for depth in range(max_depth + 1):
         # One walk per depth: leaf p is k = p + (tail,) of piece sum(p) + tail for
-        # every tail, each piece with its own state.  k is row k of b, then row s = k
-        # of a.b; a piece meets its k in lexicographic order and row s of a holds only
-        # k <= s, so the rows of b it reads are built, keyed by p: the piece fixes k[-1].
-        pos, at = [{} for _ in weights], [{} for _ in weights]
-        duality_ok, inversion_ok = [True] * len(weights), [True] * len(weights)
+        # every tail, each piece with its own positions and rows of b.  k is row k of
+        # b, then row s = k of a.b; a piece meets its k in lexicographic order and row
+        # s of a holds only k <= s, so the rows of b it reads are built, keyed by p:
+        # the piece fixes k[-1].  A tail adds to the last entry of every word of both
+        # rows, and positions within a piece match, so one verdict serves all tails.
+        pos, at = [{} for _ in range(max_weight + 1)], [{} for _ in range(max_weight + 1)]
+        # The lightest weight from which each check fails: each leaf serves all heavier pieces.
+        duality_from = inversion_from = max_weight + 1
         for p, left, brackets, budgets in _walk(max_weight, depth):
+            lightest = max_weight - left
+            duals = [(head, carry, d) for head, carry, _ in brackets if (d := _dual_array_binom(p, head))]
+            # A spurious head has dual value 0, so b's row differs from M(k) x1; a
+            # missing one leaves b short of a nonzero entry, so a.b != I.
+            if {head: d for head, _, d in duals} != {head: coef for head, _, coef in brackets}:
+                inversion_from = min(inversion_from, lightest)
             for tail in range(left + 1):
-                w = max_weight - left + tail
-                k, n, pos_w, at_w = p + (tail,), comb(w + depth, depth), pos[w], at[w]
-                i = pos_w[k] = len(pos_w)
-                closed = _close(brackets, tail)
-                # A block word missing from b's row makes a.b != I; a spurious
-                # one has dual value 0, so the row differs from M(k) x1.
-                row = {s: v for s in closed if (v := _dual_array_binom(p, s))}
-                inversion_ok[w] = inversion_ok[w] and row == closed
-                at_w[p] = [(pos_w[s], v) for s, v in row.items()]
-                out = [0] * n
-                for ks, _, v in budgets:
-                    for j, x in at_w[ks]:
-                        out[j] += v * x
-                duality_ok[w] = duality_ok[w] and out[i] == 1 and out.count(0) == n - 1
-        for w in weights:
-            ok = duality_ok[w] and inversion_ok[w]
-            yield {"depth": depth, "weight": w, "size": len(pos[w]), "duality_ok": duality_ok[w],
+                pos_w = pos[lightest + tail]
+                pos_w[p + (tail,)] = len(pos_w)
+                at[lightest + tail][p] = [(pos_w[head + (tail + carry,)], d) for head, carry, d in duals]
+            n, at_w = comb(lightest + depth, depth), at[lightest]
+            out = [0] * n
+            for ks, _, v in budgets:
+                for j, x in at_w[ks]:
+                    out[j] += v * x
+            if out[pos[lightest][p + (0,)]] != 1 or out.count(0) != n - 1:
+                duality_from = min(duality_from, lightest)
+        for w in range(max_weight + 1):
+            ok = w < duality_from and w < inversion_from
+            yield {"depth": depth, "weight": w, "size": len(pos[w]), "duality_ok": w < duality_from,
                    "inversion_ok": ok, "ok": ok}

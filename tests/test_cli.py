@@ -16,6 +16,7 @@ import npolylog.polylog as pl
 from npolylog import cli, magnus
 from npolylog.polylog import _parse_coef, kernel_element, nfold_product, relation_from_record, relation_record
 from npolylog.words import parse_index
+import output_manifest
 from oracles import RowLog
 
 GOOD_LINE = (
@@ -772,6 +773,21 @@ def test_duality_check_json(capsys):
     cell = '{"depth": %d, "weight": %d, "size": %d, "duality_ok": true, "inversion_ok": true, "ok": true}'
     cells = ", ".join(cell % c for c in [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 2)])
     assert out == '{"max_depth": 1, "max_weight": 1, "cells": [%s], "ok": true}\n' % cells
+
+
+# The box (5, 8) takes about half the manifest's time.  CI regenerates the
+# whole manifest and compares it with the file, and here its records are
+# checked against the per-index path by test_grade_report_equals_the_per_index_path.
+LEFT_TO_CI = {"duality-check --max-depth 5 --max-weight 8", "duality-check --max-depth 5 --max-weight 8 --json"}
+
+
+def test_duality_check_bytes_match_the_manifest():
+    committed = json.loads(output_manifest.PATH.read_text(encoding="utf-8"))
+    commands = output_manifest.corpus()
+    assert list(committed) == [" ".join(argv) for argv in commands]
+    assert len(commands) == 108 and all(rec["exit"] == 0 for rec in committed.values())
+    checked = [argv for argv in commands if " ".join(argv) not in LEFT_TO_CI]
+    assert output_manifest.manifest(checked) == {cmd: rec for cmd, rec in committed.items() if cmd not in LEFT_TO_CI}
 
 
 def test_duality_check_rejects_negative_bounds(capsys):

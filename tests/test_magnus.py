@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -204,33 +204,45 @@ def test_grade_report_rejects_negative_bounds():
     assert len(list(grade_report(0, 0))) == 1
 
 
-def closed_form_of(k, change):
-    """A stand-in for magnus._close that applies change to the closed form of k only.
+def failing(cells):
+    """The (depth, weight) of the pieces failing duality, inversion and ok, in that order."""
+    cells = list(cells)
+    return [{(c["depth"], c["weight"]) for c in cells if not c[key]} for key in ("duality_ok", "inversion_ok", "ok")]
 
-    The choice i = 0 at every bracket gives the block word of k itself,
-    the largest word of its closed form, so that word names the index.
+
+def bracket_partial_of(p, change):
+    """A stand-in for magnus._bracket that applies change to the bracket partial of the prefix p only.
+
+    The choice i = 0 at every bracket gives the head p itself, the largest
+    head of its partial, so that head names the prefix.  change edits a dict
+    from each head to its (carry, coefficient).  The walk of every depth
+    past len(p) steps on from the changed partial.
     """
-    exact = magnus._close
+    exact = magnus._bracket
 
-    def perturbed(partial, last):
-        terms = exact(partial, last)
-        if max(terms) == k:
-            change(terms)
-        return terms
+    def perturbed(partial, e):
+        terms = exact(partial, e)
+        if max(head for head, _, _ in terms) != p:
+            return terms
+        heads = {head: (carry, coef) for head, carry, coef in terms}
+        change(heads)
+        return [(head, carry, coef) for head, (carry, coef) in heads.items()]
 
     return perturbed
 
 
 def test_grade_report_catches_a_wrong_magnus_term(monkeypatch):
-    def change(terms):
-        terms[(1, 1)] += 1
+    # The term of head (1,) in the partial of (1,) is the block word (1, 1 + tail)
+    # of M(1, tail) x1.  Leaf (1,) serves the pieces of depth 1, weight >= 1, and
+    # the walk of depth 2 extends it into every k = (1, e, tail), so their closed
+    # forms hold a wrong coefficient too; b's rows and a.b are untouched.
+    def change(heads):
+        carry, coef = heads[(1,)]
+        heads[(1,)] = carry, coef + 1
 
-    monkeypatch.setattr(magnus, "_close", closed_form_of((1, 1), change))
-    for cell in grade_report(2, 3):
-        assert cell["duality_ok"]
-        bad = (cell["depth"], cell["weight"]) == (1, 2)
-        assert cell["inversion_ok"] is not bad
-        assert cell["ok"] is not bad
+    monkeypatch.setattr(magnus, "_bracket", bracket_partial_of((1,), change))
+    bad = {(d, w) for d in (1, 2) for w in range(1, 4)}
+    assert failing(grade_report(2, 3)) == [set(), bad, bad]
 
 
 @pytest.mark.parametrize("change", ["drop", "add"])
@@ -238,24 +250,19 @@ def test_dual_rows_are_read_at_the_closed_form_block_words(monkeypatch, change):
     # Row k of b is evaluated at the block words of the closed form of k.  A
     # word dropped there leaves b short of a nonzero entry, so a.b != I; a
     # spurious word has dual value 0, so row k differs from the closed form.
-    def perturb(terms):
+    # Head (0, 2) of the partial of (1, 1) is the word (0, 2, 1) of (1, 1, 1),
+    # and a spurious head (3, 0) has c_1 = -2.  Leaf (1, 1) serves the pieces
+    # of depth 2, weight >= 2, and the walk of depth 3 extends it into
+    # every k = (1, 1, e, tail).
+    def perturb(heads):
         if change == "drop":
-            del terms[(0, 2, 1)]
+            del heads[(0, 2)]
         else:
-            terms[(3, 0, 0)] = 1
+            heads[(3, 0)] = 0, 1
 
-    monkeypatch.setattr(magnus, "_close", closed_form_of((1, 1, 1), perturb))
-    for cell in grade_report(2, 3):
-        bad = (cell["depth"], cell["weight"]) == (2, 3)
-        assert cell["duality_ok"] is not (bad and change == "drop")
-        assert cell["inversion_ok"] is not bad
-        assert cell["ok"] is not bad
-
-
-def failing(cells):
-    """The (depth, weight) of the pieces failing duality, inversion and ok, in that order."""
-    cells = list(cells)
-    return [{(c["depth"], c["weight"]) for c in cells if not c[key]} for key in ("duality_ok", "inversion_ok", "ok")]
+    monkeypatch.setattr(magnus, "_bracket", bracket_partial_of((1, 1), perturb))
+    bad = {(d, w) for d in (2, 3) for w in range(2, 5)}
+    assert failing(grade_report(3, 4)) == [bad if change == "drop" else set(), bad, bad]
 
 
 def test_grade_report_catches_a_wrong_matrix_entry(monkeypatch):
@@ -399,6 +406,26 @@ def test_grade_report_steps_each_prefix_once_per_depth(monkeypatch):
     expected = sum(comb(8 + length, length) for depth in range(5) for length in range(1, depth + 1))
     assert expected == 996
     assert calls == {"_bracket": expected, "_budget": expected}
+
+
+def test_grade_report_evaluates_each_leaf_dual_once(monkeypatch):
+    # The dual values of a leaf p depend on the heads of its bracket partial,
+    # not on the tail, so each head is evaluated once for every piece p
+    # serves: the sum over the leaves of |partial| = prod_j (p_j + 1).
+    calls = 0
+    exact = magnus._dual_array_binom
+
+    def counting(k, s):
+        nonlocal calls
+        calls += 1
+        return exact(k, s)
+
+    monkeypatch.setattr(magnus, "_dual_array_binom", counting)
+    assert all(cell["ok"] for cell in grade_report(4, 8))
+    # The leaves of depth d are k[:-1] for the k of the piece (d, 8).
+    expected = sum(prod(e + 1 for e in k[:-1]) for depth in range(5) for k in compositions_by_recursion(8, depth + 1))
+    assert expected == 16414
+    assert calls == expected
 
 
 def test_a_piece_record_does_not_depend_on_the_box():
