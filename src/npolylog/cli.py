@@ -16,10 +16,14 @@ an index entry is: ASCII digits and no sign, so "-0" is refused as
 "-1" is, with one message.  magnus and product print the product
 identity through one renderer.
 
-A kernel sweep evaluates k and each distinct arrangement sigma(k)
-once, not each relation, so it costs its distinct arrangements:
-"(1,2,1,2,1;1)" --all-sigma evaluates 15, counting k, and --sigma
-evaluates k and one arrangement, or none for the identity.
+A kernel sweep walks arrangements, not permutations: --all-sigma
+passes the permutations of k's entries, in the order of the slot
+permutations and valid by construction, and --sigma checks its one
+sigma and passes the arrangement sigma(k).  The sweep evaluates k and
+each distinct arrangement once, not each relation, so it costs its
+distinct arrangements: "(1,2,1,2,1;1)" --all-sigma evaluates 15,
+counting k, and --sigma evaluates k and one arrangement, or none for
+the identity.
 polylog._kernel_records keeps the sweep's one dict, from each
 arrangement met to its record line and verdict, for one command call,
 and kernel prints the lines it yields.  The Li values, series rows and
@@ -50,6 +54,7 @@ from .magnus import grade_report, magnus_poly
 from .polylog import (
     LinComb,
     PipelineDisagreement,
+    _arranged,
     _kernel_records,
     expand_to_products,
     nfold_product,
@@ -157,17 +162,19 @@ def cmd_product(args: argparse.Namespace) -> int:
 
 def cmd_kernel(args: argparse.Namespace) -> int:
     k = _require_magnus(parse_index(args.index))
-    r = k.depth + 1
     if args.all_sigma:
-        sigmas = itertools.permutations(range(1, r + 1))
+        # Positions permuted in lexicographic order: the arrangements of
+        # the slot permutations in order, each valid by construction.
+        arrangements = itertools.permutations(k.entries)
     else:
         try:
-            sigmas = [tuple(_parse_int(t, args.sigma) for t in args.sigma.split())]
+            sigma = [_parse_int(t, args.sigma) for t in args.sigma.split()]
         except ValueError as exc:
             raise ValueError(f"bad permutation {args.sigma!r}") from exc
+        arrangements = [_arranged(k, sigma)]
     rc = 0
     with _unlimited_digits():
-        for line, ok in _kernel_records(k, sigmas):
+        for line, ok in _kernel_records(k, arrangements):
             print(line)
             if not ok:
                 rc = 1

@@ -35,7 +35,12 @@ raises PipelineDisagreement instead of picking a winner.
 _kernel_records decides the relations of a slot-permutation sweep the
 same way, by arrangement: the relation of sigma is zero exactly when
 the closed forms of k and of sigma(k) have one value, so k and each
-distinct arrangement are evaluated once, through both pipelines.
+distinct arrangement are evaluated once, through both pipelines.  k's
+value is checked against its own series and against the product of
+its depth-one values (Theorem main4).  An arrangement with k's value
+and k's row needs no series check of its own, as its series is k's;
+only a value that differs from k's is checked against its own row, so
+a correct sweep expands two series, whatever its length.
 
 Every Li value has integer numerator coefficients, so verify_relation
 evaluates a combination in integer arithmetic: its coefficients are
@@ -149,7 +154,10 @@ _TEXTS: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], str, int]] = {}
 
 def _polylog_entries(entries: tuple[int, ...]) -> RatFun:
     """Li at plain entries, built out from the longest cached tail, caching every tail; never recurses."""
-    start = 0
+    f = _LI.get(entries)
+    if f is not None:
+        return f
+    start = 1
     while entries[start:] not in _LI:
         start += 1
     f = _LI[entries[start:]]
@@ -192,10 +200,14 @@ def series_coeffs(s: MultiIndex, n_max: int) -> list[int]:
 def _series_row(entries: tuple[int, ...], n: int) -> list[int]:
     """The cached row of Li at plain entries, reaching at least z^n; read only z^0..z^n of it.
 
-    Walks in to the longest tail whose row reaches z^n, then grows each
+    A row that already reaches z^n is returned at once.  Otherwise walks
+    in to the longest tail whose row reaches z^n, then grows each
     shorter row outward in place, resuming its prefix sum where the row
     stopped, and stores it again (a new row starts as [0]).
     """
+    g = _ROWS.get(entries)
+    if g is not None and len(g) > n:
+        return g
     start = 0
     while start < len(entries) and len(_ROWS.get(entries[start:], ())) <= n:
         start += 1
@@ -269,10 +281,14 @@ def _arranged(k: MultiIndex, sigma: Sequence[int]) -> tuple[int, ...]:
     return tuple(k.entries[i - 1] for i in sig)
 
 
-def _minus(diff: dict[tuple[int, ...], Scalar], terms: Mapping[tuple[int, ...], Scalar]) -> LinComb:
-    """diff - terms as a LinComb, subtracted in place in diff."""
+def _minus(diff: dict[tuple[int, ...], int], terms: Mapping[tuple[int, ...], int]) -> LinComb:
+    """diff - terms as a LinComb, subtracted in place in diff; both hold closed-form integer coefficients."""
     for letters, coef in terms.items():
-        _add_term(diff, letters, -coef)
+        coef = diff.get(letters, 0) - coef
+        if coef:
+            diff[letters] = coef
+        else:
+            del diff[letters]
     return LinComb._trusted("Y", diff)
 
 
@@ -303,17 +319,31 @@ _DISAGREE = "rational and series pipelines disagree; refusing to answer"
 def _evaluate(terms: Collection[tuple[tuple[int, ...], int]], bound: int) -> tuple[RatFun, list[int]]:
     """Li of sum a*Li(entries) over integer terms: its rational value and its series row z^0..z^bound.
 
-    The two come from independent pipelines, and the truncated series
-    of the value must equal the row, else PipelineDisagreement.
+    The two come from independent pipelines and are returned unchecked:
+    _check compares them.  Li(entries) has no term below z^len(entries),
+    since n1 > ... > nr > 0, so each row is summed from there.
     """
     f = _combine([(a, _polylog_entries(e)) for e, a in terms])
     direct = [0] * (bound + 1)
     for entries, a in terms:
-        for n, v in zip(range(bound + 1), _series_row(entries, bound)):
-            direct[n] += a * v
-    if taylor_coeffs(f, bound) != direct:
-        raise PipelineDisagreement(_DISAGREE)
+        row = _series_row(entries, bound)
+        for n in range(len(entries), bound + 1):
+            direct[n] += a * row[n]
     return f, direct
+
+
+def _check(f: RatFun, row: list[int]) -> None:
+    """Raise PipelineDisagreement unless the truncated series of f is row."""
+    if taylor_coeffs(f, len(row) - 1) != row:
+        raise PipelineDisagreement(_DISAGREE)
+
+
+def _depth_one_product(entries: tuple[int, ...]) -> RatFun:
+    """Li(e1)...Li(en) as a RatFun product of depth-one values: the value main4 gives their closed form."""
+    f = RatFun.one()
+    for e in entries:
+        f = f * _polylog_entries((e,))
+    return f
 
 
 def verify_relation(c: LinComb) -> tuple[bool, RatFun | None]:
@@ -337,6 +367,7 @@ def verify_relation(c: LinComb) -> tuple[bool, RatFun | None]:
     terms = [(entries, coef.numerator * (scale // coef.denominator)) for entries, coef in c._terms.items()]
     bound = max((sum(entries) + len(entries) for entries, _ in terms), default=0)
     f, direct = _evaluate(terms, bound)
+    _check(f, direct)
     if f.is_zero() == any(direct):
         raise PipelineDisagreement(_DISAGREE)
     if f.is_zero():
@@ -371,25 +402,32 @@ def relation_line(c: LinComb, verified: bool) -> str:
     return f'{{"terms": [{terms}], "verified": {flag}, "weight": {weight}, "depth": {depth}}}'
 
 
-def _kernel_records(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[tuple[str, bool]]:
-    """(record line, verdict) of kernel_element(k, sigma) for each sigma in turn, lazily.
+def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> Iterator[tuple[str, bool]]:
+    """(record line, verdict) of the relation of k and each arrangement of its entries in turn, lazily.
 
-    The relation depends only on the arrangement sigma(k), and one dict
-    per sweep maps each arrangement met to its record line and verdict;
-    a repeat yields the stored pair again.  The dict starts with k and
+    An arrangement is the entries of sigma(k) for a slot permutation
+    sigma, and its relation is kernel_element(k, sigma).  One dict per
+    sweep maps each arrangement met to its record line and verdict; a
+    repeat yields the stored pair again.  The dict starts with k and
     the zero relation of sigma(k) = k, which verify_relation decides at
     D = 0 without evaluating a word.  The relation of any other
     arrangement is the closed form of k minus that of sigma(k), so Li
     maps it to zero exactly when the two closed forms have one value.
     Each is a combination of weight w and depth r, so D = w + r decides
     as in verify_relation.  k is evaluated once, when the first other
-    arrangement is met, and each distinct arrangement once, through
-    both pipelines of verify_relation, each value checked against its
-    own row.  The verdict compares the arrangement with k twice, value
-    with value and row with row; if the two comparisons differ,
-    PipelineDisagreement is raised.  It is the verdict of
-    verify_relation on the relation.  Each pair is yielded before the
-    next arrangement is evaluated.
+    arrangement is met, through both pipelines of verify_relation: its
+    value is checked against its own row, and against the product of
+    its depth-one values, which Theorem main4 says the closed form is
+    worth.  Each distinct arrangement is evaluated once, and the verdict
+    compares it with k twice, value with value and row with row; if the
+    two comparisons differ, PipelineDisagreement is raised.  When both
+    agree, an arrangement whose value is k's needs no check of its own:
+    its series is k's, already checked against k's row, which is its
+    row.  Only a value that differs from k's is checked against its own
+    row.  The verdict is that of verify_relation on the relation, and
+    PipelineDisagreement is raised where checking every value against
+    its own row would raise it.  Each pair is yielded before the next
+    arrangement is evaluated.
     """
     _require_magnus(k)
     zero = LinComb()
@@ -398,16 +436,22 @@ def _kernel_records(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[
     base = _product_terms(k.entries)
     bound = sum(k.entries) + len(k.entries)
     value_k: tuple[RatFun, list[int]] | None = None
-    for sigma in sigmas:
-        arranged = _arranged(k, sigma)
+    for arranged in arrangements:
         if arranged not in records:
             if value_k is None:
                 value_k = _evaluate(base.items(), bound)
+                _check(*value_k)
+                if value_k[0] != _depth_one_product(k.entries):
+                    raise PipelineDisagreement(
+                        f"the closed form of {k} is not the product of its depth-one values; refusing to answer"
+                    )
             terms = _product_terms(arranged)
             f, row = _evaluate(terms.items(), bound)
             ok = f == value_k[0]
             if ok != (row == value_k[1]):
                 raise PipelineDisagreement(_DISAGREE)
+            if not ok:
+                _check(f, row)
             records[arranged] = relation_line(_minus(dict(base), terms), ok), ok
         yield records[arranged]
 

@@ -3,9 +3,12 @@
 For each command of the corpus, the manifest holds the sha256 of its
 stdout, the sha256 of its stderr and its exit code, each command run
 through the in-process cli.main.  The corpus is the 54 duality-check
-boxes of depth <= 5 and weight <= 8, each plain and with --json.  A
-change that alters output regenerates the manifest and says which
-commands changed and why:
+boxes of depth <= 5 and weight <= 8, each plain and with --json; the
+kernel --all-sigma sweep of each of the 329 magnus indices of depth
+<= 3 and weight <= 6; two kernel --sigma commands, one of them the
+identity; and one refused sigma, which exits 2.  A change that alters
+output regenerates the manifest and says which commands changed and
+why:
 
     PYTHONPATH=src python tests/output_manifest.py > tests/output_manifest.json
 
@@ -20,18 +23,31 @@ import sys
 from pathlib import Path
 
 from npolylog.cli import main
+from npolylog.magnus import magnus_indices
 
 PATH = Path(__file__).with_name("output_manifest.json")
 
 
 def corpus() -> list[list[str]]:
     """The commands of the manifest, as argv lists, in the order it lists them."""
-    return [
+    duality = [
         ["duality-check", "--max-depth", str(depth), "--max-weight", str(weight), *form]
         for depth in range(6)
         for weight in range(9)
         for form in ([], ["--json"])
     ]
+    sweeps = [
+        ["kernel", str(k), "--all-sigma"]
+        for depth in range(4)
+        for weight in range(7)
+        for k in magnus_indices(depth, weight)
+    ]
+    sigmas = [
+        ["kernel", "(1,2,3;4)", "--sigma", "2 1 4 3"],
+        ["kernel", "(1,2;3)", "--sigma", "1 2 3"],
+        ["kernel", "(1;2)", "--sigma", "1 1"],
+    ]
+    return duality + sweeps + sigmas
 
 
 def run(argv: list[str]) -> dict[str, object]:

@@ -254,6 +254,70 @@ def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, argv, 
     assert out == "".join(one_by_one)
 
 
+def count_taylor_coeffs(monkeypatch):
+    """Log the bound of every taylor_coeffs call polylog makes."""
+    calls = []
+    good = pl.taylor_coeffs
+    monkeypatch.setattr(pl, "taylor_coeffs", lambda f, n_max: calls.append(n_max) or good(f, n_max))
+    return calls
+
+
+@pytest.mark.parametrize("index, distinct", [("(1,2,1,2,1;1)", 15), ("(3,1,2;2)", 12)])
+def test_a_correct_sweep_expands_two_truncated_series(capsys, monkeypatch, index, distinct):
+    # Once for the zero relation at D = 0 and once for k at D = w + r,
+    # however many arrangements: an arrangement whose value is k's has
+    # k's series, and its row is compared with k's row.
+    calls = count_taylor_coeffs(monkeypatch)
+    evaluations = count_evaluations(monkeypatch)
+    code, out, err = run(capsys, "kernel", index, "--all-sigma")
+    assert (code, err) == (0, "")
+    k = parse_index(index)
+    assert len(out.splitlines()) == math.factorial(k.depth + 1)
+    assert len(evaluations) == 1 + distinct
+    assert calls == [0, k.weight + k.depth + 1]
+
+
+def test_kernel_checks_the_closed_form_of_k_against_its_product(capsys, monkeypatch):
+    # With every closed form emptied, every relation is zero and every
+    # arrangement has one value; only the product of the depth-one
+    # values of k tells that the closed forms are wrong.
+    monkeypatch.setattr(pl, "_product_terms", lambda entries: {})
+    code, out, err = run(capsys, "kernel", "(1,2;3)", "--all-sigma")
+    assert (code, out) == (3, pl.relation_line(pl.LinComb(), True) + "\n")
+    assert err == "error: the closed form of (1,2;3) is not the product of its depth-one values; refusing to answer\n"
+
+
+def test_kernel_refuses_a_perturbed_closed_form_of_k(capsys, monkeypatch):
+    # One coefficient of the closed form of k is 1 too large.  Before
+    # the product check, the sweep printed every other relation as false.
+    good = pl._product_terms
+
+    def perturbed(entries):
+        terms = good(entries)
+        if entries == (1, 2, 3):
+            terms[next(iter(terms))] += 1
+        return terms
+
+    monkeypatch.setattr(pl, "_product_terms", perturbed)
+    code, out, err = run(capsys, "kernel", "(1,2;3)", "--all-sigma")
+    assert code == 3 and len(out.splitlines()) == 1
+    assert err.startswith("error: the closed form of (1,2;3) is not the product")
+
+
+def test_a_sweep_of_k_alone_checks_no_product(capsys, monkeypatch):
+    # Every sigma arranges (1,1;1) as k: nothing is evaluated but the
+    # zero relation, so k's product is not formed either.
+    products = []
+    good = pl._depth_one_product
+    monkeypatch.setattr(pl, "_depth_one_product", lambda entries: products.append(entries) or good(entries))
+    calls = count_evaluations(monkeypatch)
+    code, out, err = run(capsys, "kernel", "(1,1;1)", "--all-sigma")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 6
+    assert calls == [{}] and products == []
+    code, out, err = run(capsys, "kernel", "(1,2;1)", "--sigma", "2 1 3")
+    assert (code, err) == (0, "") and products == [(1, 2, 1)]
+
+
 def test_kernel_exits_1_when_a_relation_is_refused(capsys, monkeypatch):
     # With the closed form of (2,1) emptied, the relation of sigma = (2,1)
     # is the closed form of k alone, whose value is not zero.
@@ -718,9 +782,13 @@ def test_every_command_prints_values_past_the_digit_limit(capsys, digit_limit_64
 def test_kernel_prints_values_past_the_digit_limit(capsys, monkeypatch, digit_limit_640):
     # Both closed forms scaled by 7*10^699: the relation is still true,
     # and each coefficient is written past the limit by the real record.
+    # The product of depth-one values that k's closed form is checked
+    # against is scaled with them.
     good, scale = pl._product_terms, 7 * 10**699
     c = scale * kernel_element(parse_index("(1;2)"), (2, 1))
     monkeypatch.setattr(pl, "_product_terms", lambda entries: {w: scale * a for w, a in good(entries).items()})
+    product = pl._depth_one_product
+    monkeypatch.setattr(pl, "_depth_one_product", lambda entries: scale * product(entries))
     code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", "2 1")
     assert (code, err) == (0, "")
     with cli._unlimited_digits():
@@ -781,13 +849,29 @@ def test_duality_check_json(capsys):
 LEFT_TO_CI = {"duality-check --max-depth 5 --max-weight 8", "duality-check --max-depth 5 --max-weight 8 --json"}
 
 
-def test_duality_check_bytes_match_the_manifest():
+def committed_manifest(command):
+    """The committed records of one command, in corpus order, with the argv lists of the corpus."""
     committed = json.loads(output_manifest.PATH.read_text(encoding="utf-8"))
     commands = output_manifest.corpus()
     assert list(committed) == [" ".join(argv) for argv in commands]
+    commands = [argv for argv in commands if argv[0] == command]
+    return commands, {" ".join(argv): committed[" ".join(argv)] for argv in commands}
+
+
+def test_duality_check_bytes_match_the_manifest():
+    commands, committed = committed_manifest("duality-check")
     assert len(commands) == 108 and all(rec["exit"] == 0 for rec in committed.values())
     checked = [argv for argv in commands if " ".join(argv) not in LEFT_TO_CI]
     assert output_manifest.manifest(checked) == {cmd: rec for cmd, rec in committed.items() if cmd not in LEFT_TO_CI}
+
+
+def test_kernel_bytes_match_the_manifest():
+    # The 329 sweeps of depth <= 3 and weight <= 6, two single sigmas and
+    # one refused sigma, which exits 2 with a message and no record.
+    commands, committed = committed_manifest("kernel")
+    assert len(commands) == 332
+    assert [rec["exit"] for rec in committed.values()] == [0] * 331 + [2]
+    assert output_manifest.manifest(commands) == committed
 
 
 def test_duality_check_rejects_negative_bounds(capsys):

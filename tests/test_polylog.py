@@ -650,6 +650,60 @@ def test_kernel_records_refuse_when_values_and_rows_disagree(monkeypatch):
     assert len(calls) == 3 and calls[0] == []
 
 
+def test_kernel_records_refuse_a_corrupted_row_under_the_value_of_k(monkeypatch):
+    # The words of the closed form of (3,2,1) that are not in that of
+    # k = (1,2,3) get rows 1 too large at z^D.  The value of (3,2,1) is
+    # still k's, so its series is not expanded, but its row is not k's.
+    k, arranged = magnus_index(1, 2, 3), (3, 2, 1)
+    base, terms = pl._product_terms(k.entries), pl._product_terms(arranged)
+    own = set(terms) - set(base)
+    assert own and polylog_map(LinComb._trusted("Y", terms)) == polylog_map(LinComb._trusted("Y", base))
+    good = pl._series_row
+
+    def lying(entries, n_max):
+        out = list(good(entries, n_max))
+        if entries in own:
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(pl, "_series_row", lying)
+    records = pl._kernel_records(k, [k.entries, arranged])
+    assert next(records)[1] is True
+    with pytest.raises(PipelineDisagreement, match="refusing to answer"):
+        next(records)
+
+
+def test_kernel_records_check_a_value_that_is_not_k_against_its_own_row(monkeypatch):
+    # A word dropped from the closed form of (3,2,1): its value and row
+    # both differ from k's, and the row of another of its words, not in
+    # the closed form of k, is 1 too large at z^D.  Only the series of
+    # its own value tells.
+    k, arranged = magnus_index(1, 2, 3), (3, 2, 1)
+    exact = pl._product_terms
+    own = sorted(set(exact(arranged)) - set(exact(k.entries)))
+    assert len(own) >= 2
+
+    def dropped(entries):
+        terms = exact(entries)
+        if entries == arranged:
+            del terms[own[0]]
+        return terms
+
+    good = pl._series_row
+
+    def lying(entries, n_max):
+        out = list(good(entries, n_max))
+        if entries == own[1]:
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(pl, "_product_terms", dropped)
+    assert [ok for _, ok in pl._kernel_records(k, [arranged])] == [False]
+    monkeypatch.setattr(pl, "_series_row", lying)
+    with pytest.raises(PipelineDisagreement, match="refusing to answer"):
+        list(pl._kernel_records(k, [arranged]))
+
+
 def test_kernel_elements_are_nfold_differences():
     for entries in [(1, 2, 3, 4), (1, 0, 2, 1, 1)]:
         k = magnus_index(*entries)
