@@ -849,17 +849,20 @@ def test_duality_check_json(capsys):
 LEFT_TO_CI = {"duality-check --max-depth 5 --max-weight 8", "duality-check --max-depth 5 --max-weight 8 --json"}
 
 
-def committed_manifest(command):
-    """The committed records of one command, in corpus order, with the argv lists of the corpus."""
+def committed_manifest(names):
+    """The committed records of the subcommands in names, in corpus order, with their argv lists.
+
+    A pipeline counts as the subcommand of its last stage.
+    """
     committed = json.loads(output_manifest.PATH.read_text(encoding="utf-8"))
     commands = output_manifest.corpus()
     assert list(committed) == [" ".join(argv) for argv in commands]
-    commands = [argv for argv in commands if argv[0] == command]
+    commands = [argv for argv in commands if output_manifest.recorded_command(argv) in names]
     return commands, {" ".join(argv): committed[" ".join(argv)] for argv in commands}
 
 
 def test_duality_check_bytes_match_the_manifest():
-    commands, committed = committed_manifest("duality-check")
+    commands, committed = committed_manifest({"duality-check"})
     assert len(commands) == 108 and all(rec["exit"] == 0 for rec in committed.values())
     checked = [argv for argv in commands if " ".join(argv) not in LEFT_TO_CI]
     assert output_manifest.manifest(checked) == {cmd: rec for cmd, rec in committed.items() if cmd not in LEFT_TO_CI}
@@ -868,10 +871,32 @@ def test_duality_check_bytes_match_the_manifest():
 def test_kernel_bytes_match_the_manifest():
     # The 329 sweeps of depth <= 3 and weight <= 6, two single sigmas and
     # one refused sigma, which exits 2 with a message and no record.
-    commands, committed = committed_manifest("kernel")
+    commands, committed = committed_manifest({"kernel"})
     assert len(commands) == 332
     assert [rec["exit"] for rec in committed.values()] == [0] * 331 + [2]
     assert output_manifest.manifest(commands) == committed
+
+
+def test_verify_eval_expand_magnus_and_product_bytes_match_the_manifest():
+    # verify --bundled plain and --json, a sweep piped to verify - and the
+    # mixed-D stream; the grids of eval, expand, magnus and product, and
+    # the refused expand "()" and magnus "(1,2)", which exit 2.
+    commands, committed = committed_manifest({"verify", "eval", "expand", "magnus", "product"})
+    assert len(commands) == 4 + 45 + 69 + 69 + 78
+    assert sorted(cmd for cmd, rec in committed.items() if rec["exit"] != 0) == ["expand ()", "magnus (1,2)"]
+    assert output_manifest.manifest(commands) == committed
+
+
+def test_warm_caches_print_the_manifest_bytes():
+    # The manifest runs each command with fresh caches, as a new process
+    # starts with.  Run in one pass that shares the caches of every earlier
+    # command, each command prints the same bytes.
+    committed = json.loads(output_manifest.PATH.read_text(encoding="utf-8"))
+    commands = [argv for argv in output_manifest.corpus() if " ".join(argv) not in LEFT_TO_CI]
+    assert output_manifest.manifest(commands, fresh=False) == {
+        cmd: rec for cmd, rec in committed.items() if cmd not in LEFT_TO_CI
+    }
+    assert len(pl._LI) > 1 and len(pl._ROWS) > 1 and pl._TEXTS
 
 
 def test_duality_check_rejects_negative_bounds(capsys):
