@@ -13,25 +13,19 @@ and serialization order terms by word length and then lexicographically
 by letter codes, a Y-word as its X-embedding would sort, which keeps
 every output byte-deterministic.
 
-The module also provides the Lie bracket [u, v] = uv - vu and the
-splitting isomorphism between Q<X>x1 and Q<Y>: a word that ends in x1
-factors uniquely into blocks x0^k x1, and each block is renamed y_k.
+The module also provides the splitting isomorphism from Q<X>x1 to
+Q<Y>: a word that ends in x1 factors uniquely into blocks x0^k x1, and
+each block is renamed y_k.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .words import Scalar, _exact, _is_count, _letters_x_to_y, _letters_y_to_x, _scalar, _word_display, _word_json
+from .words import Scalar, _exact, _is_count, _letters_x_to_y, _scalar, _word_display, _word_json
 
-__all__ = [
-    "NcPoly",
-    "lie_bracket",
-    "poly_x_to_y",
-    "poly_y_to_x",
-    "poly_to_json_obj",
-]
+__all__ = ["NcPoly", "poly_x_to_y", "poly_to_json_obj"]
 
 Letters = tuple[int, ...]
 
@@ -133,9 +127,6 @@ class NcPoly:
         then letter codes, with Y-words measured through their X-embedding."""
         return sorted(self._terms.items(), key=lambda kv: _term_key(self.alphabet, kv[0]))
 
-    def __iter__(self) -> Iterator[tuple[Letters, Scalar]]:
-        return iter(self.sorted_terms())
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -184,14 +175,6 @@ class NcPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> NcPoly:
-        if not _is_count(n):
-            raise ValueError("exponent must be an integer >= 0")
-        out = self._trusted(self.alphabet, {(): 1})
-        for _ in range(n):
-            out = out * self
-        return out
-
     def _term_str(self, letters: Letters, mag: Scalar) -> str:
         """One term of the display without its sign; mag is positive."""
         if not letters:
@@ -215,11 +198,6 @@ class NcPoly:
         return f"{type(self).__name__}({self.alphabet!r}, {self._terms!r})"
 
 
-def lie_bracket(u: NcPoly, v: NcPoly) -> NcPoly:
-    """[u, v] = uv - vu."""
-    return u * v - v * u
-
-
 def poly_x_to_y(a: NcPoly) -> NcPoly:
     """Split every support word at its x1 letters and rename x0^k x1 to y_k.
 
@@ -235,13 +213,6 @@ def poly_x_to_y(a: NcPoly) -> NcPoly:
             raise ValueError("not in <X>x1: eps")
         out[_letters_x_to_y(letters)] = coef
     return NcPoly._trusted("Y", out)
-
-
-def poly_y_to_x(b: NcPoly) -> NcPoly:
-    """Inverse of poly_x_to_y; the empty Y-word maps to the empty X-word."""
-    if b.alphabet != "Y":
-        raise ValueError("expected a polynomial over Y")
-    return NcPoly._trusted("X", {_letters_y_to_x(ys): coef for ys, coef in b._terms.items()})
 
 
 def poly_to_json_obj(a: NcPoly) -> list[dict[str, str]]:

@@ -24,7 +24,7 @@ at the block words of M(k) x1, which are also its expansion in words.
 
 Split into blocks x0^a x1, M(k) x1 is the closed form of the product
 Li(k1)...Li(kn)Li(kinf) (Theorem main4), a fold of one bracket step
-over the entries; magnus_poly, magnus_to_word, the graded sweeps, and
+over the entries; magnus_poly (M(k) in words), the graded sweeps, and
 the n-fold product and kernel sweeps of polylog all read it.  A row of
 <s,k> is a fold of one budget step.  One walk per depth, shared by all
 its weights, meets the indices of every piece of the depth in
@@ -57,7 +57,6 @@ __all__ = [
     "dual_array_binom",
     "magnus_indices",
     "word_to_magnus",
-    "magnus_to_word",
     "grade_report",
 ]
 
@@ -218,12 +217,6 @@ def word_to_magnus(s: MultiIndex) -> dict[MultiIndex, int]:
     """Nonzero coefficients of w(s) in the Magnus basis: the k that s dominates."""
     _require_magnus(s)
     return {MultiIndex(k, magnus=True): v for k, v in _a_row(s.entries).items()}
-
-
-def magnus_to_word(k: MultiIndex) -> dict[MultiIndex, int]:
-    """M(k) = sum_s <<k,s>> w(s): the nonzero <<k,s>>, one per block word s of M(k) x1."""
-    _require_magnus(k)
-    return {MultiIndex(s, magnus=True): v for s, v in _product_terms(k.entries).items()}
 
 
 def grade_report(max_depth: int, max_weight: int) -> Iterator[dict[str, object]]:

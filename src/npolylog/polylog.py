@@ -16,10 +16,12 @@ The linear extension of s -> Li(s) to formal Q-combinations of indices
 has a large kernel, i.e. the indices satisfy many Q-linear functional
 equations.  Such a combination is a LinComb: an NcPoly over Y whose
 words are read as indices, (s1,...,sr) <-> y_s1...y_sr, so it shares
-the arithmetic, the int/Fraction rule and the term order of Q<Y>.  The
-index kinds, counts and coefficients taken here are all checked by the
-rules of words.  Two constructions from the Magnus basis produce and
-certify them:
+the arithmetic, the int/Fraction rule and the term order of Q<Y>.
+polylog_map, verify_relation and relation_line read the words of any
+NcPoly over Y as indices, a LinComb or not, and refuse anything else
+with ValueError.  The index kinds, counts and coefficients taken here
+are all checked by the rules of words.  Two constructions from the
+Magnus basis produce and certify them:
 
   * expand_to_products / magnus_product_identity relate a single Li
     value to products of depth-one values through the basis change,
@@ -95,7 +97,6 @@ __all__ = [
     "nfold_product",
     "magnus_product_identity",
     "kernel_element",
-    "kernel_elements",
     "verify_relation",
     "relation_line",
     "relation_record",
@@ -177,9 +178,17 @@ def polylog_rational(s: MultiIndex) -> RatFun:
     return _polylog_entries(s.entries)
 
 
+def _index_terms(c: object) -> dict[tuple[int, ...], Scalar]:
+    """The terms of c, whose words are read as indices; raises ValueError unless c is an NcPoly over Y."""
+    if not isinstance(c, NcPoly) or c.alphabet != "Y":
+        what = f"a polynomial over {c.alphabet}" if isinstance(c, NcPoly) else type(c).__name__
+        raise ValueError(f"expected a combination of indices, an NcPoly over Y, got {what}")
+    return c._terms
+
+
 def polylog_map(c: LinComb) -> RatFun:
     """Linear extension of polylog_rational to formal combinations."""
-    return _combine([(a, _polylog_entries(e)) for e, a in c._terms.items()])
+    return _combine([(a, _polylog_entries(e)) for e, a in _index_terms(c).items()])
 
 
 def series_coeffs(s: MultiIndex, n_max: int) -> list[int]:
@@ -304,11 +313,6 @@ def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:
     return _minus(_product_terms(k.entries), _product_terms(arranged))
 
 
-def kernel_elements(k: MultiIndex, sigmas: Iterable[Sequence[int]]) -> Iterator[LinComb]:
-    """kernel_element(k, sigma) for each sigma in turn, lazily."""
-    return (kernel_element(k, sigma) for sigma in sigmas)
-
-
 class PipelineDisagreement(RuntimeError):
     """The rational and series pipelines gave different answers."""
 
@@ -363,8 +367,9 @@ def verify_relation(c: LinComb) -> tuple[bool, RatFun | None]:
     Each tail row is built once, and grown at most once per larger D,
     for the life of the process.
     """
-    scale = lcm(*(coef.denominator for coef in c._terms.values()))
-    terms = [(entries, coef.numerator * (scale // coef.denominator)) for entries, coef in c._terms.items()]
+    c_terms = _index_terms(c)
+    scale = lcm(*(coef.denominator for coef in c_terms.values()))
+    terms = [(entries, coef.numerator * (scale // coef.denominator)) for entries, coef in c_terms.items()]
     bound = max((sum(entries) + len(entries) for entries, _ in terms), default=0)
     f, direct = _evaluate(terms, bound)
     _check(f, direct)
@@ -385,8 +390,9 @@ def relation_line(c: LinComb, verified: bool) -> str:
     is json.dumps of relation_record.  Each index is formatted once
     for the life of the process, in _TEXTS.
     """
+    c_terms = _index_terms(c)
     rows = []
-    for entries, coef in c._terms.items():
+    for entries, coef in c_terms.items():
         t = _TEXTS.get(entries)
         if t is None:
             t = _TEXTS[entries] = (_term_key("Y", entries), f'"index": {json.dumps(list(entries))}}}', sum(entries))
@@ -394,7 +400,7 @@ def relation_line(c: LinComb, verified: bool) -> str:
     # Distinct entries have distinct sort keys, so each t orders by its key.
     rows.sort(key=itemgetter(0))
     weights = {t[2] for t, _ in rows}
-    depths = {len(entries) for entries in c._terms}
+    depths = {len(entries) for entries in c_terms}
     terms = ", ".join(['{"coef": "' + str(coef) + '", ' + t[1] for t, coef in rows])
     flag = "true" if verified else "false"
     weight = str(weights.pop()) if len(weights) == 1 else "null"

@@ -1,6 +1,9 @@
 """Slow, independent constructions that the fast library code is checked against.
 
 Each follows its definition literally and is meant for small inputs only.
+lie_bracket and poly_y_to_x, first, are definitions that the library
+itself does not use: the bracket of the recursion x1^(n+1) =
+[x0, x1^(n)], and the inverse of poly_x_to_y.
 RowLog, last, stands in for the series-row cache of polylog in the
 tests that count the rows built or grown.
 """
@@ -9,14 +12,26 @@ import itertools
 from math import comb
 from typing import Sequence
 
-from npolylog.freealg import NcPoly, _add_term, lie_bracket
+from npolylog.freealg import NcPoly, _add_term
 from npolylog.magnus import _dual_array_binom, lie_power
 from npolylog.polylog import LinComb
 from npolylog.ratpoly import RatFun, Scalar
-from npolylog.words import MultiIndex, _is_count, _require_plain
+from npolylog.words import MultiIndex, _is_count, _letters_y_to_x, _require_plain
 
 _X0 = NcPoly.monomial("X", (0,))
 _X1 = NcPoly.monomial("X", (1,))
+
+
+def lie_bracket(u: NcPoly, v: NcPoly) -> NcPoly:
+    """[u, v] = uv - vu."""
+    return u * v - v * u
+
+
+def poly_y_to_x(b: NcPoly) -> NcPoly:
+    """Inverse of poly_x_to_y: each y_k becomes the block x0^k x1, and the empty Y-word the empty X-word."""
+    if b.alphabet != "Y":
+        raise ValueError("expected a polynomial over Y")
+    return NcPoly("X", {_letters_y_to_x(ys): coef for ys, coef in b.sorted_terms()})
 
 
 def lie_power_by_brackets(n: int) -> NcPoly:

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from importlib import resources
 
-from npolylog.freealg import NcPoly, lie_bracket, poly_x_to_y, poly_y_to_x
+from npolylog.freealg import NcPoly, poly_x_to_y
 from npolylog.magnus import (
     array_binom,
     dual_array_binom,
@@ -33,6 +33,7 @@ from npolylog.polylog import (
 from npolylog.ratpoly import RatFun, euler_deriv, taylor_coeffs
 from npolylog import cli
 from npolylog.words import magnus_index, mpl_index
+from oracles import lie_bracket, poly_y_to_x
 
 
 def criterion(n, label):

@@ -8,7 +8,7 @@ from math import comb, prod
 import pytest
 
 from npolylog import magnus
-from npolylog.freealg import NcPoly, lie_bracket
+from npolylog.freealg import NcPoly
 from npolylog.magnus import (
     array_binom,
     basis_word,
@@ -17,7 +17,6 @@ from npolylog.magnus import (
     lie_power,
     magnus_indices,
     magnus_poly,
-    magnus_to_word,
     word_to_magnus,
 )
 from npolylog.words import magnus_index
@@ -25,6 +24,7 @@ from oracles import (
     a_row_by_budgets,
     compositions_by_recursion,
     grade_report_by_rows,
+    lie_bracket,
     lie_power_by_brackets,
     magnus_poly_by_products,
     product_terms_by_brackets,
@@ -165,26 +165,23 @@ def test_word_to_magnus_examples():
     assert word_to_magnus(magnus_index(0)) == {magnus_index(0): 1}
 
 
-def test_magnus_to_word_examples():
-    assert magnus_to_word(magnus_index(1, 2)) == {
-        magnus_index(1, 2): 1,
-        magnus_index(0, 3): -1,
-    }
-    assert magnus_to_word(magnus_index(2)) == {magnus_index(2): 1}
+def test_magnus_poly_examples_in_the_word_basis():
+    # M(1;2) = x1^(1) x0^2 = x0x1x0^2 - x1x0^3 = w(1;2) - w(0;3).
+    assert magnus_poly(magnus_index(1, 2)) == basis_word(magnus_index(1, 2)) - basis_word(magnus_index(0, 3))
+    assert magnus_poly(magnus_index(2)) == basis_word(magnus_index(2))
 
 
 def test_change_of_basis_round_trip():
+    # w(s) = sum_k <s,k> M(k), stated in Q<X>.
     rng = random.Random(452)
     for _ in range(20):
         depth = rng.randint(0, 3)
         entries = [rng.randint(0, 3) for _ in range(depth + 1)]
         s = magnus_index(*entries)
-        back = {}
+        back = NcPoly.zero("X")
         for k, c in word_to_magnus(s).items():
-            for t, d in magnus_to_word(k).items():
-                back[t] = back.get(t, 0) + c * d
-        back = {t: c for t, c in back.items() if c}
-        assert back == {s: 1}
+            back = back + c * magnus_poly(k)
+        assert back == basis_word(s)
 
 
 def test_grade_report_cells():

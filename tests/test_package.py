@@ -32,6 +32,19 @@ def test_package_all_lists_each_name_once_and_ends_with_the_version():
     assert all(hasattr(npolylog, name) for name in npolylog.__all__)
 
 
+@pytest.mark.parametrize("module", [words, freealg, ratpoly, magnus, polylog], ids=lambda m: m.__name__)
+def test_readme_api_table_names_every_public_name(module):
+    # The module's row of the library table says why each of its public names stays.
+    rows = [line for line in README.read_text(encoding="utf-8").splitlines() if line.startswith(f"| `{module.__name__}` |")]
+    assert len(rows) == 1
+    assert [name for name in module.__all__ if f"`{name}`" not in rows[0]] == []
+
+
+def test_readme_names_no_removed_api():
+    text = README.read_text(encoding="utf-8")
+    assert [name for name in ("kernel_elements", "magnus_to_word", "lie_bracket", "poly_y_to_x") if name in text] == []
+
+
 def test_readme_quick_session_runs_as_a_doctest():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0

@@ -18,7 +18,6 @@ from npolylog.polylog import (
     PipelineDisagreement,
     expand_to_products,
     kernel_element,
-    kernel_elements,
     magnus_product_identity,
     nfold_product,
     polylog_map,
@@ -275,7 +274,7 @@ def test_polylog_map_is_the_witness_of_the_integer_path():
     for depth in range(3):
         for weight in range(6):
             for k in magnus.magnus_indices(depth, weight):
-                for c in kernel_elements(k, itertools.permutations(range(1, depth + 2))):
+                for c in (kernel_element(k, s) for s in itertools.permutations(range(1, depth + 2))):
                     assert polylog_map(c).is_zero()
 
 
@@ -294,7 +293,7 @@ def test_lincomb_basics():
 def test_lincomb_arithmetic_stays_lincomb():
     a = LinComb({mpl_index(1, 2): 1, mpl_index(0, 3): Fraction(-1, 2)})
     b = kernel_element(magnus_index(1, 2), (2, 1))
-    for c in (a + b, a - b, 2 * a, a * Fraction(1, 3), -a, b * 0, a**2):
+    for c in (a + b, a - b, 2 * a, a * Fraction(1, 3), -a, b * 0):
         assert type(c) is LinComb
     assert (b * 0).is_zero() and len(b * 0) == 0
     with pytest.raises(ValueError, match="plain index"):
@@ -574,6 +573,25 @@ def test_verify_relation_rejects_nonrelations():
     assert not ok and witness is not None
 
 
+READERS = [
+    pytest.param(verify_relation, id="verify_relation"),
+    pytest.param(polylog_map, id="polylog_map"),
+    pytest.param(lambda c: relation_line(c, True), id="relation_line"),
+    pytest.param(lambda c: relation_record(c, True), id="relation_record"),
+]
+
+
+@pytest.mark.parametrize("read", READERS)
+def test_combination_readers_refuse_anything_but_a_polynomial_over_y(read):
+    # The words of x0x1 are no indices: read as one, it was Li(0,1).
+    with pytest.raises(ValueError, match="got a polynomial over X"):
+        read(NcPoly("X", {(0, 1): 1}))
+    with pytest.raises(ValueError, match="got dict"):
+        read({(0, 1): 1})
+    # An NcPoly over Y need not be a LinComb.
+    assert read(NcPoly("Y", {(0, 1): 1})) == read(LinComb({mpl_index(0, 1): 1}))
+
+
 def test_verify_relation_refuses_on_pipeline_disagreement(monkeypatch):
     good = pl._series_row
 
@@ -708,10 +726,9 @@ def test_kernel_elements_are_nfold_differences():
     for entries in [(1, 2, 3, 4), (1, 0, 2, 1, 1)]:
         k = magnus_index(*entries)
         sigmas = list(itertools.permutations(range(1, len(entries) + 1)))
-        for sigma, c in zip(sigmas, kernel_elements(k, sigmas)):
+        for sigma in sigmas:
             permuted = tuple(entries[i - 1] for i in sigma)
-            assert c == nfold_product(entries) - nfold_product(permuted)
-            assert c == kernel_element(k, sigma)
+            assert kernel_element(k, sigma) == nfold_product(entries) - nfold_product(permuted)
 
 
 def tails(entries):
@@ -720,7 +737,7 @@ def tails(entries):
 
 def test_verify_relation_reads_each_row_once_per_shared_dict(monkeypatch):
     k = magnus_index(1, 2, 3, 4)
-    cs = list(kernel_elements(k, itertools.permutations(range(1, 5))))
+    cs = [kernel_element(k, s) for s in itertools.permutations(range(1, 5))]
     log = RowLog()
     monkeypatch.setattr(pl, "_ROWS", log)
     bound = k.weight + k.depth + 1
@@ -742,7 +759,7 @@ def test_verify_relation_reads_each_row_once_per_shared_dict(monkeypatch):
 
 def test_verify_relation_refuses_every_relation_with_a_corrupted_shared_row(monkeypatch):
     k = magnus_index(1, 2, 3)
-    cs = list(kernel_elements(k, itertools.permutations(range(1, 4))))
+    cs = [kernel_element(k, s) for s in itertools.permutations(range(1, 4))]
     bad = mpl_index(2, 2, 2)
     hit = [c for c in cs if c.coefficient(bad)]
     clean = [c for c in cs if not c.coefficient(bad)]
@@ -804,7 +821,7 @@ def test_relation_line_is_the_dumped_record_on_every_small_kernel_relation(monke
             for k in magnus.magnus_indices(depth, weight):
                 # One sigma per arrangement sigma(k): the relation depends on nothing else.
                 sigmas = {tuple(k.entries[i - 1] for i in sigma): sigma for sigma in itertools.permutations(range(1, depth + 2))}
-                for c in kernel_elements(k, sigmas.values()):
+                for c in (kernel_element(k, s) for s in sigmas.values()):
                     assert_line_is_the_dumped_record(c)
                     monkeypatch.setattr(pl, "_TEXTS", {})
                     assert_line_is_the_dumped_record(c)
