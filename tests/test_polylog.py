@@ -583,7 +583,7 @@ READERS = [
 
 @pytest.mark.parametrize("read", READERS)
 def test_combination_readers_refuse_anything_but_a_polynomial_over_y(read):
-    # The words of x0x1 are no indices: read as one, it was Li(0,1).
+    # x0x1 is a word over X, not an index; read as the Y-word (0, 1) it would be Li(0,1).
     with pytest.raises(ValueError, match="got a polynomial over X"):
         read(NcPoly("X", {(0, 1): 1}))
     with pytest.raises(ValueError, match="got dict"):
