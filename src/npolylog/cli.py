@@ -31,11 +31,17 @@ index texts are cached by polylog for the process, so the relations of
 one sweep or one verify file share them, and so do repeated main()
 calls in one process.  verify reads one
 source, a path, "-" or --bundled, as it is, and turns its "\r\n" and
-bare "\r" line ends into "\n" in one place.
+bare "\r" line ends into "\n" in one place.  It keeps one dict per
+call, from each distinct line's text to its verdict and witness text,
+so a repeated line is reported again without being parsed or
+evaluated: a sweep's 720 lines cost its 15 distinct ones.
 
 Importing this module loads no dataclasses, typing or
 importlib.resources: each command call is a new process, and start-up
-is paid on every call.
+is paid on every call.  For the same reason main builds the subparser
+of the command it is given and no other; no arguments, -h or an
+unknown command build the full parser, which lists every command.
+Either way the output is the same bytes.
 """
 
 from __future__ import annotations
@@ -198,23 +204,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     checked = 0
     failed = 0
+    # Each distinct line's text -> (ok, witness text), for this call: a
+    # repeated line is neither parsed nor evaluated again.
+    verdicts: dict[str, tuple[bool, str | None]] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        # json.loads recurses once per nesting level, so a deeply nested
-        # line raises RecursionError: a parse error like any other.
-        try:
-            record = json.loads(line)
-            c = relation_from_record(record)
-        except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-            print(f"line {lineno}: parse error: {exc}", file=sys.stderr)
-            return 2
-        ok, witness = verify_relation(c)
+        verdict = verdicts.get(line)
+        if verdict is None:
+            # json.loads recurses once per nesting level, so a deeply nested
+            # line raises RecursionError: a parse error like any other.
+            try:
+                record = json.loads(line)
+                c = relation_from_record(record)
+            except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+                print(f"line {lineno}: parse error: {exc}", file=sys.stderr)
+                return 2
+            ok, witness = verify_relation(c)
+            with _unlimited_digits():
+                verdict = verdicts[line] = ok, None if ok else str(witness)
+        ok, shown = verdict
         checked += 1
         if not ok:
             failed += 1
-        with _unlimited_digits():
-            shown = None if ok else str(witness)
         if args.json:
             print(json.dumps({"line": lineno, "ok": ok, "witness": shown}))
         else:
@@ -242,7 +254,67 @@ def cmd_duality_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _eval_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("index", help='plain index, e.g. "(1,2)" or "()"')
+    p.add_argument("--series", metavar="N", help="also print coefficients of z^0..z^N")
+    p.add_argument("--json", action="store_true")
+
+
+def _magnus_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("index", help='magnus index, e.g. "(1;2)" or "(;0)"')
+    p.add_argument("--json", action="store_true")
+
+
+def _expand_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("index", help='plain index of depth >= 1, e.g. "(1,1)"')
+    p.add_argument("--json", action="store_true")
+
+
+def _product_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("factors", nargs="+", help="single indices, e.g. 5 4")
+    p.add_argument("--json", action="store_true")
+
+
+def _kernel_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("index", help='magnus index, e.g. "(1;2)"')
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--sigma", metavar="PERM", help='one-line permutation, e.g. "2 1"')
+    g.add_argument("--all-sigma", action="store_true", help="every permutation of the slots")
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("file", nargs="?", help="path to a .jsonl file, or '-' for stdin")
+    g.add_argument("--bundled", action="store_true", help="check the relations shipped with the package")
+    p.add_argument("--json", action="store_true")
+
+
+def _duality_check_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-depth", default="3")
+    p.add_argument("--max-weight", default="6")
+    p.add_argument("--json", action="store_true")
+
+
+# name -> (handler, help line, arguments), in the order the full parser lists them.
+_COMMANDS = {
+    "eval": (cmd_eval, "rational value of Li at one plain index", _eval_args),
+    "magnus": (cmd_magnus, "Magnus polynomial, its Y-image, and its product identity", _magnus_args),
+    "expand": (cmd_expand, "one Li value as products of depth-one values", _expand_args),
+    "product": (cmd_product, "expand a product of depth-one values", _product_args),
+    "kernel": (cmd_kernel, "functional equations from slot permutations (JSON lines)", _kernel_args),
+    "verify": (cmd_verify, "recheck a relation file (JSON lines)", _verify_args),
+    "duality-check": (cmd_duality_check, "basis-change sweeps over graded pieces", _duality_check_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given a command's name, of that one only.
+
+    A one-command parser parses that command's arguments as the full
+    parser does, with the same output and errors: the top-level usage
+    names the metavar "command", not the list of choices, and a
+    command's own errors come from its own subparser.
+    """
     parser = argparse.ArgumentParser(
         prog="npolylog",
         description=(
@@ -251,57 +323,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("eval", help="rational value of Li at one plain index")
-    p.add_argument("index", help='plain index, e.g. "(1,2)" or "()"')
-    p.add_argument("--series", metavar="N", help="also print coefficients of z^0..z^N")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("magnus", help="Magnus polynomial, its Y-image, and its product identity")
-    p.add_argument("index", help='magnus index, e.g. "(1;2)" or "(;0)"')
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_magnus)
-
-    p = sub.add_parser("expand", help="one Li value as products of depth-one values")
-    p.add_argument("index", help='plain index of depth >= 1, e.g. "(1,1)"')
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("product", help="expand a product of depth-one values")
-    p.add_argument("factors", nargs="+", help="single indices, e.g. 5 4")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_product)
-
-    p = sub.add_parser("kernel", help="functional equations from slot permutations (JSON lines)")
-    p.add_argument("index", help='magnus index, e.g. "(1;2)"')
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--sigma", metavar="PERM", help='one-line permutation, e.g. "2 1"')
-    g.add_argument("--all-sigma", action="store_true", help="every permutation of the slots")
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("verify", help="recheck a relation file (JSON lines)")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("file", nargs="?", help="path to a .jsonl file, or '-' for stdin")
-    g.add_argument("--bundled", action="store_true", help="check the relations shipped with the package")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("duality-check", help="basis-change sweeps over graded pieces")
-    p.add_argument("--max-depth", default="3")
-    p.add_argument("--max-weight", default="6")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_duality_check)
-
+    for name in _COMMANDS if command is None else [command]:
+        func, text, add_args = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
-# One parser per process: building it costs about as much as a short command.
+# One parser per command and process: building one costs about as much
+# as a short command.
 _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A named command builds only its own subparser.  No arguments, -h
+    # or an unknown command take the full one, which lists the commands.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _parser(command).parse_args(argv)
     try:
         rc = args.func(args)
         # A reader that closed the pipe is met here, not at exit.

@@ -84,7 +84,7 @@ from operator import itemgetter
 
 from .freealg import NcPoly, _add_term, _term_key, poly_x_to_y
 from .magnus import _product_terms, lie_power, word_to_magnus
-from .ratpoly import RatFun, _combine, euler_deriv, geom_mul, taylor_coeffs
+from .ratpoly import RatFun, _combine, _euler_steps, taylor_coeffs
 from .words import MultiIndex, Scalar, _is_count, _require_magnus, _require_plain, _scalar
 
 __all__ = [
@@ -154,7 +154,14 @@ _TEXTS: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], str, int]] = {}
 
 
 def _polylog_entries(entries: tuple[int, ...]) -> RatFun:
-    """Li at plain entries, built out from the longest cached tail, caching every tail; never recurses."""
+    """Li at plain entries, built out from the longest cached tail, caching every tail; never recurses.
+
+    Each entry e, innermost first, takes the numerator P and power d of
+    the value before it to (0, *P) at d + 1, the value times z/(1-z),
+    and runs e steps of ratpoly's Euler kernel on that.  Nothing but the
+    kernel's multiply-adds of ints touches the coefficients, so each
+    value is ints by construction and is wrapped as it is.
+    """
     f = _LI.get(entries)
     if f is not None:
         return f
@@ -162,8 +169,10 @@ def _polylog_entries(entries: tuple[int, ...]) -> RatFun:
     while entries[start:] not in _LI:
         start += 1
     f = _LI[entries[start:]]
+    p, d = f.num, f.dpow
     for i in range(start - 1, -1, -1):
-        f = _LI[entries[i:]] = euler_deriv(geom_mul(f), entries[i])
+        p, d = _euler_steps((0, *p), d + 1, entries[i])
+        f = _LI[entries[i:]] = RatFun._trusted(tuple(p), d)
     return f
 
 
@@ -506,8 +515,11 @@ def relation_from_record(obj: dict[str, object]) -> LinComb:
 
     One pass over the parsed JSON: each term is checked and added to
     the combination as it is read.  A coefficient is a JSON string in
-    _COEF syntax or a JSON integer: a JSON number with a fraction or an
-    exponent reaches here already rounded to a float, so it is refused.
+    _COEF syntax or a JSON integer, read as its decimal text: a JSON
+    number with a fraction or an exponent reaches here already rounded
+    to a float, so it is refused.  A dict local to the call maps each
+    coefficient text to its value, so each distinct text is parsed once
+    per record, and a bad one is reported at its first term.
     """
     if not isinstance(obj, dict) or "terms" not in obj:
         raise ValueError("relation record must be an object with a 'terms' array")
@@ -515,13 +527,17 @@ def relation_from_record(obj: dict[str, object]) -> LinComb:
     if not isinstance(items, list):
         raise ValueError("'terms' must be an array")
     terms: dict[tuple[int, ...], Scalar] = {}
+    values: dict[str, Scalar] = {}
     for i, item in enumerate(items):
         if not isinstance(item, dict) or "coef" not in item or "index" not in item:
             raise ValueError(f"term {i} must be an object with 'coef' and 'index'")
         try:
             if type(item["coef"]) not in (str, int):
                 raise ValueError(item["coef"])
-            coef = _parse_coef(str(item["coef"]))
+            text = str(item["coef"])
+            coef = values.get(text)
+            if coef is None:
+                coef = values[text] = _parse_coef(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"term {i} has a bad coefficient {item['coef']!r}") from exc
         index = item["index"]

@@ -461,6 +461,25 @@ def series_rows(sweep):
     return wanted
 
 
+def test_verify_parses_and_evaluates_each_distinct_line_once(capsys, monkeypatch):
+    _, sweep, _ = run(capsys, "kernel", "(1,2,1,2,1;1)", "--all-sigma")
+    assert len(sweep.splitlines()) == 720 and len(set(sweep.splitlines())) == 15
+    parsed, evaluated = [], []
+    read, evaluate = cli.relation_from_record, pl._evaluate
+    monkeypatch.setattr(cli, "relation_from_record", lambda obj: parsed.append(obj) or read(obj))
+    monkeypatch.setattr(pl, "_evaluate", lambda terms, bound: evaluated.append(terms) or evaluate(terms, bound))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(sweep))
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, err) == (0, "")
+    assert len(parsed) == len(evaluated) == 15
+    # Each line is reported, repeats included, under its own number.
+    assert out == "".join(f"line {n}: ok\n" for n in range(1, 721)) + "checked 720 relations: 720 ok, 0 failed\n"
+    # The memo lives for one call: the same stream again parses its lines again.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(sweep))
+    assert run(capsys, "verify", "-") == (0, out, "")
+    assert len(parsed) == len(evaluated) == 30
+
+
 def test_verify_reads_each_series_row_once_per_file(capsys, monkeypatch):
     _, sweep, _ = run(capsys, "kernel", "(1,2;1)", "--all-sigma")
     # The sweep's own rows are dropped, so verify builds every row it reads.
@@ -939,6 +958,44 @@ def test_parser_is_built_once_and_reused(capsys):
     assert code == 0 and out == "z/(1-z)^2\n"
     code, out, _ = run(capsys, "duality-check", "--max-depth", "0", "--max-weight", "0")
     assert code == 0 and out == "depth=0 weight=0 size=1 ok\nall graded pieces ok\n"
+
+
+def main_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSER_ARGVS = [[], ["-h"], ["bogus"], ["kernel", "(1;2)", "--all-sigma", "extra"]] + [
+    argv for name in cli._COMMANDS for argv in ([name, "--help"], [name], [name, "--bogus"])
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_a_command_parses_as_the_full_parser_does(capsys, monkeypatch, argv):
+    built, parser = [], cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda command=None: built.append(command) or parser(command))
+    per_command = main_outcome(capsys, argv)
+    # A named command builds only its own subparser; anything else builds all.
+    assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+    monkeypatch.setattr(cli, "_parser", lambda command=None: cli.build_parser())
+    assert per_command == main_outcome(capsys, argv)
+    code, out, err = per_command
+    assert code in (0, 2)
+    # The top-level usage names the metavar, never the list of choices.
+    assert "{eval," not in out + err
+
+
+def test_a_one_command_parser_holds_that_command_only():
+    assert cli.build_parser("verify").format_usage() == cli.build_parser().format_usage()
+    assert "duality-check" in cli.build_parser().format_help()
+    assert "duality-check" not in cli.build_parser("verify").format_help()
+    with pytest.raises(KeyError):
+        cli.build_parser("bogus")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from npolylog.polylog import (
     series_coeffs,
     verify_relation,
 )
-from npolylog.ratpoly import RatFun, taylor_coeffs
+from npolylog.ratpoly import RatFun, euler_deriv, geom_mul, taylor_coeffs
 from npolylog.words import magnus_index, mpl_index
 from oracles import (
     RowLog,
@@ -187,6 +188,23 @@ def test_series_coeffs_returns_a_copy_of_the_cached_row():
     assert series_coeffs(mpl_index(0, 1, 2), 5) == series_coeffs_by_chains(mpl_index(0, 1, 2), 5)
     assert verify_relation(kernel_element(magnus_index(1, 2), (2, 1))) == (True, None)
     assert verify_relation(LinComb({mpl_index(): 1})) == (False, RatFun.one())
+
+
+def test_li_values_are_the_public_operators_applied_from_the_tail():
+    # _polylog_entries runs the Euler kernel on shifted numerators;
+    # euler_deriv and geom_mul are its faces on RatFun values.
+    count = 0
+    for depth in range(5):
+        for entries in itertools.product(range(9), repeat=depth):
+            if sum(entries) <= 8:
+                want = RatFun.one()
+                for e in reversed(entries):
+                    want = euler_deriv(geom_mul(want), e)
+                got = pl._polylog_entries(entries)
+                assert got == want, entries
+                assert {type(c) for c in got.num} == {int}, entries
+                count += 1
+    assert count == 715
 
 
 def test_rational_values_from_an_empty_cache_match_the_fold():
@@ -862,6 +880,32 @@ def test_relation_from_record_rejects_malformed_input():
         relation_from_record({"terms": "nope"})
     with pytest.raises(ValueError):
         relation_from_record({"terms": [{"coef": "1", "index": [1, -2]}]})
+
+
+def test_relation_from_record_parses_each_coefficient_text_once(monkeypatch):
+    parsed, parse = [], pl._parse_coef
+    monkeypatch.setattr(pl, "_parse_coef", lambda text: parsed.append(text) or parse(text))
+    record = {"terms": [{"coef": "1/2", "index": [e]} for e in range(6)]}
+    assert relation_from_record(record) == LinComb({mpl_index(e): Fraction(1, 2) for e in range(6)})
+    assert parsed == ["1/2"]
+    # The memo lives for one record.
+    relation_from_record(record)
+    assert parsed == ["1/2", "1/2"]
+
+
+def test_a_string_and_a_json_integer_coefficient_read_alike():
+    want = LinComb({mpl_index(2): 1, mpl_index(3): 1})
+    for first, second in [("1", 1), (1, "1"), (1, 1), ("1", "1")]:
+        record = {"terms": [{"coef": first, "index": [2]}, {"coef": second, "index": [3]}]}
+        assert relation_from_record(record) == want
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0", True, 1.5])
+def test_a_repeated_bad_coefficient_is_reported_at_its_first_term(bad):
+    terms = [{"coef": "1", "index": [e]} for e in range(7)]
+    terms[2]["coef"] = terms[5]["coef"] = bad
+    with pytest.raises(ValueError, match=f"^term 2 has a bad coefficient {re.escape(repr(bad))}$"):
+        relation_from_record({"terms": terms})
 
 
 def test_relation_from_record_rejects_bool_entries():
