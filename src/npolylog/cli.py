@@ -31,10 +31,7 @@ index texts are cached by polylog for the process, so the relations of
 one sweep or one verify file share them, and so do repeated main()
 calls in one process.  verify reads one
 source, a path, "-" or --bundled, as it is, and turns its "\r\n" and
-bare "\r" line ends into "\n" in one place.  It keeps one dict per
-call, from each distinct line's text to its verdict and witness text,
-so a repeated line is reported again without being parsed or
-evaluated: a sweep's 720 lines cost its 15 distinct ones.
+bare "\r" line ends into "\n" in one place.
 
 Importing this module loads no dataclasses, typing or
 importlib.resources: each command call is a new process, and start-up
@@ -204,29 +201,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     checked = 0
     failed = 0
-    # Each distinct line's text -> (ok, witness text), for this call: a
-    # repeated line is neither parsed nor evaluated again.
-    verdicts: dict[str, tuple[bool, str | None]] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        verdict = verdicts.get(line)
-        if verdict is None:
-            # json.loads recurses once per nesting level, so a deeply nested
-            # line raises RecursionError: a parse error like any other.
-            try:
-                record = json.loads(line)
-                c = relation_from_record(record)
-            except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-                print(f"line {lineno}: parse error: {exc}", file=sys.stderr)
-                return 2
-            ok, witness = verify_relation(c)
-            with _unlimited_digits():
-                verdict = verdicts[line] = ok, None if ok else str(witness)
-        ok, shown = verdict
+        # json.loads recurses once per nesting level, so a deeply nested
+        # line raises RecursionError: a parse error like any other.
+        try:
+            record = json.loads(line)
+            c = relation_from_record(record)
+        except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+            print(f"line {lineno}: parse error: {exc}", file=sys.stderr)
+            return 2
+        ok, witness = verify_relation(c)
         checked += 1
         if not ok:
             failed += 1
+        with _unlimited_digits():
+            shown = None if ok else str(witness)
         if args.json:
             print(json.dumps({"line": lineno, "ok": ok, "witness": shown}))
         else:

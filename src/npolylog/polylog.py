@@ -84,7 +84,7 @@ from operator import itemgetter
 
 from .freealg import NcPoly, _add_term, _term_key, poly_x_to_y
 from .magnus import _product_terms, lie_power, word_to_magnus
-from .ratpoly import RatFun, _combine, _euler_steps, taylor_coeffs
+from .ratpoly import RatFun, _combine, euler_deriv, geom_mul, taylor_coeffs
 from .words import MultiIndex, Scalar, _is_count, _require_magnus, _require_plain, _scalar
 
 __all__ = [
@@ -154,14 +154,7 @@ _TEXTS: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], str, int]] = {}
 
 
 def _polylog_entries(entries: tuple[int, ...]) -> RatFun:
-    """Li at plain entries, built out from the longest cached tail, caching every tail; never recurses.
-
-    Each entry e, innermost first, takes the numerator P and power d of
-    the value before it to (0, *P) at d + 1, the value times z/(1-z),
-    and runs e steps of ratpoly's Euler kernel on that.  Nothing but the
-    kernel's multiply-adds of ints touches the coefficients, so each
-    value is ints by construction and is wrapped as it is.
-    """
+    """Li at plain entries, built out from the longest cached tail, caching every tail; never recurses."""
     f = _LI.get(entries)
     if f is not None:
         return f
@@ -169,10 +162,8 @@ def _polylog_entries(entries: tuple[int, ...]) -> RatFun:
     while entries[start:] not in _LI:
         start += 1
     f = _LI[entries[start:]]
-    p, d = f.num, f.dpow
     for i in range(start - 1, -1, -1):
-        p, d = _euler_steps((0, *p), d + 1, entries[i])
-        f = _LI[entries[i:]] = RatFun._trusted(tuple(p), d)
+        f = _LI[entries[i:]] = euler_deriv(geom_mul(f), entries[i])
     return f
 
 

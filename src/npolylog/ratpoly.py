@@ -18,14 +18,11 @@ each group of numerators that share a denominator power to it once.
 Beyond the ring operations the module provides the two operators that
 generate all polylogarithm values here: the Euler operator z d/dz and
 multiplication by z/(1-z), plus exact Taylor coefficient extraction.
-_euler_steps is the one loop of the Euler operator in the package.  It
-builds each numerator coefficient from two neighbouring ones, one pass
-per step over a plain list, and on a canonical input with d >= 1 its
-result is canonical once trailing zeros are trimmed, as is z/(1-z)
-times it, so neither needs the (1-z) reduction.  polylog runs it on
-numerators straight, with no RatFun between steps, so Li values stay
-ints by construction; euler_deriv is the same kernel on a RatFun,
-checked and wrapped, making integral values ints only when an input
+The Euler operator builds each numerator coefficient from two
+neighbouring ones in a single pass, and on a canonical input with
+d >= 1 its result is canonical once trailing zeros are trimmed, as is
+z/(1-z) times it, so both skip the (1-z) reduction; its powers wrap
+only the result, and make integral values ints only when an input
 coefficient is a Fraction.  The Taylor coefficients of P/(1-z)^d are
 the prefix sums of P taken d times, one pass per factor 1/(1-z).
 """
@@ -237,35 +234,16 @@ def _poly_str(coeffs: Sequence[Scalar]) -> str:
     return "".join(chunks)
 
 
-def _euler_steps(p: Sequence[Scalar], d: int, e: int) -> tuple[Sequence[Scalar], int]:
-    """The numerator and power of (z d/dz)^e (P/(1-z)^d) for d >= 1 and canonical P != 0.
-
-    z d/dz (P/(1-z)^d) = z (P'(z)(1-z) + d P(z)) / (1-z)^(d+1) has numerator
-    q_j = j P_j + (d+1-j) P_(j-1), one pass per step over a plain list.
-    Since q(1) = d P(1) != 0, q is canonical once trailing zeros are gone.
-    The one theta loop of the package: e = 0 returns p itself.
-    """
-    for _ in range(e):
-        d1 = d + 1
-        q, prev = [], 0
-        for j, c in enumerate(p):
-            q.append(j * c + (d1 - j) * prev)
-            prev = c
-        q.append((d1 - len(p)) * prev)
-        while not q[-1]:
-            q.pop()
-        p, d = q, d1
-    return p, d
-
-
 def euler_deriv(f: RatFun, e: int = 1) -> RatFun:
     """The Euler operator z d/dz applied e times, exact on P/(1-z)^d.
 
-    For d >= 1 the steps are those of _euler_steps, and only the result
-    is wrapped, made int where integral unless every input coefficient
-    is an int, when every output coefficient is one already.  A
-    polynomial (d = 0) stays one and goes through the constructor, and
-    e = 0 returns f itself.
+    z d/dz (P/(1-z)^d) = z (P'(z)(1-z) + d P(z)) / (1-z)^(d+1) has numerator
+    q_j = j P_j + (d+1-j) P_(j-1), one pass per step over a plain list.  For
+    d >= 1, q(1) = d P(1) != 0, so q is canonical once trailing zeros are
+    gone; only the result is wrapped, and made int where integral unless
+    every input coefficient is an int (every Li value), when every output
+    coefficient is one already.  A polynomial (d = 0) stays one and goes
+    through the constructor, and e = 0 returns f itself.
     """
     if not _is_count(e):
         raise ValueError("exponent must be an integer >= 0")
@@ -275,7 +253,15 @@ def euler_deriv(f: RatFun, e: int = 1) -> RatFun:
     if not d:
         return RatFun([i**e * c for i, c in enumerate(p)])
     ints = {int} >= set(map(type, p))
-    p, d = _euler_steps(p, d, e)
+    for _ in range(e):
+        q, prev = [], 0
+        for j, c in enumerate(p):
+            q.append(j * c + (d + 1 - j) * prev)
+            prev = c
+        q.append((d + 1 - len(p)) * prev)
+        while not q[-1]:
+            q.pop()
+        p, d = q, d + 1
     return RatFun._trusted(tuple(p) if ints else tuple([_exact(c) for c in p]), d)
 
 

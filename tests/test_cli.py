@@ -461,25 +461,6 @@ def series_rows(sweep):
     return wanted
 
 
-def test_verify_parses_and_evaluates_each_distinct_line_once(capsys, monkeypatch):
-    _, sweep, _ = run(capsys, "kernel", "(1,2,1,2,1;1)", "--all-sigma")
-    assert len(sweep.splitlines()) == 720 and len(set(sweep.splitlines())) == 15
-    parsed, evaluated = [], []
-    read, evaluate = cli.relation_from_record, pl._evaluate
-    monkeypatch.setattr(cli, "relation_from_record", lambda obj: parsed.append(obj) or read(obj))
-    monkeypatch.setattr(pl, "_evaluate", lambda terms, bound: evaluated.append(terms) or evaluate(terms, bound))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(sweep))
-    code, out, err = run(capsys, "verify", "-")
-    assert (code, err) == (0, "")
-    assert len(parsed) == len(evaluated) == 15
-    # Each line is reported, repeats included, under its own number.
-    assert out == "".join(f"line {n}: ok\n" for n in range(1, 721)) + "checked 720 relations: 720 ok, 0 failed\n"
-    # The memo lives for one call: the same stream again parses its lines again.
-    monkeypatch.setattr(sys, "stdin", io.StringIO(sweep))
-    assert run(capsys, "verify", "-") == (0, out, "")
-    assert len(parsed) == len(evaluated) == 30
-
-
 def test_verify_reads_each_series_row_once_per_file(capsys, monkeypatch):
     _, sweep, _ = run(capsys, "kernel", "(1,2;1)", "--all-sigma")
     # The sweep's own rows are dropped, so verify builds every row it reads.
