@@ -6,20 +6,24 @@ through the in-process cli.main with fresh Li, series-row and
 index-text caches, as a new process starts with.  The corpus is:
 
   * the 54 duality-check boxes of depth <= 5 and weight <= 8, each
-    plain and with --json;
+    plain and with --json, and the box of depth <= 2 and weight <= 30,
+    whose leaves reach 31 tails;
   * the kernel --all-sigma sweep of each of the 329 magnus indices of
     depth <= 3 and weight <= 6; two kernel --sigma commands, one of
     them the identity; and one refused sigma, which exits 2;
-  * verify --bundled, plain and with --json; the sweep of
-    (1,2,1,2,1;1) piped to verify -; and the mixed stream of the
-    sweep of (1,2,3;4) followed by the bundled relations, piped to
-    verify -, whose relations read series rows at several bounds;
+  * verify --bundled, plain and with --json; the sweeps of
+    (1,2,1,2,1;1), of (3,1,2;2), the heaviest kernel-sweep cell, and of
+    (0,1;2), each piped to verify -; and the mixed stream of the sweep
+    of (1,2,3;4) followed by the bundled relations, piped to verify -,
+    whose relations read series rows at several bounds;
   * eval of each plain index of depth <= 2 and weight <= 3, plain,
-    with --series 5 and with --json --series 5;
+    with --series 5 and with --json --series 5, and of (1,1) with
+    --series 4;
   * expand of each plain index of depth 1 to 3 and weight <= 3, plain
     and with --json, and of "()", which exits 2;
   * magnus of each magnus index of depth <= 2 and weight <= 3, plain
-    and with --json, and of the plain "(1,2)", which exits 2;
+    and with --json, of (1,2;1) and of (1,2,3;4) with --json, and of
+    the plain "(1,2)", which exits 2;
   * product of each list of 1 to 3 factors, each <= 2, plain and with
     --json.
 
@@ -35,8 +39,10 @@ why:
 
     PYTHONPATH=src python tests/output_manifest.py > tests/output_manifest.json
 
-test_cli recomputes the manifest and compares it with the committed
-file, and also runs the corpus once more in one pass with warm caches.
+test_cli recomputes the manifest, but for its slowest boxes, and
+compares it with the committed file; it also runs the corpus once more
+in one pass with warm caches, and then the verify commands again.  CI
+recomputes every command against the installed package.
 """
 
 import contextlib
@@ -73,7 +79,7 @@ def corpus() -> list[list[str]]:
         for depth in range(6)
         for weight in range(9)
         for form in ([], ["--json"])
-    ]
+    ] + [["duality-check", "--max-depth", "2", "--max-weight", "30"]]
     sweeps = [
         ["kernel", str(k), "--all-sigma"]
         for depth in range(4)
@@ -89,13 +95,15 @@ def corpus() -> list[list[str]]:
         ["verify", "--bundled"],
         ["verify", "--bundled", "--json"],
         ["kernel", "(1,2,1,2,1;1)", "--all-sigma", "|", "verify", "-"],
+        ["kernel", "(3,1,2;2)", "--all-sigma", "|", "verify", "-"],
+        ["kernel", "(0,1;2)", "--all-sigma", "|", "verify", "-"],
         ["kernel", "(1,2,3;4)", "--all-sigma", ";", "cat", "known_relations.jsonl", "|", "verify", "-"],
     ]
     evals = [
         ["eval", s, *form]
         for s in _plain(range(3), 3)
         for form in ([], ["--series", "5"], ["--json", "--series", "5"])
-    ]
+    ] + [["eval", "(1,1)", "--series", "4"]]
     expands = [["expand", s, *form] for s in _plain(range(1, 4), 3) for form in ([], ["--json"])]
     magnus = [
         ["magnus", str(k), *form]
@@ -103,7 +111,7 @@ def corpus() -> list[list[str]]:
         for weight in range(4)
         for k in magnus_indices(depth, weight)
         for form in ([], ["--json"])
-    ]
+    ] + [["magnus", "(1,2;1)"], ["magnus", "(1,2,3;4)", "--json"]]
     products = [
         ["product", *map(str, factors), *form]
         for n in range(1, 4)

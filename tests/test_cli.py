@@ -633,6 +633,14 @@ def test_verify_reports_deep_nesting_as_a_parse_error(capsys, monkeypatch, line)
     assert err.startswith("line 2: parse error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("line", ["[1]", "{}", '{"term": []}'])
+def test_verify_refuses_a_line_that_is_not_a_relation_object(capsys, monkeypatch, line):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(GOOD_LINE + "\n" + line + "\n"))
+    code, out, err = run(capsys, "verify", "-")
+    assert (code, out) == (2, "line 1: ok\n")
+    assert err == "line 2: parse error: relation record must be an object with a 'terms' array\n"
+
+
 def test_verify_rejects_bool_index_entries(capsys, monkeypatch):
     line = '{"terms":[{"coef":"1","index":[true]},{"coef":"-1","index":[1]}]}'
     monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
@@ -843,10 +851,15 @@ def test_duality_check_json(capsys):
     assert out == '{"max_depth": 1, "max_weight": 1, "cells": [%s], "ok": true}\n' % cells
 
 
-# The box (5, 8) takes about half the manifest's time.  CI regenerates the
-# whole manifest and compares it with the file, and here its records are
-# checked against the per-index path by test_grade_report_equals_the_per_index_path.
-LEFT_TO_CI = {"duality-check --max-depth 5 --max-weight 8", "duality-check --max-depth 5 --max-weight 8 --json"}
+# The boxes (5, 8) and (2, 30) take about half the manifest's time.  CI's
+# installed-package step regenerates the whole manifest and compares it
+# with the file, and here the records of (5, 8) are checked against the
+# per-index path by test_grade_report_equals_the_per_index_path.
+LEFT_TO_CI = {
+    "duality-check --max-depth 5 --max-weight 8",
+    "duality-check --max-depth 5 --max-weight 8 --json",
+    "duality-check --max-depth 2 --max-weight 30",
+}
 
 
 def committed_manifest(names):
@@ -863,7 +876,7 @@ def committed_manifest(names):
 
 def test_duality_check_bytes_match_the_manifest():
     commands, committed = committed_manifest({"duality-check"})
-    assert len(commands) == 108 and all(rec["exit"] == 0 for rec in committed.values())
+    assert len(commands) == 109 and all(rec["exit"] == 0 for rec in committed.values())
     checked = [argv for argv in commands if " ".join(argv) not in LEFT_TO_CI]
     assert output_manifest.manifest(checked) == {cmd: rec for cmd, rec in committed.items() if cmd not in LEFT_TO_CI}
 
@@ -878,11 +891,12 @@ def test_kernel_bytes_match_the_manifest():
 
 
 def test_verify_eval_expand_magnus_and_product_bytes_match_the_manifest():
-    # verify --bundled plain and --json, a sweep piped to verify - and the
-    # mixed-D stream; the grids of eval, expand, magnus and product, and
-    # the refused expand "()" and magnus "(1,2)", which exit 2.
+    # verify --bundled plain and --json, three sweeps piped to verify -
+    # and the mixed-D stream; the grids of eval, expand, magnus and
+    # product with three more eval and magnus commands, and the refused
+    # expand "()" and magnus "(1,2)", which exit 2.
     commands, committed = committed_manifest({"verify", "eval", "expand", "magnus", "product"})
-    assert len(commands) == 4 + 45 + 69 + 69 + 78
+    assert len(commands) == 6 + 46 + 69 + 71 + 78
     assert sorted(cmd for cmd, rec in committed.items() if rec["exit"] != 0) == ["expand ()", "magnus (1,2)"]
     assert output_manifest.manifest(commands) == committed
 
@@ -890,12 +904,17 @@ def test_verify_eval_expand_magnus_and_product_bytes_match_the_manifest():
 def test_warm_caches_print_the_manifest_bytes():
     # The manifest runs each command with fresh caches, as a new process
     # starts with.  Run in one pass that shares the caches of every earlier
-    # command, each command prints the same bytes.
+    # command, each command prints the same bytes.  The verify commands
+    # then run once more, so the bundled relations and the sweeps read
+    # series rows that an earlier verify grew to D = 5, 6, 11, 15 and 20.
     committed = json.loads(output_manifest.PATH.read_text(encoding="utf-8"))
     commands = [argv for argv in output_manifest.corpus() if " ".join(argv) not in LEFT_TO_CI]
     assert output_manifest.manifest(commands, fresh=False) == {
         cmd: rec for cmd, rec in committed.items() if cmd not in LEFT_TO_CI
     }
+    verify = [argv for argv in commands if output_manifest.recorded_command(argv) == "verify"]
+    again = output_manifest.manifest(verify, fresh=False)
+    assert len(again) == 6 and again == {cmd: committed[cmd] for cmd in again}
     assert len(pl._LI) > 1 and len(pl._ROWS) > 1 and pl._TEXTS
 
 

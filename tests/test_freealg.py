@@ -110,6 +110,8 @@ def test_splitting_rejects_words_outside_domain():
         poly_x_to_y(NcPoly.monomial("X", (1, 0)))
     with pytest.raises(ValueError, match="not in <X>x1"):
         poly_x_to_y(NcPoly.one("X"))
+    with pytest.raises(ValueError, match="expected a polynomial over X"):
+        poly_x_to_y(NcPoly.monomial("Y", (1,)))
 
 
 def test_splitting_round_trips_randomized():

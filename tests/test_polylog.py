@@ -440,6 +440,11 @@ def test_products_reject_bool_factors():
         product_letter_word(True, mpl_index(1))
 
 
+def test_a_product_needs_a_factor():
+    with pytest.raises(ValueError, match="need at least one factor"):
+        nfold_product([])
+
+
 def test_nfold_product_is_exact():
     rng = random.Random(473)
     for _ in range(10):

@@ -34,6 +34,14 @@ def test_depth_and_weight():
     assert mpl_index().weight == 0
 
 
+def test_only_a_magnus_index_splits_into_prefix_and_tail():
+    k = magnus_index(0, 1, 2)
+    assert (k.prefix, k.tail) == ((0, 1), 2)
+    for name in ("prefix", "tail"):
+        with pytest.raises(ValueError, match="magnus indices only"):
+            getattr(mpl_index(0, 1, 2), name)
+
+
 def test_index_validation():
     with pytest.raises(ValueError):
         MultiIndex((1, -2))
