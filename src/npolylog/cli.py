@@ -29,15 +29,17 @@ arrangement met to its record line and verdict, for one command call,
 and kernel prints the lines it yields.  The Li values, series rows and
 index texts are cached by polylog for the process, so the relations of
 one sweep or one verify file share them, and so do repeated main()
-calls in one process.  verify reads one
-source, a path, "-" or --bundled, as it is, and turns its "\r\n" and
-bare "\r" line ends into "\n" in one place.
+calls in one process.  verify reads its one source, a path, "-" or
+the bundled file beside this module, a line at a time through _lines,
+and prints each verdict as soon as its line is decided: it holds one
+chunk of its input at a time, and a piped stream gets its verdicts as
+it is written.
 
-Importing this module loads no dataclasses, typing or
-importlib.resources: each command call is a new process, and start-up
-is paid on every call.  For the same reason main builds the subparser
-of the command it is given and no other; no arguments, -h or an
-unknown command build the full parser, which lists every command.
+Importing this module loads no dataclasses or typing, and no command
+loads importlib.resources: each command call is a new process, and
+start-up is paid on every call.  For the same reason main builds the
+subparser of the command it is given and no other; no arguments, -h or
+an unknown command build the full parser, which lists every command.
 Either way the output is the same bytes.
 """
 
@@ -50,7 +52,7 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .freealg import NcPoly, poly_to_json_obj
 from .magnus import grade_report, magnus_poly
@@ -69,7 +71,7 @@ from .polylog import (
 from .ratpoly import taylor_coeffs
 from .words import _parse_int, _require_magnus, _require_plain, parse_index
 
-_BUNDLED = "data/known_relations.jsonl"
+_BUNDLED = os.path.join(os.path.dirname(__file__), "data", "known_relations.jsonl")
 
 
 @contextlib.contextmanager
@@ -184,44 +186,51 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     return rc
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.bundled:
-        # Only this branch reads package data, so only it pays for the import.
-        from importlib import resources
+def _lines(stream: Iterable[str]) -> Iterator[str]:
+    """The lines of a text stream, each without its end: "\r\n", a bare "\r" or "\n".
 
-        text = resources.files("npolylog").joinpath(_BUNDLED).read_text(encoding="utf-8")
-    elif args.file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.file, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    # Each source is read as it is; its line ends become "\n" here and
-    # nowhere else.  A raw "\r" cannot occur inside a JSON string, while
-    # U+2028, U+2029 and U+0085 can, so they do not end a line.
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    A stream hands out chunks that end at "\n", as POSIX stdin and
+    io.StringIO do, or also at "\r", as a file opened with newline=""
+    does; neither splits "\r\n".  A raw "\r" cannot occur inside a
+    JSON string, while U+2028, U+2029 and U+0085 can, so they do not end
+    a line.
+    """
+    for chunk in stream:
+        yield from chunk.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    path = _BUNDLED if args.bundled else args.file
+    if path == "-" and sys.stdin is None:
+        raise OSError("stdin is closed")
     checked = 0
     failed = 0
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        # json.loads recurses once per nesting level, so a deeply nested
-        # line raises RecursionError: a parse error like any other.
-        try:
-            record = json.loads(line)
-            c = relation_from_record(record)
-        except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-            print(f"line {lineno}: parse error: {exc}", file=sys.stderr)
-            return 2
-        ok, witness = verify_relation(c)
-        checked += 1
-        if not ok:
-            failed += 1
-        with _unlimited_digits():
-            shown = None if ok else str(witness)
-        if args.json:
-            print(json.dumps({"line": lineno, "ok": ok, "witness": shown}))
-        else:
-            print(f"line {lineno}: ok" if ok else f"line {lineno}: FAIL witness={shown}")
+    # A byte that is not UTF-8 is decoded as Python decodes stdin in the
+    # C locale, so it fails the parse of its line, by path as piped.
+    with contextlib.nullcontext(sys.stdin) if path == "-" else open(
+        path, encoding="utf-8", errors="surrogateescape", newline=""
+    ) as source:
+        for lineno, line in enumerate(_lines(source), start=1):
+            if not line.strip():
+                continue
+            # json.loads recurses once per nesting level, so a deeply nested
+            # line raises RecursionError: a parse error like any other.
+            try:
+                record = json.loads(line)
+                c = relation_from_record(record)
+            except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+                print(f"line {lineno}: parse error: {exc}", file=sys.stderr)
+                return 2
+            ok, witness = verify_relation(c)
+            checked += 1
+            if not ok:
+                failed += 1
+            with _unlimited_digits():
+                shown = None if ok else str(witness)
+            if args.json:
+                print(json.dumps({"line": lineno, "ok": ok, "witness": shown}), flush=True)
+            else:
+                print(f"line {lineno}: ok" if ok else f"line {lineno}: FAIL witness={shown}", flush=True)
     if not args.json:
         print(f"checked {checked} relations: {checked - failed} ok, {failed} failed")
     return 1 if failed else 0
@@ -335,6 +344,8 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _parser(command).parse_args(argv)
     try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         rc = args.func(args)
         # A reader that closed the pipe is met here, not at exit.
         sys.stdout.flush()

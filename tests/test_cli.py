@@ -1,10 +1,12 @@
 """Command line surface: text goldens, JSON shapes, and exit codes."""
 
+import contextlib
 import io
 import itertools
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +26,11 @@ GOOD_LINE = (
     ' {"coef": "-2", "index": [0, 3]}], "verified": true, "weight": 3, "depth": 2}'
 )
 BAD_LINE = '{"terms": [{"coef": "1", "index": [0]}], "verified": false, "weight": 0, "depth": 1}'
+
+# The command line and environment of a CLI child process that imports
+# the npolylog under test.
+CLI = [sys.executable, "-m", "npolylog.cli"]
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
 
 
 def run(capsys, *argv):
@@ -405,14 +412,37 @@ def test_kernel_expands_each_arrangement_once_per_sweep(capsys, monkeypatch):
 @pytest.mark.parametrize("index, read", [("(1,2,1,2,1;1)", 1), ("(1;2)", 0)], ids=["after-one-line", "before-any-line"])
 def test_kernel_into_a_closed_pipe_exits_141_quietly(index, read):
     # 141 = 128 + SIGPIPE, as the shell reports for `yes | head -1`.
-    command = [sys.executable, "-m", "npolylog.cli", "kernel", index, "--all-sigma"]
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    command = [*CLI, "kernel", index, "--all-sigma"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV) as proc:
         for _ in range(read):
             assert proc.stdout.readline().startswith(b'{"terms": ')
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=120), err) == (141, b"")
+
+
+def test_verify_into_a_closed_pipe_exits_141_quietly(tmp_path):
+    # The verdicts of 10,000 lines overfill a pipe's buffer, so verify
+    # meets the closed pipe while it still prints them, one flush each.
+    path = tmp_path / "relations.jsonl"
+    path.write_text((GOOD_LINE + "\n") * 10_000)
+    with path.open("rb") as fh:
+        with subprocess.Popen([*CLI, "verify", "-"], stdin=fh, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV) as proc:
+            assert proc.stdout.readline() == b"line 1: ok\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (141, b"")
+
+
+@pytest.mark.parametrize(
+    "fd, argv, message",
+    [(0, ["verify", "-"], "stdin"), (1, ["verify", "--bundled"], "stdout"), (1, ["eval", "(1)"], "stdout")],
+    ids=["verify-stdin", "verify-stdout", "eval-stdout"],
+)
+def test_a_closed_stdin_or_stdout_exits_2(fd, argv, message):
+    # As `npolylog verify - <&-` or `npolylog eval "(1)" >&-` in a shell.
+    done = subprocess.run([*CLI, *argv], capture_output=True, env=CLI_ENV, preexec_fn=lambda: os.close(fd))
+    assert (done.returncode, done.stderr) == (2, f"error: {message} is closed\n".encode())
 
 
 @pytest.mark.parametrize("sigma", ["\u0662 \u0661", "+2 1", "2_0 1"], ids=["arabic-indic", "plus", "underscore"])
@@ -527,13 +557,113 @@ def test_verify_reads_the_same_bytes_alike_piped_and_by_path(tmp_path, ends):
     data = "".join(line + end for line, end in zip([GOOD_LINE, BAD_LINE, GOOD_LINE], ends)).encode()
     path = tmp_path / "relations.jsonl"
     path.write_bytes(data)
-    command = [sys.executable, "-m", "npolylog.cli", "verify"]
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    piped = subprocess.run(command + ["-"], input=data, capture_output=True, env=env)
-    by_path = subprocess.run(command + [str(path)], capture_output=True, env=env)
+    piped = subprocess.run([*CLI, "verify", "-"], input=data, capture_output=True, env=CLI_ENV)
+    by_path = subprocess.run([*CLI, "verify", str(path)], capture_output=True, env=CLI_ENV)
     assert (piped.returncode, piped.stdout, piped.stderr) == (by_path.returncode, by_path.stdout, by_path.stderr)
     assert piped.returncode == 1 and piped.stderr == b""
     assert piped.stdout == b"line 1: ok\nline 2: FAIL witness=z/(1-z)\nline 3: ok\nchecked 3 relations: 2 ok, 1 failed\n"
+
+
+def test_verify_reads_a_byte_that_is_not_utf8_alike_piped_and_by_path(tmp_path):
+    # Line 2 ends in 0xff.  Python decodes stdin with surrogateescape in
+    # the C and C.UTF-8 locales, as verify opens a path, so the byte is a
+    # parse error of its line, after line 1's verdict.
+    data = (GOOD_LINE + "\n" + BAD_LINE).encode() + b"\xff\n" + (GOOD_LINE + "\n").encode()
+    path = tmp_path / "relations.jsonl"
+    path.write_bytes(data)
+    escaping = {**CLI_ENV, "PYTHONIOENCODING": "utf-8:surrogateescape"}
+    piped = subprocess.run([*CLI, "verify", "-"], input=data, capture_output=True, env=escaping)
+    by_path = subprocess.run([*CLI, "verify", str(path)], capture_output=True, env=CLI_ENV)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (by_path.returncode, by_path.stdout, by_path.stderr)
+    assert (piped.returncode, piped.stdout) == (2, b"line 1: ok\n")
+    assert piped.stderr == b"line 2: parse error: Extra data: line 1 column 85 (char 84)\n"
+    # A locale that decodes stdin strictly refuses the byte itself, with exit 2 all the same.
+    strict_env = {**CLI_ENV, "PYTHONIOENCODING": "utf-8:strict"}
+    strict = subprocess.run([*CLI, "verify", "-"], input=data, capture_output=True, env=strict_env)
+    assert strict.returncode == 2
+    assert strict.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xff") and strict.stderr.count(b"\n") == 1
+
+
+class PacedStdin(io.TextIOBase):
+    """A stdin double that notes what stdout holds each time it is asked for a line."""
+
+    def __init__(self, lines, stdout):
+        self._lines = iter(lines)
+        self._stdout = stdout
+        self.seen = []
+
+    def readline(self, size=-1):
+        self.seen.append(self._stdout.getvalue())
+        return next(self._lines, "")
+
+    def read(self, size=-1):
+        return "".join(iter(self.readline, ""))
+
+
+def test_verify_prints_each_verdict_before_it_reads_the_next_line(monkeypatch):
+    out = io.StringIO()
+    stdin = PacedStdin([GOOD_LINE + "\n", BAD_LINE + "\n"], out)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "-"]) == 1
+    # Line 2 is asked for only once line 1's verdict is out, and the end
+    # of the input once line 2's is.
+    assert stdin.seen == ["", "line 1: ok\n", "line 1: ok\nline 2: FAIL witness=z/(1-z)\n"]
+    assert out.getvalue().endswith("\nchecked 2 relations: 1 ok, 1 failed\n")
+
+
+@pytest.mark.parametrize(
+    "argv, first, rest",
+    [
+        ([], b"line 1: ok\n", b"checked 1 relations: 1 ok, 0 failed\n"),
+        (["--json"], b'{"line": 1, "ok": true, "witness": null}\n', b""),
+    ],
+    ids=["text", "json"],
+)
+def test_verify_prints_the_first_verdict_before_its_input_ends(argv, first, rest):
+    # Stdout to a pipe is block-buffered unless PYTHONUNBUFFERED is set,
+    # so without it only verify's flush brings the verdict out early.
+    env = {name: value for name, value in CLI_ENV.items() if name != "PYTHONUNBUFFERED"}
+    command = [*CLI, "verify", "-", *argv]
+    with subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            proc.stdin.write(GOOD_LINE.encode() + b"\n")
+            proc.stdin.flush()
+            # The producer holds its end open until the verdict comes, or 30 s pass.
+            seen = proc.stdout.readline() if select.select([proc.stdout], [], [], 30)[0] else b""
+        finally:
+            proc.stdin.close()
+        assert seen == first
+        assert proc.stdout.read() == rest
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (0, b"")
+
+
+# Runs `verify -` on the file argv[1] as its stdin and prints the
+# child's peak RSS in bytes.  A fresh process reads RUSAGE_CHILDREN, so
+# no other child's peak is counted; ru_maxrss is in KiB on Linux.
+PEAK_RSS_OF_VERIFY = """
+import resource, subprocess, sys
+with open(sys.argv[1], "rb") as fh:
+    subprocess.run([sys.executable, "-m", "npolylog.cli", "verify", "-"], stdin=fh, stdout=subprocess.DEVNULL, check=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(peak if sys.platform == "darwin" else peak * 1024)
+"""
+
+
+def test_verify_holds_one_line_of_its_input_at_a_time(tmp_path):
+    alone, padded = tmp_path / "alone.jsonl", tmp_path / "padded.jsonl"
+    alone.write_text(GOOD_LINE + "\n")
+    with padded.open("w") as fh:
+        for _ in range(32):
+            fh.write(" " * 2**20 + "\n")
+        fh.write(GOOD_LINE + "\n")
+    peaks = []
+    for path in (alone, padded):
+        done = subprocess.run([sys.executable, "-c", PEAK_RSS_OF_VERIFY, str(path)], capture_output=True, text=True, env=CLI_ENV)
+        assert done.returncode == 0, done.stderr
+        peaks.append(int(done.stdout))
+    # 32 MiB of blank lines cost about one of them, not the whole input.
+    assert peaks[1] - peaks[0] < 8 * 2**20, peaks
 
 
 def test_verify_stdin_reports_failures(capsys, monkeypatch):
