@@ -11,7 +11,8 @@ byte-deterministic.  Exit codes: 0 success, 1 verification failure,
 2 parse or usage error, 3 the two evaluation pipelines disagreed and
 the relation was left undecided, 141 (128 + SIGPIPE, what the shell
 reports for a process killed by SIGPIPE) the reader closed stdout,
-with nothing on stderr.  Every count argument is read by one rule, as
+with nothing on stderr.  A closed stderr drops the error line and
+keeps the code.  Every count argument is read by one rule, as
 an index entry is: ASCII digits and no sign, so "-0" is refused as
 "-1" is, with one message.  magnus and product print the product
 identity through one renderer.
@@ -186,6 +187,13 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     return rc
 
 
+def _error(line: str) -> None:
+    """Write line to stderr, or nothing when stderr is closed: the command's exit code stands either way."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 def _lines(stream: Iterable[str]) -> Iterator[str]:
     """The lines of a text stream, each without its end: "\r\n", a bare "\r" or "\n".
 
@@ -219,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 record = json.loads(line)
                 c = relation_from_record(record)
             except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-                print(f"line {lineno}: parse error: {exc}", file=sys.stderr)
+                _error(f"line {lineno}: parse error: {exc}")
                 return 2
             ok, witness = verify_relation(c)
             checked += 1
@@ -356,10 +364,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 2
     except PipelineDisagreement as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return 3
 
 

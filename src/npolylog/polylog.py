@@ -36,13 +36,15 @@ and decides the verdict on its own.  Disagreement between the two
 raises PipelineDisagreement instead of picking a winner.
 _kernel_records decides the relations of a slot-permutation sweep the
 same way, by arrangement: the relation of sigma is zero exactly when
-the closed forms of k and of sigma(k) have one value, so k and each
-distinct arrangement are evaluated once, through both pipelines.  k's
-value is checked against its own series and against the product of
-its depth-one values (Theorem main4).  An arrangement with k's value
-and k's row needs no series check of its own, as its series is k's;
-only a value that differs from k's is checked against its own row, so
-a correct sweep expands two series, whatever its length.
+the closed forms of k and of sigma(k) have one value.  Every term of a
+sweep has the denominator (1-z)^D, D = weight + depth, so each index's
+numerator and series row are packed once into one int each (_Packed),
+and each closed form's value and row are two exact integer sums,
+compared with those of the product of k's depth-one values (Theorem
+main4).  Only a value that differs from k's, or a closed form too
+large for its slots, goes through _evaluate and is checked against its
+own row, so a correct sweep expands two series, whatever its length.
+verify_relation keeps _evaluate: its lines use most values once.
 
 Every Li value has integer numerator coefficients, so verify_relation
 evaluates a combination in integer arithmetic: its coefficients are
@@ -62,8 +64,9 @@ in place when a larger bound is read, and a smaller bound reads a
 prefix of it.  relation_line formats each index once (_TEXTS).
 _kernel_records keys a sweep by the arrangement sigma(k): one dict per
 sweep maps each arrangement met to its record line and verdict, so the
-closed form of each distinct arrangement is expanded, evaluated and
-written once per sweep.  kernel_element is the definition for one
+closed form of each distinct arrangement is expanded, summed and
+written once per sweep, and one _Packed per sweep holds each index's
+packed value and row.  kernel_element is the definition for one
 arrangement, and keeps nothing.
 relation_line is the one definition of the record format:
 relation_record is its text parsed back.
@@ -79,7 +82,7 @@ import re
 import sys
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from operator import itemgetter
 
 from .freealg import NcPoly, _add_term, _term_key, poly_x_to_y
@@ -388,14 +391,16 @@ def relation_line(c: LinComb, verified: bool) -> str:
     the combination is not homogeneous (products of depth-one values
     reduce to lower weight, so mixed records are legitimate).  The text
     is json.dumps of relation_record.  Each index is formatted once
-    for the life of the process, in _TEXTS.
+    for the life of the process, in _TEXTS, its entry list joined as
+    json.dumps writes it.
     """
     c_terms = _index_terms(c)
     rows = []
     for entries, coef in c_terms.items():
         t = _TEXTS.get(entries)
         if t is None:
-            t = _TEXTS[entries] = (_term_key("Y", entries), f'"index": {json.dumps(list(entries))}}}', sum(entries))
+            text = '"index": [' + ", ".join(map(str, entries)) + "]}"
+            t = _TEXTS[entries] = (_term_key("Y", entries), text, sum(entries))
         rows.append((t, coef))
     # Distinct entries have distinct sort keys, so each t orders by its key.
     rows.sort(key=itemgetter(0))
@@ -408,6 +413,103 @@ def relation_line(c: LinComb, verified: bool) -> str:
     return f'{{"terms": [{terms}], "verified": {flag}, "weight": {weight}, "depth": {depth}}}'
 
 
+class _Packed(dict):
+    """The Li values and series rows of one sweep, each index's packed into one int: entries -> (value, row).
+
+    Every term of the sweep of k has weight w and depth r, so its Li
+    value is P/(1-z)^D, D = w + r, and its row is read at z^0..z^D.
+    P and the row are each written once as little-endian slots of one
+    int, m bytes of coefficient and h >= (w+2)/8 bytes of headroom per
+    slot, so a closed form's value and row are sum(a*packed), one
+    multiply-add per term.
+
+    Bounds (r >= 1).  Li(s) is built from Li(()) = 1 by D steps, one
+    z/(1-z) per entry and one Euler step per unit of weight, each
+    raising d by 1 with deg P <= d.  The Euler step q_j = j P_j +
+    (d+1-j) P_(j-1) keeps coefficients >= 0 (j <= deg P + 1 <= d + 1)
+    and multiplies P(1) by d, z/(1-z) keeps P(1), and the Euler steps
+    take distinct d in 1..D-1: every coefficient lies in [0, (D-1)!].
+    The coefficient of z^n sums at most C(n-1, r-1) <= 2^(n-1) products
+    n1^s1...nr^sr <= n^w, so a row entry up to z^D lies in
+    [0, D^w 2^(D-1)].  The product Li(k1)...Li(kn) keeps both bounds
+    (P(1) = k1!...kn! <= (D-1)!), and a closed form's |coefficients|,
+    signed products of C(s_j, k_j) over 0 <= k_j <= s_j, sum to at
+    most 2^w.  m is sized by these bounds, so every correct index fits.
+
+    Exactness.  pack raises OverflowError for a coefficient outside
+    [0, 256^m) or a denominator other than (1-z)^D, and sums gives
+    nothing for a closed form holding such an index or whose
+    |coefficients| sum past 2^w.  A slot of a sum then has
+    |value| < 2^w 256^m <= 2^(S-2), S the slot's bits, and one of the
+    packed product lies in [0, 256^m), so two packed ints differ by
+    less than 2^S in each slot and are equal only when every slot is:
+    no carry hides a difference.
+    """
+
+    __slots__ = ("bound", "limit", "pad", "value_width", "row_width", "product", "product_row", "reference")
+
+    def __init__(self, k: MultiIndex) -> None:
+        super().__init__()
+        weight = sum(k.entries)
+        self.bound = bound = weight + len(k.entries)
+        self.limit = 2**weight
+        self.pad = bytes((weight + 9) // 8)
+        self.value_width = (factorial(bound - 1).bit_length() + 7) // 8
+        self.row_width = ((bound**weight << (bound - 1)).bit_length() + 7) // 8
+        # Theorem main4's value of k's closed form, and its series.
+        self.product = _depth_one_product(k.entries)
+        self.product_row = taylor_coeffs(self.product, bound)
+        try:
+            self.reference: tuple[int, int] | None = self.pack(self.product, self.product_row)
+        except OverflowError:
+            self.reference = None
+
+    def pack(self, f: RatFun, row: Sequence[int]) -> tuple[int, int]:
+        """The numerator of f and z^0..z^D of row, each in one int; raises OverflowError where a slot cannot hold them."""
+        bound, pad, width = self.bound, self.pad, self.value_width
+        if f.dpow != bound:
+            raise OverflowError(f"denominator power {f.dpow} is not {bound}")
+        value = int.from_bytes(pad.join([c.to_bytes(width, "little") for c in f.num]), "little")
+        width = self.row_width
+        return value, int.from_bytes(pad.join([c.to_bytes(width, "little") for c in row[: bound + 1]]), "little")
+
+    def __missing__(self, entries: tuple[int, ...]) -> tuple[int, int]:
+        packed = self[entries] = self.pack(_polylog_entries(entries), _series_row(entries, self.bound))
+        return packed
+
+    def sums(self, terms: Mapping[tuple[int, ...], int]) -> tuple[int, int] | None:
+        """The packed value and row of the closed form terms, or None where a packed verdict would not be exact."""
+        if self.reference is None or sum(map(abs, terms.values())) > self.limit:
+            return None
+        value = row = 0
+        try:
+            for entries, a in terms.items():
+                v, s = self[entries]
+                value += a * v
+                row += a * s
+        except OverflowError:
+            return None
+        return value, row
+
+    def matches(self, terms: Mapping[tuple[int, ...], int]) -> tuple[bool, bool]:
+        """Whether the closed form terms has the product's value, and whether it has the product's row.
+
+        Decided by two comparisons of packed sums when they are exact
+        and not both false.  Otherwise the closed form is evaluated
+        through both pipelines, and a value that is not the product's
+        is checked against its own row.
+        """
+        sums = self.sums(terms)
+        if sums is not None:
+            same = sums[0] == self.reference[0], sums[1] == self.reference[1]
+            if any(same):
+                return same
+        f, row = _evaluate(terms.items(), self.bound)
+        if f != self.product:
+            _check(f, row)
+        return f == self.product, row == self.product_row
+
+
 def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> Iterator[tuple[str, bool]]:
     """(record line, verdict) of the relation of k and each arrangement of its entries in turn, lazily.
 
@@ -417,47 +519,47 @@ def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> I
     repeat yields the stored pair again.  The dict starts with k and
     the zero relation of sigma(k) = k, which verify_relation decides at
     D = 0 without evaluating a word.  The relation of any other
-    arrangement is the closed form of k minus that of sigma(k), so Li
-    maps it to zero exactly when the two closed forms have one value.
-    Each is a combination of weight w and depth r, so D = w + r decides
-    as in verify_relation.  k is evaluated once, when the first other
-    arrangement is met, through both pipelines of verify_relation: its
-    value is checked against its own row, and against the product of
-    its depth-one values, which Theorem main4 says the closed form is
-    worth.  Each distinct arrangement is evaluated once, and the verdict
-    compares it with k twice, value with value and row with row; if the
-    two comparisons differ, PipelineDisagreement is raised.  When both
-    agree, an arrangement whose value is k's needs no check of its own:
-    its series is k's, already checked against k's row, which is its
-    row.  Only a value that differs from k's is checked against its own
-    row.  The verdict is that of verify_relation on the relation, and
-    PipelineDisagreement is raised where checking every value against
-    its own row would raise it.  Each pair is yielded before the next
-    arrangement is evaluated.
+    arrangement is the closed form of k minus that of sigma(k), of
+    weight w and depth r, so Li maps it to zero exactly when the two
+    closed forms have one value, and D = w + r decides as in
+    verify_relation.
+
+    When the first other arrangement is met, k's closed form is matched
+    (_Packed.matches) against the product of its depth-one values,
+    which Theorem main4 says it is worth: value with value and row with
+    the product's series.  If exactly one of the two holds,
+    PipelineDisagreement is raised; if neither does, the closed form is
+    refused.  Each distinct arrangement is then matched once against
+    the same product, which is now k's value and row, and if the two
+    comparisons differ, PipelineDisagreement is raised.  An arrangement
+    whose value is k's needs no check of its own: its series is k's,
+    already checked against k's row, which is its row.  So the verdict
+    is that of verify_relation on the relation, and PipelineDisagreement
+    is raised where checking every value against its own row would
+    raise it.  Each pair is yielded before the next arrangement is
+    evaluated.
     """
     _require_magnus(k)
     zero = LinComb()
     ok = verify_relation(zero)[0]
     records = {k.entries: (relation_line(zero, ok), ok)}
     base = _product_terms(k.entries)
-    bound = sum(k.entries) + len(k.entries)
-    value_k: tuple[RatFun, list[int]] | None = None
+    packed: _Packed | None = None
     for arranged in arrangements:
         if arranged not in records:
-            if value_k is None:
-                value_k = _evaluate(base.items(), bound)
-                _check(*value_k)
-                if value_k[0] != _depth_one_product(k.entries):
+            if packed is None:
+                packed = _Packed(k)
+                same_value, same_row = packed.matches(base)
+                if same_value != same_row:
+                    raise PipelineDisagreement(_DISAGREE)
+                if not same_value:
                     raise PipelineDisagreement(
                         f"the closed form of {k} is not the product of its depth-one values; refusing to answer"
                     )
             terms = _product_terms(arranged)
-            f, row = _evaluate(terms.items(), bound)
-            ok = f == value_k[0]
-            if ok != (row == value_k[1]):
+            ok, same_row = packed.matches(terms)
+            if ok != same_row:
                 raise PipelineDisagreement(_DISAGREE)
-            if not ok:
-                _check(f, row)
             records[arranged] = relation_line(_minus(dict(base), terms), ok), ok
         yield records[arranged]
 

@@ -224,6 +224,20 @@ def count_evaluations(monkeypatch):
     return calls
 
 
+def count_packed_sums(monkeypatch):
+    """Log the terms of every closed form a sweep sums packed, in order, with whether its sums were exact."""
+    calls = []
+    good = pl._Packed.sums
+
+    def logged(self, terms):
+        sums = good(self, terms)
+        calls.append((dict(terms), sums is not None))
+        return sums
+
+    monkeypatch.setattr(pl._Packed, "sums", logged)
+    return calls
+
+
 @pytest.mark.parametrize(
     "argv, records, evaluations",
     [
@@ -240,8 +254,10 @@ def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, argv, 
     # 15 arrangements of {1,1,1,1,2,2}, or the 3 of {1,1,2}, identity
     # included.  The zero relation of sigma(k) = k is verify_relation's,
     # one evaluation of no word, once per sweep, whether or not a sigma
-    # arranges k as k; k is evaluated when another arrangement is met,
-    # then each other arrangement once.
+    # arranges k as k; k is summed packed when another arrangement is
+    # met, then each other arrangement once, and every verdict is
+    # decided from exact packed sums, with no closed form evaluated.
+    sums = count_packed_sums(monkeypatch)
     calls = count_evaluations(monkeypatch)
     code, out, err = run(capsys, "kernel", *argv)
     assert (code, err) == (0, "")
@@ -251,8 +267,8 @@ def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, argv, 
     others = [entries for entries in arrangements if entries != k.entries]
     closed_forms = [k.entries, *others] if others else []
     assert len(out.splitlines()) == records and len(closed_forms) == evaluations
-    assert [terms for terms in calls if terms] == [magnus._product_terms(entries) for entries in closed_forms]
-    assert calls.count({}) == 1
+    assert sums == [(magnus._product_terms(entries), True) for entries in closed_forms]
+    assert calls == [{}]
     one_by_one = []
     for sigma in sigmas:
         c = kernel_element(k, sigma)
@@ -271,16 +287,19 @@ def count_taylor_coeffs(monkeypatch):
 
 @pytest.mark.parametrize("index, distinct", [("(1,2,1,2,1;1)", 15), ("(3,1,2;2)", 12)])
 def test_a_correct_sweep_expands_two_truncated_series(capsys, monkeypatch, index, distinct):
-    # Once for the zero relation at D = 0 and once for k at D = w + r,
-    # however many arrangements: an arrangement whose value is k's has
-    # k's series, and its row is compared with k's row.
+    # Once for the zero relation at D = 0 and once for the product of
+    # k's depth-one values at D = w + r, however many arrangements: k's
+    # packed row is compared with that series, and every other
+    # arrangement's packed row with k's.
     calls = count_taylor_coeffs(monkeypatch)
+    sums = count_packed_sums(monkeypatch)
     evaluations = count_evaluations(monkeypatch)
     code, out, err = run(capsys, "kernel", index, "--all-sigma")
     assert (code, err) == (0, "")
     k = parse_index(index)
     assert len(out.splitlines()) == math.factorial(k.depth + 1)
-    assert len(evaluations) == 1 + distinct
+    assert len(sums) == distinct and all(exact for _, exact in sums)
+    assert evaluations == [{}]
     assert calls == [0, k.weight + k.depth + 1]
 
 
@@ -443,6 +462,57 @@ def test_a_closed_stdin_or_stdout_exits_2(fd, argv, message):
     # As `npolylog verify - <&-` or `npolylog eval "(1)" >&-` in a shell.
     done = subprocess.run([*CLI, *argv], capture_output=True, env=CLI_ENV, preexec_fn=lambda: os.close(fd))
     assert (done.returncode, done.stderr) == (2, f"error: {message} is closed\n".encode())
+
+
+# A child whose two pipelines disagree: every row of Li(1,2) is 1 too
+# large at its end, and the relation of (1;2) and sigma = (2,1) holds it.
+DISAGREEING = """
+import sys
+import npolylog.polylog as pl
+from npolylog import cli
+
+good = pl._series_row
+
+
+def lying(entries, n):
+    row = list(good(entries, n))
+    row[-1] += entries == (1, 2)
+    return row
+
+
+pl._series_row = lying
+sys.exit(cli.main(["kernel", "(1;2)", "--sigma", "2 1"]))
+"""
+
+
+def _close_stderr():
+    os.close(2)
+
+
+def _unwritable_stderr():
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+
+@pytest.mark.parametrize("stderr", [_close_stderr, _unwritable_stderr], ids=["closed", "read-only"])
+@pytest.mark.parametrize(
+    "command, stdin, code",
+    [
+        ([*CLI, "eval", "(a)"], b"", 2),
+        ([*CLI, "verify", "-"], b"not json\n", 2),
+        ([sys.executable, "-c", DISAGREEING], b"", 3),
+    ],
+    ids=["usage", "parse", "disagreement"],
+)
+def test_a_closed_stderr_keeps_the_exit_code(command, stdin, code, stderr):
+    # As `npolylog eval "(a)" 2>&-`: the error line cannot be written,
+    # and the command's own code stands, not 1, the code of a false
+    # relation.  Python starts with no sys.stderr when fd 2 is closed,
+    # and with one whose writes fail when fd 2 is open read-only.
+    done = subprocess.run(command, input=stdin, capture_output=True, env=CLI_ENV, preexec_fn=stderr)
+    assert (done.returncode, done.stdout, done.stderr) == (code, b"", b"")
+    with_stderr = subprocess.run(command, input=stdin, capture_output=True, env=CLI_ENV)
+    assert (with_stderr.returncode, with_stderr.stdout) == (code, b"")
+    assert with_stderr.stderr.startswith((b"error: ", b"line 1: parse error: "))
 
 
 @pytest.mark.parametrize("sigma", ["\u0662 \u0661", "+2 1", "2_0 1"], ids=["arabic-indic", "plus", "underscore"])

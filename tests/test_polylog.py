@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -659,20 +660,25 @@ def test_verify_relation_refuses_a_nonzero_value_with_a_zero_series(monkeypatch)
 
 
 def test_kernel_records_refuse_when_values_and_rows_disagree(monkeypatch):
-    # The sums are the zero relation's, k's, then that of sigma(k) = (2,1).
-    # The last gains z^6 past D = 5: it still matches its own row, and
+    # The packed sums are k's, then that of sigma(k) = (2,1).  The last
+    # value gains z^6 past D = 5: it would still match its own row, and
     # that row is k's, but the value is not k's.
-    good, calls = pl._combine, []
+    good, calls = pl._Packed.sums, []
 
-    def shifted(pairs):
-        calls.append(pairs)
-        f = good(pairs)
-        return f + RatFun((0,) * 6 + (1,)) if len(calls) == 3 else f
+    def shifted(self, terms):
+        calls.append(terms)
+        value, row = good(self, terms)
+        if len(calls) == 2:
+            value += 1 << 6 * 8 * (self.value_width + len(self.pad))
+        return value, row
 
-    monkeypatch.setattr(pl, "_combine", shifted)
+    evaluations = []
+    evaluate = pl._evaluate
+    monkeypatch.setattr(pl._Packed, "sums", shifted)
+    monkeypatch.setattr(pl, "_evaluate", lambda terms, bound: evaluations.append(dict(terms)) or evaluate(terms, bound))
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         list(pl._kernel_records(magnus_index(1, 2), [(2, 1)]))
-    assert len(calls) == 3 and calls[0] == []
+    assert len(calls) == 2 and evaluations == [{}]
 
 
 def test_kernel_records_refuse_a_corrupted_row_under_the_value_of_k(monkeypatch):
@@ -727,6 +733,131 @@ def test_kernel_records_check_a_value_that_is_not_k_against_its_own_row(monkeypa
     monkeypatch.setattr(pl, "_series_row", lying)
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         list(pl._kernel_records(k, [arranged]))
+
+
+def test_packed_slots_hold_every_small_index():
+    # The bounds a sweep's slots are sized by, on every index of depth
+    # r <= 4 and weight w <= 8, D = w + r: Li is P/(1-z)^D with every
+    # coefficient of P in [0, (D-1)!], z^0..z^D of its row lie in
+    # [0, D^w 2^(D-1)], and so do those of the product of depth-one
+    # values; a closed form's |coefficients| sum to at most 2^w.
+    seen = 0
+    for depth in range(1, 5):
+        for weight in range(9):
+            bound = weight + depth
+            top_value, top_row = math.factorial(bound - 1), bound**weight << (bound - 1)
+            for k in magnus.magnus_indices(depth - 1, weight):
+                entries = k.entries
+                f = polylog_rational(mpl_index(*entries))
+                assert f.dpow == bound and all(0 <= c <= top_value for c in f.num), entries
+                assert all(0 <= c <= top_row for c in series_coeffs(mpl_index(*entries), bound)), entries
+                product = pl._depth_one_product(entries)
+                assert product.dpow == bound and all(0 <= c <= top_value for c in product.num), entries
+                assert all(0 <= c <= top_row for c in taylor_coeffs(product, bound)), entries
+                assert sum(map(abs, pl._product_terms(entries).values())) <= 2**weight, entries
+                packed = pl._Packed(k)
+                assert 256**packed.value_width > top_value and 256**packed.row_width > top_row
+                assert 8 * len(packed.pad) >= weight + 2
+                assert packed.reference is not None and packed.sums(pl._product_terms(entries)) == packed.reference
+                seen += 1
+    assert seen == sum(math.comb(w + r - 1, r - 1) for r in range(1, 5) for w in range(9))
+
+
+def raise_value(monkeypatch, index, slot):
+    """Make the Li value of index 1 larger in the numerator coefficient of z^slot."""
+    good = pl._polylog_entries
+
+    def lying(entries):
+        f = good(entries)
+        if entries != index:
+            return f
+        num = list(f.num) + [0] * (slot + 1 - len(f.num))
+        num[slot] += 1
+        return RatFun(num, f.dpow)
+
+    monkeypatch.setattr(pl, "_polylog_entries", lying)
+
+
+def raise_row(monkeypatch, index, slot):
+    """Make the series row of index 1 larger at z^slot."""
+    good = pl._series_row
+
+    def lying(entries, n_max):
+        out = list(good(entries, n_max))
+        if entries == index:
+            out[slot] += 1
+        return out
+
+    monkeypatch.setattr(pl, "_series_row", lying)
+
+
+@pytest.mark.parametrize("raise_one", [raise_value, raise_row], ids=["value", "row"])
+@pytest.mark.parametrize("slot", ["bottom", "top"])
+@pytest.mark.parametrize("where, records", [("k", 1), ("arrangement", 3)])
+def test_a_sweep_sees_one_unit_in_any_slot(capsys, monkeypatch, raise_one, slot, where, records):
+    # One coefficient of one index 1 too large, at z^0 or at z^D, D = 9:
+    # the index is a word of k's closed form, or Li(2,2,2), which first
+    # occurs in the fourth arrangement of (1,2;3).  The packed sums of
+    # the closed form that holds it then differ from k's in exactly one
+    # of value and row, whichever slot the unit is in: no carry hides it.
+    k = magnus_index(1, 2, 3)
+    index = next(iter(pl._product_terms(k.entries))) if where == "k" else (2, 2, 2)
+    raise_one(monkeypatch, index, {"bottom": 0, "top": 9}[slot])
+    code = cli.main(["kernel", str(k), "--all-sigma"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == "error: rational and series pipelines disagree; refusing to answer\n"
+    assert [json.loads(line)["verified"] for line in out.splitlines()] == [True] * records
+
+
+def test_an_oversized_closed_form_is_decided_by_evaluate(monkeypatch):
+    # The closed form of (3,2,1) scaled by 2^w + 1, w = 6: past the sum
+    # of |coefficients| that its packed sums are exact for, so it is
+    # evaluated through both pipelines, and its relation is false, as
+    # verify_relation says.
+    k, arranged, scale = magnus_index(1, 2, 3), (3, 2, 1), 2**6 + 1
+    exact = pl._product_terms
+    monkeypatch.setattr(pl, "_product_terms", lambda entries: {w: scale * a for w, a in exact(entries).items()} if entries == arranged else exact(entries))
+    evaluations, evaluate = [], pl._evaluate
+    monkeypatch.setattr(pl, "_evaluate", lambda terms, bound: evaluations.append(dict(terms)) or evaluate(terms, bound))
+    sums = []
+    good = pl._Packed.sums
+    monkeypatch.setattr(pl._Packed, "sums", lambda self, terms: sums.append(good(self, terms)) or sums[-1])
+    [(line, ok)] = pl._kernel_records(k, [arranged])
+    assert evaluations == [{}, pl._product_terms(arranged)]
+    assert sums[0] is not None and sums[1] is None
+    c = LinComb._trusted("Y", exact(k.entries)) - LinComb._trusted("Y", pl._product_terms(arranged))
+    assert (ok, line) == (False, relation_line(c, False)) and verify_relation(c)[0] is False
+
+
+def test_oversized_closed_forms_and_product_are_decided_by_evaluate(monkeypatch):
+    # Every closed form and the product of k's depth-one values scaled
+    # by 2^w + 1: the product fits no slot, so nothing is packed, every
+    # closed form is evaluated, and every relation is still true.
+    k, scale = magnus_index(1, 2, 3), 2**6 + 1
+    exact, product = pl._product_terms, pl._depth_one_product
+    monkeypatch.setattr(pl, "_product_terms", lambda entries: {w: scale * a for w, a in exact(entries).items()})
+    monkeypatch.setattr(pl, "_depth_one_product", lambda entries: scale * product(entries))
+    evaluations, evaluate = [], pl._evaluate
+    monkeypatch.setattr(pl, "_evaluate", lambda terms, bound: evaluations.append(dict(terms)) or evaluate(terms, bound))
+    arrangements = list(itertools.permutations(k.entries))
+    assert [ok for _, ok in pl._kernel_records(k, arrangements)] == [True] * 6
+    assert evaluations == [{}] + [pl._product_terms(a) for a in arrangements]
+
+
+def test_a_denominator_other_than_the_sweeps_is_not_packed(monkeypatch):
+    # Li(2,2,2) given the value Li(2,2,2)/(1-z), with (1-z)^10 where the
+    # sweep of (1,2;3) packs (1-z)^9: its closed form is evaluated, its
+    # value is not k's while its row is, and the sweep refuses.
+    good = pl._polylog_entries
+    monkeypatch.setattr(pl, "_polylog_entries", lambda entries: good(entries) * RatFun((1,), 1) if entries == (2, 2, 2) else good(entries))
+    sums, packed_sums = [], pl._Packed.sums
+    monkeypatch.setattr(pl._Packed, "sums", lambda self, terms: sums.append(packed_sums(self, terms)) or sums[-1])
+    records = pl._kernel_records(magnus_index(1, 2, 3), itertools.permutations((1, 2, 3)))
+    assert [next(records)[1] for _ in range(3)] == [True] * 3
+    with pytest.raises(PipelineDisagreement, match="pipelines disagree"):
+        next(records)
+    assert None not in sums[:-1] and sums[-1] is None
 
 
 def test_kernel_elements_are_nfold_differences():
@@ -835,6 +966,18 @@ def test_relation_line_is_the_dumped_record_on_every_small_kernel_relation(monke
                     monkeypatch.setattr(pl, "_TEXTS", texts)
                     seen += 1
     assert seen > 1000 and len(texts) > 100
+
+
+def test_index_text_is_the_dumped_entries():
+    # The "index" text of _TEXTS, written without json.dumps, is the
+    # dumped entry list: for (), single entries, and random entries.
+    rng = random.Random(37)
+    cases = [(), (0,), (1,), (9,), (10,), (123456789,)]
+    cases += [tuple(rng.randrange(10 ** rng.randrange(1, 12)) for _ in range(rng.randrange(1, 9))) for _ in range(300)]
+    for entries in cases:
+        relation_line(LinComb._trusted("Y", {entries: 1}), True)
+        assert pl._TEXTS[entries][1] == f'"index": {json.dumps(list(entries))}}}'
+    assert len(pl._TEXTS) == len(set(cases))
 
 
 def test_relation_line_is_the_dumped_record_on_edge_combinations():
