@@ -11,11 +11,11 @@ byte-deterministic.  Exit codes: 0 success, 1 verification failure,
 2 parse or usage error, 3 the two evaluation pipelines disagreed and
 the relation was left undecided, 141 (128 + SIGPIPE, what the shell
 reports for a process killed by SIGPIPE) the reader closed stdout,
-with nothing on stderr.  A closed stderr drops the error line and
-keeps the code.  Every count argument is read by one rule, as
-an index entry is: ASCII digits and no sign, so "-0" is refused as
-"-1" is, with one message.  magnus and product print the product
-identity through one renderer.
+with nothing on stderr.  A closed stderr drops the error line, and
+argparse's usage line with it, and keeps the code.  Every count
+argument is read by one rule, as an index entry is: ASCII digits and
+no sign, so "-0" is refused as "-1" is, with one message.  magnus and
+product print the product identity through one renderer.
 
 A kernel sweep walks arrangements, not permutations: --all-sigma
 passes the permutations of k's entries, in the order of the slot
@@ -30,11 +30,12 @@ arrangement met to its record line and verdict, for one command call,
 and kernel prints the lines it yields.  The Li values, series rows and
 index texts are cached by polylog for the process, so the relations of
 one sweep or one verify file share them, and so do repeated main()
-calls in one process.  verify reads its one source, a path, "-" or
-the bundled file beside this module, a line at a time through _lines,
-and prints each verdict as soon as its line is decided: it holds one
-chunk of its input at a time, and a piped stream gets its verdicts as
-it is written.
+calls in one process.  A sweep packs its closed forms' own words for
+the one call, and only their proper tails are cached.  verify reads
+its one source, a path, "-" or the bundled file beside this module, a
+line at a time through _lines, and prints each verdict as soon as its
+line is decided: it holds one chunk of its input at a time, and a
+piped stream gets its verdicts as it is written.
 
 Importing this module loads no dataclasses or typing, and no command
 loads importlib.resources: each command call is a new process, and
@@ -315,6 +316,14 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with its usage error written through _error: with stderr closed, nothing goes to stdout."""
+
+    def error(self, message: str) -> None:
+        _error(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(2)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or, given a command's name, of that one only.
 
@@ -323,7 +332,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     names the metavar "command", not the list of choices, and a
     command's own errors come from its own subparser.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="npolylog",
         description=(
             "Exact polylogarithm values at non-positive indices, Magnus-basis "

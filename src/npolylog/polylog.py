@@ -58,18 +58,18 @@ The relations of one graded piece share most of their work, and each
 shared piece is built once.  This module owns three caches, each kept
 for the life of the process, and no function takes one as an
 argument.  Li values (_LI) and series rows (_ROWS) are cached with
-every tail, and a new one is built from its longest cached tail,
-iteratively.  Each index has one row, whatever the bound: it is grown
-in place when a larger bound is read, and a smaller bound reads a
-prefix of it.  relation_line formats each index once (_TEXTS).
-_kernel_records keys a sweep by the arrangement sigma(k): one dict per
-sweep maps each arrangement met to its record line and verdict, so the
-closed form of each distinct arrangement is expanded, summed and
-written once per sweep, and one _Packed per sweep holds each index's
-packed value and row.  kernel_element is the definition for one
-arrangement, and keeps nothing.
-relation_line is the one definition of the record format:
-relation_record is its text parsed back.
+every tail, and a new one is built out from its longest cached tail,
+one level (_li_level, _row_level) at a time.  Each index has one row,
+whatever the bound: it is grown in place when a larger bound is read,
+and a smaller bound reads a prefix of it.  Each index is formatted once
+(_TEXTS).  _kernel_records keys a sweep by the arrangement sigma(k):
+one dict per sweep maps each arrangement met to its record line and
+verdict, so each distinct arrangement is expanded, summed and written
+once per sweep.  One _Packed per sweep holds the packed value and row
+of each word, built one level out from its tail's, so _LI and _ROWS
+keep only proper tails.  kernel_element is the definition for one
+arrangement, and keeps nothing.  _record is the one assembly of a
+record line, and relation_record is its text parsed back.
 That closed form lives in magnus and nfold_product reads it; only
 magnus_product_identity derives it again, multiplying out the brackets
 of M(k) x1 in Q<X>, as the independent side of the identity it states.
@@ -151,9 +151,10 @@ _LI: dict[tuple[int, ...], RatFun] = {(): RatFun.one()}
 # bound: a row holds z^0..z^n for the largest n read so far, and is grown
 # in place, from its tail's row, when a larger n is read.
 _ROWS: dict[tuple[int, ...], list[int]] = {(): [1]}
-# Entries -> (_term_key("Y", entries), '"index": [..]}' text, weight):
-# the per-index part of a record line, formatted once.
-_TEXTS: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], str, int]] = {}
+# Entries -> (sort key, '"index": [..]}' text, weight, depth): the
+# per-index part of a record line, formatted once.  The key is _term_key
+# flattened into one tuple of ints, which orders alike and compares faster.
+_TEXTS: dict[tuple[int, ...], tuple[tuple[int, ...], str, int, int]] = {}
 
 
 def _polylog_entries(entries: tuple[int, ...]) -> RatFun:
@@ -166,8 +167,14 @@ def _polylog_entries(entries: tuple[int, ...]) -> RatFun:
         start += 1
     f = _LI[entries[start:]]
     for i in range(start - 1, -1, -1):
-        f = _LI[entries[i:]] = euler_deriv(geom_mul(f), entries[i])
+        tail = entries[i:]
+        f = _LI[tail] = _li_level(tail, f)
     return f
+
+
+def _li_level(entries: tuple[int, ...], tail: RatFun) -> RatFun:
+    """Li at entries from tail, Li at entries[1:]: z/(1-z) times tail, then entries[0] Euler steps."""
+    return euler_deriv(geom_mul(tail), entries[0])
 
 
 def polylog_rational(s: MultiIndex) -> RatFun:
@@ -228,13 +235,19 @@ def _series_row(entries: tuple[int, ...], n: int) -> list[int]:
         # Only the row [1, 0, 0, ...] of Li(()) = 1 can be short here.
         g = _ROWS[()] = g + [0] * (n + 1 - len(g))
     for i in range(start - 1, -1, -1):
-        e, row = entries[i], _ROWS.get(entries[i:]) or [0]
-        prefix = sum(g[: len(row) - 1])
-        for m in range(len(row), n + 1):
-            prefix += g[m - 1]
-            row.append(m**e * prefix)
-        g = _ROWS[entries[i:]] = row
+        tail = entries[i:]
+        g = _ROWS[tail] = _row_level(tail, g, _ROWS.get(tail) or [0], n)
     return g
+
+
+def _row_level(entries: tuple[int, ...], tail: list[int], row: list[int], n: int) -> list[int]:
+    """row, Li's at entries, grown in place to z^n from tail, the row of entries[1:] to z^(n-1) or more."""
+    e = entries[0]
+    prefix = sum(tail[: len(row) - 1])
+    for m in range(len(row), n + 1):
+        prefix += tail[m - 1]
+        row.append(m**e * prefix)
+    return row
 
 
 def expand_to_products(s: MultiIndex) -> dict[MultiIndex, int]:
@@ -293,17 +306,6 @@ def _arranged(k: MultiIndex, sigma: Sequence[int]) -> tuple[int, ...]:
     return tuple(k.entries[i - 1] for i in sig)
 
 
-def _minus(diff: dict[tuple[int, ...], int], terms: Mapping[tuple[int, ...], int]) -> LinComb:
-    """diff - terms as a LinComb, subtracted in place in diff; both hold closed-form integer coefficients."""
-    for letters, coef in terms.items():
-        coef = diff.get(letters, 0) - coef
-        if coef:
-            diff[letters] = coef
-        else:
-            del diff[letters]
-    return LinComb._trusted("Y", diff)
-
-
 def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:
     """The kernel combination read off M(k) - M(sigma(k)), times x1.
 
@@ -312,8 +314,7 @@ def kernel_element(k: MultiIndex, sigma: Sequence[int]) -> LinComb:
     The image under Li is zero because both Magnus polynomials expand
     the same (commutative) product of depth-one values.
     """
-    arranged = _arranged(_require_magnus(k), sigma)
-    return _minus(_product_terms(k.entries), _product_terms(arranged))
+    return nfold_product(_require_magnus(k).entries) - nfold_product(_arranged(k, sigma))
 
 
 class PipelineDisagreement(RuntimeError):
@@ -327,14 +328,14 @@ def _evaluate(terms: Collection[tuple[tuple[int, ...], int]], bound: int) -> tup
     """Li of sum a*Li(entries) over integer terms: its rational value and its series row z^0..z^bound.
 
     The two come from independent pipelines and are returned unchecked:
-    _check compares them.  Li(entries) has no term below z^len(entries),
-    since n1 > ... > nr > 0, so each row is summed from there.
+    _check compares them.  Every slot of each row is summed, z^0
+    included, so a row that is wrong anywhere shows in the sum.
     """
     f = _combine([(a, _polylog_entries(e)) for e, a in terms])
     direct = [0] * (bound + 1)
     for entries, a in terms:
         row = _series_row(entries, bound)
-        for n in range(len(entries), bound + 1):
+        for n in range(bound + 1):
             direct[n] += a * row[n]
     return f, direct
 
@@ -390,23 +391,31 @@ def relation_line(c: LinComb, verified: bool) -> str:
     Weight and depth are the common values over all terms, or null when
     the combination is not homogeneous (products of depth-one values
     reduce to lower weight, so mixed records are legitimate).  The text
-    is json.dumps of relation_record.  Each index is formatted once
-    for the life of the process, in _TEXTS, its entry list joined as
-    json.dumps writes it.
+    is json.dumps of relation_record, assembled by _record.
     """
-    c_terms = _index_terms(c)
-    rows = []
-    for entries, coef in c_terms.items():
+    return _record(_fragments(_index_terms(c).items()), verified)
+
+
+def _fragments(terms: Iterable[tuple[tuple[int, ...], Scalar]]) -> list[tuple[tuple[int, ...], str, int, int]]:
+    """(sort key, '{"coef": .., "index": [..]}' text, weight, depth) of each term, its index joined as json.dumps writes it."""
+    out = []
+    for entries, coef in terms:
         t = _TEXTS.get(entries)
         if t is None:
+            length, letters = _term_key("Y", entries)
             text = '"index": [' + ", ".join(map(str, entries)) + "]}"
-            t = _TEXTS[entries] = (_term_key("Y", entries), text, sum(entries))
-        rows.append((t, coef))
-    # Distinct entries have distinct sort keys, so each t orders by its key.
+            t = _TEXTS[entries] = ((length, *letters), text, sum(entries), len(entries))
+        out.append((t[0], f'{{"coef": "{coef!s}", {t[1]}', t[2], t[3]))
+    return out
+
+
+def _record(rows: list[tuple[tuple[int, ...], str, int, int]], verified: bool) -> str:
+    """The record line of the relation whose terms are rows (_fragments), in any order; sorts rows."""
+    # Distinct entries have distinct sort keys, so each row orders by its key.
     rows.sort(key=itemgetter(0))
-    weights = {t[2] for t, _ in rows}
-    depths = {len(entries) for entries in c_terms}
-    terms = ", ".join(['{"coef": "' + str(coef) + '", ' + t[1] for t, coef in rows])
+    weights = {row[2] for row in rows}
+    depths = {row[3] for row in rows}
+    terms = ", ".join([row[1] for row in rows])
     flag = "true" if verified else "false"
     weight = str(weights.pop()) if len(weights) == 1 else "null"
     depth = str(depths.pop()) if len(depths) == 1 else "null"
@@ -474,7 +483,10 @@ class _Packed(dict):
         return value, int.from_bytes(pad.join([c.to_bytes(width, "little") for c in row[: bound + 1]]), "little")
 
     def __missing__(self, entries: tuple[int, ...]) -> tuple[int, int]:
-        packed = self[entries] = self.pack(_polylog_entries(entries), _series_row(entries, self.bound))
+        # One level out from its tail's cached value and row; kept only here.
+        tail, bound = entries[1:], self.bound
+        value = _li_level(entries, _polylog_entries(tail))
+        packed = self[entries] = self.pack(value, _row_level(entries, _series_row(tail, bound - 1), [0], bound))
         return packed
 
     def sums(self, terms: Mapping[tuple[int, ...], int]) -> tuple[int, int] | None:
@@ -537,7 +549,9 @@ def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> I
     is that of verify_relation on the relation, and PipelineDisagreement
     is raised where checking every value against its own row would
     raise it.  Each pair is yielded before the next arrangement is
-    evaluated.
+    evaluated.  k's terms are formatted once, and each record line is
+    those of them that sigma(k)'s closed form lacks and the formatted
+    differences of its own terms, assembled by _record.
     """
     _require_magnus(k)
     zero = LinComb()
@@ -548,7 +562,7 @@ def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> I
     for arranged in arrangements:
         if arranged not in records:
             if packed is None:
-                packed = _Packed(k)
+                packed, own = _Packed(k), dict(zip(base, _fragments(base.items())))
                 same_value, same_row = packed.matches(base)
                 if same_value != same_row:
                     raise PipelineDisagreement(_DISAGREE)
@@ -560,7 +574,9 @@ def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> I
             ok, same_row = packed.matches(terms)
             if ok != same_row:
                 raise PipelineDisagreement(_DISAGREE)
-            records[arranged] = relation_line(_minus(dict(base), terms), ok), ok
+            rows = [row for w, row in own.items() if w not in terms]
+            rows += _fragments([(w, c) for w, a in terms.items() if (c := base.get(w, 0) - a)])
+            records[arranged] = _record(rows, ok), ok
         yield records[arranged]
 
 

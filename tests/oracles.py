@@ -4,8 +4,9 @@ Each follows its definition literally and is meant for small inputs only.
 lie_bracket and poly_y_to_x, first, are definitions that the library
 itself does not use: the bracket of the recursion x1^(n+1) =
 [x0, x1^(n)], and the inverse of poly_x_to_y.
-RowLog, last, stands in for the series-row cache of polylog in the
-tests that count the rows built or grown.
+RowLog stands in for the series-row cache of polylog in the tests that
+count the rows built or grown, and raise_value and raise_row, last,
+inject one unit where polylog builds a value or a row.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from typing import Sequence
 
 from npolylog.freealg import NcPoly, _add_term
 from npolylog.magnus import _dual_array_binom, lie_power
+import npolylog.polylog as pl
 from npolylog.polylog import LinComb
 from npolylog.ratpoly import RatFun, Scalar
 from npolylog.words import MultiIndex, _is_count, _letters_y_to_x, _require_plain
@@ -311,3 +313,31 @@ class RowLog(dict):
     def __setitem__(self, entries, row):
         self.stored.append((entries, len(row) - 1))
         super().__setitem__(entries, row)
+
+
+def raise_value(monkeypatch, index, slot):
+    """Make the Li value of index 1 larger in the numerator coefficient of z^slot, at _li_level, where every value is built."""
+    good = pl._li_level
+
+    def lying(entries, tail):
+        f = good(entries, tail)
+        if entries != index:
+            return f
+        num = list(f.num) + [0] * (slot + 1 - len(f.num))
+        num[slot] += 1
+        return RatFun(num, f.dpow)
+
+    monkeypatch.setattr(pl, "_li_level", lying)
+
+
+def raise_row(monkeypatch, index, slot):
+    """Make the series row of index 1 larger at z^slot (-1: the top slot built), at _row_level, where every row is built."""
+    good = pl._row_level
+
+    def lying(entries, tail, row, n):
+        row = good(entries, tail, row, n)
+        if entries == index:
+            row[slot] += 1
+        return row
+
+    monkeypatch.setattr(pl, "_row_level", lying)

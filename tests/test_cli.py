@@ -19,7 +19,7 @@ from npolylog import cli, magnus
 from npolylog.polylog import _parse_coef, kernel_element, nfold_product, relation_from_record, relation_record
 from npolylog.words import parse_index
 import output_manifest
-from oracles import RowLog
+from oracles import RowLog, raise_row
 
 GOOD_LINE = (
     '{"terms": [{"coef": "-1", "index": [2, 1]}, {"coef": "3", "index": [1, 2]},'
@@ -196,15 +196,7 @@ def test_kernel_all_sigma_records_are_nfold_differences(capsys):
 def test_kernel_prints_each_record_before_the_next_is_verified(capsys, monkeypatch):
     # Li(2,2,2) first occurs in the fourth relation of (1,2;3): the three
     # records before it are out when its corrupted row stops the sweep.
-    good = pl._series_row
-
-    def lying(entries, n_max):
-        out = list(good(entries, n_max))
-        if entries == (2, 2, 2):
-            out[-1] += 1
-        return out
-
-    monkeypatch.setattr(pl, "_series_row", lying)
+    raise_row(monkeypatch, (2, 2, 2), -1)
     code, out, err = run(capsys, "kernel", "(1,2;3)", "--all-sigma")
     assert code == 3
     assert err == "error: rational and series pipelines disagree; refusing to answer\n"
@@ -381,15 +373,7 @@ def test_kernel_refuses_a_lying_row_on_a_word_that_cancels(capsys, monkeypatch):
     # evaluated through both pipelines on its own.
     k, sigma = parse_index("(1,1;2)"), (3, 1, 2)
     assert (0, 2, 2) not in kernel_element(k, sigma)._terms
-    good = pl._series_row
-
-    def lying(entries, n_max):
-        out = list(good(entries, n_max))
-        if entries == (0, 2, 2):
-            out[-1] += 1
-        return out
-
-    monkeypatch.setattr(pl, "_series_row", lying)
+    raise_row(monkeypatch, (0, 2, 2), -1)
     code, out, err = run(capsys, "kernel", str(k), "--sigma", "3 1 2")
     assert (code, out) == (3, "")
     assert err == "error: rational and series pipelines disagree; refusing to answer\n"
@@ -471,16 +455,16 @@ import sys
 import npolylog.polylog as pl
 from npolylog import cli
 
-good = pl._series_row
+good = pl._row_level
 
 
-def lying(entries, n):
-    row = list(good(entries, n))
+def lying(entries, tail, row, n):
+    row = good(entries, tail, row, n)
     row[-1] += entries == (1, 2)
     return row
 
 
-pl._series_row = lying
+pl._row_level = lying
 sys.exit(cli.main(["kernel", "(1;2)", "--sigma", "2 1"]))
 """
 
@@ -513,6 +497,18 @@ def test_a_closed_stderr_keeps_the_exit_code(command, stdin, code, stderr):
     with_stderr = subprocess.run(command, input=stdin, capture_output=True, env=CLI_ENV)
     assert (with_stderr.returncode, with_stderr.stdout) == (code, b"")
     assert with_stderr.stderr.startswith((b"error: ", b"line 1: parse error: "))
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["kernel"]], ids=["command", "arguments"])
+def test_a_usage_error_with_stderr_closed_prints_nothing(argv):
+    # argparse writes its usage line to stdout when sys.stderr is None;
+    # the CLI sends it through the one error writer, so with fd 2 closed
+    # it is dropped with the error line and the code stays 2.
+    done = subprocess.run([*CLI, *argv], capture_output=True, env=CLI_ENV, preexec_fn=_close_stderr)
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", b"")
+    with_stderr = subprocess.run([*CLI, *argv], capture_output=True, env=CLI_ENV)
+    assert (with_stderr.returncode, with_stderr.stdout) == (2, b"")
+    assert with_stderr.stderr.startswith(b"usage: npolylog ") and b": error: " in with_stderr.stderr
 
 
 @pytest.mark.parametrize("sigma", ["\u0662 \u0661", "+2 1", "2_0 1"], ids=["arabic-indic", "plus", "underscore"])
@@ -581,24 +577,23 @@ def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
     monkeypatch.setattr(pl, "_ROWS", log)
     code, sweep, err = run(capsys, "kernel", "(0,2;2)", "--all-sigma")
     assert code == 0 and err == "" and len(sweep.splitlines()) == 6
-    # Every tail of every word of each distinct arrangement's closed form,
-    # the empty tail included, at D = weight + depth = 7.  Li(0,2,2)
-    # cancels in every relation, so only the evaluation of each closed
-    # form reads its row.
+    # Every proper tail of every word of each distinct arrangement's
+    # closed form, the empty tail included, at D - 1 = weight + depth - 1
+    # = 6: a word's own row is built one level out from its tail's to
+    # z^D, packed, and stored nowhere.
     words = [w for arranged in set(itertools.permutations((0, 2, 2))) for w in magnus._product_terms(arranged)]
-    wanted = {(w[i:], 7) for w in words for i in range(len(w) + 1)}
-    assert wanted - series_rows(sweep) == {((0, 2, 2), 7), ((2, 2), 7)}
+    wanted = {(w[i:], 6) for w in words for i in range(1, len(w) + 1)}
     # The arrangements share words and tails, so a build per word and
-    # tail would build some twice.
+    # proper tail would build some twice.
     assert sum(map(len, words)) > len(wanted)
     assert sorted(log.stored) == sorted(wanted)
 
 
 def test_kernel_formats_each_index_once_per_sweep(capsys, monkeypatch):
     built, lines = [], []
-    key, line = pl._term_key, pl.relation_line
+    key, record = pl._term_key, pl._record
     monkeypatch.setattr(pl, "_term_key", lambda alphabet, letters: built.append(letters) or key(alphabet, letters))
-    monkeypatch.setattr(pl, "relation_line", lambda c, ok: lines.append(c) or line(c, ok))
+    monkeypatch.setattr(pl, "_record", lambda rows, ok: lines.append(rows) or record(rows, ok))
     sweeps = []
     for _ in range(2):
         built.clear()
@@ -610,9 +605,11 @@ def test_kernel_formats_each_index_once_per_sweep(capsys, monkeypatch):
         sweeps.append((sweep, list(built)))
     (sweep, first), (again, second) = sweeps
     terms = [tuple(t["index"]) for record in sweep.splitlines() for t in json.loads(record)["terms"]]
-    # Indices recur across the 15 distinct relations; each is formatted once.
-    assert len(terms) > len(set(terms)) and sorted(first) == sorted(set(terms))
-    assert set(pl._TEXTS) == set(terms)
+    # Indices recur across the 15 distinct relations; each is formatted
+    # once, and the terms of k's closed form are formatted up front.
+    formatted = set(terms) | set(magnus._product_terms((1, 2, 1, 2, 1, 1)))
+    assert len(terms) > len(set(terms)) and sorted(first) == sorted(formatted)
+    assert set(pl._TEXTS) == formatted
     # The texts outlive the call: the same sweep again formats none and
     # prints the same bytes.
     assert second == [] and again == sweep
@@ -929,15 +926,7 @@ def test_verify_rejects_malformed_terms(capsys, monkeypatch, coef, index, messag
 
 
 def test_pipeline_disagreement_exits_3(capsys, monkeypatch):
-    good = pl._series_row
-
-    def lying(entries, n_max):
-        out = list(good(entries, n_max))
-        if entries == (1, 2):
-            out[-1] += 1
-        return out
-
-    monkeypatch.setattr(pl, "_series_row", lying)
+    raise_row(monkeypatch, (1, 2), -1)
     monkeypatch.setattr(sys, "stdin", io.StringIO(GOOD_LINE + "\n"))
     code, out, err = run(capsys, "verify", "-")
     assert code == 3 and out == ""

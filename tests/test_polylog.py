@@ -37,6 +37,8 @@ from oracles import (
     nfold_product_by_choices,
     polylog_by_fold,
     product_letter_word,
+    raise_row,
+    raise_value,
     relation_record_by_dicts,
     series_coeffs_by_chains,
 )
@@ -650,6 +652,15 @@ def test_verify_relation_bound_is_weight_plus_depth(monkeypatch):
     assert set(bounds) == {5}
 
 
+@pytest.mark.parametrize("slot", [0, 5], ids=["z^0", "z^D"])
+def test_verify_sees_one_unit_in_any_row_slot(monkeypatch, slot):
+    # Li(1,2) has no term below z^2, but a row that is wrong there is
+    # still wrong: every slot of every row takes part in the sum.
+    corrupt_series(monkeypatch, mpl_index(1, 2), slot)
+    with pytest.raises(PipelineDisagreement, match="refusing to answer"):
+        verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
+
+
 def test_verify_relation_refuses_a_nonzero_value_with_a_zero_series(monkeypatch):
     # z^6 vanishes to order D = 5 but is not zero: the rational verdict
     # would be "false relation", the series verdict "true relation".
@@ -689,15 +700,8 @@ def test_kernel_records_refuse_a_corrupted_row_under_the_value_of_k(monkeypatch)
     base, terms = pl._product_terms(k.entries), pl._product_terms(arranged)
     own = set(terms) - set(base)
     assert own and polylog_map(LinComb._trusted("Y", terms)) == polylog_map(LinComb._trusted("Y", base))
-    good = pl._series_row
-
-    def lying(entries, n_max):
-        out = list(good(entries, n_max))
-        if entries in own:
-            out[-1] += 1
-        return out
-
-    monkeypatch.setattr(pl, "_series_row", lying)
+    for index in own:
+        raise_row(monkeypatch, index, 9)
     records = pl._kernel_records(k, [k.entries, arranged])
     assert next(records)[1] is True
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
@@ -763,34 +767,6 @@ def test_packed_slots_hold_every_small_index():
     assert seen == sum(math.comb(w + r - 1, r - 1) for r in range(1, 5) for w in range(9))
 
 
-def raise_value(monkeypatch, index, slot):
-    """Make the Li value of index 1 larger in the numerator coefficient of z^slot."""
-    good = pl._polylog_entries
-
-    def lying(entries):
-        f = good(entries)
-        if entries != index:
-            return f
-        num = list(f.num) + [0] * (slot + 1 - len(f.num))
-        num[slot] += 1
-        return RatFun(num, f.dpow)
-
-    monkeypatch.setattr(pl, "_polylog_entries", lying)
-
-
-def raise_row(monkeypatch, index, slot):
-    """Make the series row of index 1 larger at z^slot."""
-    good = pl._series_row
-
-    def lying(entries, n_max):
-        out = list(good(entries, n_max))
-        if entries == index:
-            out[slot] += 1
-        return out
-
-    monkeypatch.setattr(pl, "_series_row", lying)
-
-
 @pytest.mark.parametrize("raise_one", [raise_value, raise_row], ids=["value", "row"])
 @pytest.mark.parametrize("slot", ["bottom", "top"])
 @pytest.mark.parametrize("where, records", [("k", 1), ("arrangement", 3)])
@@ -808,6 +784,30 @@ def test_a_sweep_sees_one_unit_in_any_slot(capsys, monkeypatch, raise_one, slot,
     assert code == 3
     assert err == "error: rational and series pipelines disagree; refusing to answer\n"
     assert [json.loads(line)["verified"] for line in out.splitlines()] == [True] * records
+
+
+@pytest.mark.parametrize("raise_one", [raise_value, raise_row], ids=["value", "row"])
+def test_a_fault_at_a_level_is_seen_by_the_packed_sums_and_by_evaluate(raise_one, monkeypatch):
+    # One unit at z^D of Li(2,2,2), a word of the closed form of (2,3,1):
+    # the packed sums of that closed form differ from k's in exactly one
+    # of value and row, and the two pipelines of _evaluate, the
+    # fallback of a sweep and the evaluation of verify_relation, disagree.
+    k, terms = magnus_index(1, 2, 3), pl._product_terms((2, 3, 1))
+    raise_one(monkeypatch, (2, 2, 2), 9)
+    packed = pl._Packed(k)
+    value, row = packed.sums(terms)
+    assert (value == packed.reference[0], row == packed.reference[1]) == ((False, True) if raise_one is raise_value else (True, False))
+    with pytest.raises(PipelineDisagreement, match="pipelines disagree"):
+        pl._check(*pl._evaluate(terms.items(), 9))
+
+
+def test_a_sweep_caches_only_the_proper_tails_of_its_words(capsys):
+    # Each word of the sweep is built one level out from its tail, and
+    # packed; its own value and row stay out of _LI and _ROWS.
+    assert cli.main(["kernel", "(0,2;2)", "--all-sigma"]) == 0
+    words = {w for arranged in itertools.permutations((0, 2, 2)) for w in pl._product_terms(arranged)}
+    tails = {w[i:] for w in words for i in range(1, len(w) + 1)}
+    assert set(pl._LI) == set(pl._ROWS) == tails
 
 
 def test_an_oversized_closed_form_is_decided_by_evaluate(monkeypatch):
@@ -849,8 +849,8 @@ def test_a_denominator_other_than_the_sweeps_is_not_packed(monkeypatch):
     # Li(2,2,2) given the value Li(2,2,2)/(1-z), with (1-z)^10 where the
     # sweep of (1,2;3) packs (1-z)^9: its closed form is evaluated, its
     # value is not k's while its row is, and the sweep refuses.
-    good = pl._polylog_entries
-    monkeypatch.setattr(pl, "_polylog_entries", lambda entries: good(entries) * RatFun((1,), 1) if entries == (2, 2, 2) else good(entries))
+    good = pl._li_level
+    monkeypatch.setattr(pl, "_li_level", lambda entries, tail: good(entries, tail) * RatFun((1,), 1) if entries == (2, 2, 2) else good(entries, tail))
     sums, packed_sums = [], pl._Packed.sums
     monkeypatch.setattr(pl._Packed, "sums", lambda self, terms: sums.append(packed_sums(self, terms)) or sums[-1])
     records = pl._kernel_records(magnus_index(1, 2, 3), itertools.permutations((1, 2, 3)))
