@@ -27,15 +27,15 @@ counting k, and --sigma evaluates k and one arrangement, or none for
 the identity.
 polylog._kernel_records keeps the sweep's one dict, from each
 arrangement met to its record line and verdict, for one command call,
-and kernel prints the lines it yields.  The Li values, series rows and
-index texts are cached by polylog for the process, so the relations of
-one sweep or one verify file share them, and so do repeated main()
-calls in one process.  A sweep packs its closed forms' own words for
-the one call, and only their proper tails are cached.  verify reads
-its one source, a path, "-" or the bundled file beside this module, a
-line at a time through _lines, and prints each verdict as soon as its
-line is decided: it holds one chunk of its input at a time, and a
-piped stream gets its verdicts as it is written.
+and kernel prints the lines it yields.  The Li values and series rows
+are cached by polylog for the process, so the relations of one sweep
+or one verify file share them, and so do repeated main() calls in one
+process.  A sweep's packed words and index texts last one call, and
+only the words' proper tails are cached.  verify reads its one source,
+a path, "-" or the bundled file beside this module, a line at a time
+through _lines, and prints each verdict as soon as its line is
+decided: it holds one chunk of its input at a time, and a piped
+stream gets its verdicts as it is written.
 
 Importing this module loads no dataclasses or typing, and no command
 loads importlib.resources: each command call is a new process, and
@@ -198,11 +198,10 @@ def _error(line: str) -> None:
 def _lines(stream: Iterable[str]) -> Iterator[str]:
     """The lines of a text stream, each without its end: "\r\n", a bare "\r" or "\n".
 
-    A stream hands out chunks that end at "\n", as POSIX stdin and
-    io.StringIO do, or also at "\r", as a file opened with newline=""
-    does; neither splits "\r\n".  A raw "\r" cannot occur inside a
-    JSON string, while U+2028, U+2029 and U+0085 can, so they do not end
-    a line.
+    A stream hands out chunks that end at "\n", as io.StringIO does, or
+    also at "\r", as a file or stdin read with newline="" does; neither
+    splits "\r\n".  A raw "\r" cannot occur inside a JSON string, while
+    U+2028, U+2029 and U+0085 can, so they do not end a line.
     """
     for chunk in stream:
         yield from chunk.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
@@ -212,6 +211,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     path = _BUNDLED if args.bundled else args.file
     if path == "-" and sys.stdin is None:
         raise OSError("stdin is closed")
+    # POSIX stdin ends its chunks only at "\n"; read it as a path is read.
+    if path == "-" and hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(newline="")
     checked = 0
     failed = 0
     # A byte that is not UTF-8 is decoded as Python decodes stdin in the

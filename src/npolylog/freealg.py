@@ -36,14 +36,14 @@ def _check_letters(alphabet: str, letters: Letters) -> None:
             raise ValueError(f"bad letter {c!r} for alphabet {alphabet}")
 
 
-def _term_key(alphabet: str, letters: Letters) -> tuple[int, Letters]:
+def _term_key(alphabet: str, letters: Letters) -> tuple[int, ...]:
     # Y-words sort as their X-embeddings y_k -> x0^k x1 would, so that the
     # image of a polynomial under the splitting isomorphism keeps the term
     # order of its preimage: by embedded length, then by the larger letter
-    # first, since x0^a x1 precedes x0^b x1 in X exactly when a > b.
+    # first (x0^a x1 precedes x0^b x1 exactly when a > b), in one flat tuple.
     if alphabet == "Y":
-        return (sum(letters) + len(letters), tuple([-c for c in letters]))
-    return (len(letters), letters)
+        return (sum(letters) + len(letters), *[-c for c in letters])
+    return (len(letters), *letters)
 
 
 def _add_term(out: dict[Letters, Scalar], letters: Letters, coef: Scalar) -> None:

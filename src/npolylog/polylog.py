@@ -55,21 +55,21 @@ polylog_map, on no verification path, sums the rational coefficients
 as they are through the same routine.
 
 The relations of one graded piece share most of their work, and each
-shared piece is built once.  This module owns three caches, each kept
+shared piece is built once.  This module owns two caches, each kept
 for the life of the process, and no function takes one as an
 argument.  Li values (_LI) and series rows (_ROWS) are cached with
 every tail, and a new one is built out from its longest cached tail,
 one level (_li_level, _row_level) at a time.  Each index has one row,
 whatever the bound: it is grown in place when a larger bound is read,
-and a smaller bound reads a prefix of it.  Each index is formatted once
-(_TEXTS).  _kernel_records keys a sweep by the arrangement sigma(k):
-one dict per sweep maps each arrangement met to its record line and
-verdict, so each distinct arrangement is expanded, summed and written
-once per sweep.  One _Packed per sweep holds the packed value and row
-of each word, built one level out from its tail's, so _LI and _ROWS
-keep only proper tails.  kernel_element is the definition for one
-arrangement, and keeps nothing.  _record is the one assembly of a
-record line, and relation_record is its text parsed back.
+and a smaller bound reads a prefix of it.  A sweep owns the rest of
+its state, in _kernel_records: one dict maps each arrangement sigma(k)
+met to its record line and verdict, one maps each index met to its
+text, and one _Packed holds the packed value and row of each word,
+built one level out from its tail's.  So each distinct arrangement is
+expanded, summed and written, and each index formatted, once per
+sweep, and _LI and _ROWS keep only proper tails.  kernel_element is
+the definition for one arrangement and keeps nothing.  _record is the
+one assembly of a record line; relation_record parses its text back.
 That closed form lives in magnus and nfold_product reads it; only
 magnus_product_identity derives it again, multiplying out the brackets
 of M(k) x1 in Q<X>, as the independent side of the identity it states.
@@ -142,7 +142,7 @@ class LinComb(NcPoly):
         return li if mag == 1 else f"{mag}*{li}"
 
 
-# The caches of this module, each kept for the life of the process.
+# The two caches of this module, each kept for the life of the process.
 # Li values by entry tuple.  Every tail of a computed index is stored
 # too: the values of one graded piece share their tails, and each new
 # value is built from its longest one.
@@ -151,10 +151,6 @@ _LI: dict[tuple[int, ...], RatFun] = {(): RatFun.one()}
 # bound: a row holds z^0..z^n for the largest n read so far, and is grown
 # in place, from its tail's row, when a larger n is read.
 _ROWS: dict[tuple[int, ...], list[int]] = {(): [1]}
-# Entries -> (sort key, '"index": [..]}' text, weight, depth): the
-# per-index part of a record line, formatted once.  The key is _term_key
-# flattened into one tuple of ints, which orders alike and compares faster.
-_TEXTS: dict[tuple[int, ...], tuple[tuple[int, ...], str, int, int]] = {}
 
 
 def _polylog_entries(entries: tuple[int, ...]) -> RatFun:
@@ -391,25 +387,30 @@ def relation_line(c: LinComb, verified: bool) -> str:
     Weight and depth are the common values over all terms, or null when
     the combination is not homogeneous (products of depth-one values
     reduce to lower weight, so mixed records are legitimate).  The text
-    is json.dumps of relation_record, assembled by _record.
+    is json.dumps of relation_record, assembled by _record; its index
+    texts are formatted into a dict of the call's own.
     """
-    return _record(_fragments(_index_terms(c).items()), verified)
+    return _record(_fragments(_index_terms(c).items(), {}), verified)
 
 
-def _fragments(terms: Iterable[tuple[tuple[int, ...], Scalar]]) -> list[tuple[tuple[int, ...], str, int, int]]:
-    """(sort key, '{"coef": .., "index": [..]}' text, weight, depth) of each term, its index joined as json.dumps writes it."""
+# (_term_key, text, weight, depth) of one term of a record line, or, in a
+# texts dict, of one index, its text then '"index": [..]}'.
+_Fragment = tuple[tuple[int, ...], str, int, int]
+
+
+def _fragments(terms: Iterable[tuple[tuple[int, ...], Scalar]], texts: dict[tuple[int, ...], _Fragment]) -> list[_Fragment]:
+    """The _Fragment of each term; its index's is read from texts, or formatted into it as json.dumps writes the list."""
     out = []
     for entries, coef in terms:
-        t = _TEXTS.get(entries)
+        t = texts.get(entries)
         if t is None:
-            length, letters = _term_key("Y", entries)
             text = '"index": [' + ", ".join(map(str, entries)) + "]}"
-            t = _TEXTS[entries] = ((length, *letters), text, sum(entries), len(entries))
+            t = texts[entries] = (_term_key("Y", entries), text, sum(entries), len(entries))
         out.append((t[0], f'{{"coef": "{coef!s}", {t[1]}', t[2], t[3]))
     return out
 
 
-def _record(rows: list[tuple[tuple[int, ...], str, int, int]], verified: bool) -> str:
+def _record(rows: list[_Fragment], verified: bool) -> str:
     """The record line of the relation whose terms are rows (_fragments), in any order; sorts rows."""
     # Distinct entries have distinct sort keys, so each row orders by its key.
     rows.sort(key=itemgetter(0))
@@ -503,23 +504,24 @@ class _Packed(dict):
             return None
         return value, row
 
-    def matches(self, terms: Mapping[tuple[int, ...], int]) -> tuple[bool, bool]:
-        """Whether the closed form terms has the product's value, and whether it has the product's row.
+    def verdict(self, terms: Mapping[tuple[int, ...], int]) -> bool:
+        """Whether the closed form terms has the product's value; raises PipelineDisagreement if only one of value and row is the product's.
 
-        Decided by two comparisons of packed sums when they are exact
-        and not both false.  Otherwise the closed form is evaluated
-        through both pipelines, and a value that is not the product's
-        is checked against its own row.
+        Both are compared by two packed sums when those are exact and
+        not both false.  Otherwise the closed form is evaluated through
+        both pipelines, and a value that is not the product's is checked
+        against its own row.
         """
         sums = self.sums(terms)
-        if sums is not None:
-            same = sums[0] == self.reference[0], sums[1] == self.reference[1]
-            if any(same):
-                return same
-        f, row = _evaluate(terms.items(), self.bound)
-        if f != self.product:
-            _check(f, row)
-        return f == self.product, row == self.product_row
+        value, row = (sums[0] == self.reference[0], sums[1] == self.reference[1]) if sums else (False, False)
+        if not (value or row):
+            f, series = _evaluate(terms.items(), self.bound)
+            if f != self.product:
+                _check(f, series)
+            value, row = f == self.product, series == self.product_row
+        if value != row:
+            raise PipelineDisagreement(_DISAGREE)
+        return value
 
 
 def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> Iterator[tuple[str, bool]]:
@@ -536,46 +538,40 @@ def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> I
     closed forms have one value, and D = w + r decides as in
     verify_relation.
 
-    When the first other arrangement is met, k's closed form is matched
-    (_Packed.matches) against the product of its depth-one values,
-    which Theorem main4 says it is worth: value with value and row with
-    the product's series.  If exactly one of the two holds,
-    PipelineDisagreement is raised; if neither does, the closed form is
-    refused.  Each distinct arrangement is then matched once against
-    the same product, which is now k's value and row, and if the two
-    comparisons differ, PipelineDisagreement is raised.  An arrangement
-    whose value is k's needs no check of its own: its series is k's,
-    already checked against k's row, which is its row.  So the verdict
-    is that of verify_relation on the relation, and PipelineDisagreement
-    is raised where checking every value against its own row would
-    raise it.  Each pair is yielded before the next arrangement is
-    evaluated.  k's terms are formatted once, and each record line is
-    those of them that sigma(k)'s closed form lacks and the formatted
-    differences of its own terms, assembled by _record.
+    When the first other arrangement is met, k's closed form is decided
+    (_Packed.verdict) against the product of its depth-one values, which
+    Theorem main4 says it is worth, and refused if it is not.  Each
+    distinct arrangement is then decided once against the same product,
+    now k's value and row.  An arrangement whose value is k's needs no
+    check of its own: its series is k's, already checked against k's
+    row, which is its row.  So the verdict is that of verify_relation
+    on the relation, and PipelineDisagreement is raised where checking
+    every value against its own row would raise it.  Each pair is
+    yielded before the next arrangement is evaluated.  Each index is
+    formatted once per sweep, into one dict (_fragments): k's terms up
+    front, and each record line is those of them that sigma(k)'s closed
+    form lacks and the formatted differences of its own terms,
+    assembled by _record.
     """
     _require_magnus(k)
     zero = LinComb()
     ok = verify_relation(zero)[0]
     records = {k.entries: (relation_line(zero, ok), ok)}
     base = _product_terms(k.entries)
+    texts: dict[tuple[int, ...], _Fragment] = {}
     packed: _Packed | None = None
     for arranged in arrangements:
         if arranged not in records:
             if packed is None:
-                packed, own = _Packed(k), dict(zip(base, _fragments(base.items())))
-                same_value, same_row = packed.matches(base)
-                if same_value != same_row:
-                    raise PipelineDisagreement(_DISAGREE)
-                if not same_value:
+                packed, own = _Packed(k), dict(zip(base, _fragments(base.items(), texts)))
+                if not packed.verdict(base):
                     raise PipelineDisagreement(
                         f"the closed form of {k} is not the product of its depth-one values; refusing to answer"
                     )
             terms = _product_terms(arranged)
-            ok, same_row = packed.matches(terms)
-            if ok != same_row:
-                raise PipelineDisagreement(_DISAGREE)
+            ok = packed.verdict(terms)
             rows = [row for w, row in own.items() if w not in terms]
-            rows += _fragments([(w, c) for w, a in terms.items() if (c := base.get(w, 0) - a)])
+            rows += _fragments([(w, c) for w, a in terms.items() if (c := base.get(w, 0) - a)], texts)
             records[arranged] = _record(rows, ok), ok
         yield records[arranged]
 

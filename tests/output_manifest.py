@@ -140,7 +140,7 @@ def _split(tokens: list[str], sep: str) -> list[list[str]]:
 def _call(argv: list[str], stdin: str, fresh: bool) -> tuple[str, str, int]:
     """stdout, stderr and exit code of one in-process command, fresh caches first if fresh is set."""
     if fresh:
-        pl._LI, pl._ROWS, pl._TEXTS = {(): RatFun.one()}, {(): [1]}, {}
+        pl._LI, pl._ROWS = {(): RatFun.one()}, {(): [1]}
     out, err = io.StringIO(), io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO(stdin)
     try:

@@ -790,15 +790,37 @@ def test_a_sweep_sees_one_unit_in_any_slot(capsys, monkeypatch, raise_one, slot,
 def test_a_fault_at_a_level_is_seen_by_the_packed_sums_and_by_evaluate(raise_one, monkeypatch):
     # One unit at z^D of Li(2,2,2), a word of the closed form of (2,3,1):
     # the packed sums of that closed form differ from k's in exactly one
-    # of value and row, and the two pipelines of _evaluate, the
-    # fallback of a sweep and the evaluation of verify_relation, disagree.
+    # of value and row, so its verdict raises, and the two pipelines of
+    # _evaluate, the fallback of a sweep and the evaluation of
+    # verify_relation, disagree.
     k, terms = magnus_index(1, 2, 3), pl._product_terms((2, 3, 1))
     raise_one(monkeypatch, (2, 2, 2), 9)
     packed = pl._Packed(k)
     value, row = packed.sums(terms)
     assert (value == packed.reference[0], row == packed.reference[1]) == ((False, True) if raise_one is raise_value else (True, False))
     with pytest.raises(PipelineDisagreement, match="pipelines disagree"):
+        packed.verdict(terms)
+    with pytest.raises(PipelineDisagreement, match="pipelines disagree"):
         pl._check(*pl._evaluate(terms.items(), 9))
+
+
+def test_a_closed_form_both_pipelines_find_wrong_gets_the_verdict_false(monkeypatch):
+    # One coefficient of the closed form of (2,3,1) one too large: its
+    # packed value and row both differ from the product's, so it goes
+    # through _evaluate, whose two pipelines agree on its value.  The
+    # verdict is False, and nothing is raised.
+    k, terms = magnus_index(1, 2, 3), pl._product_terms((2, 3, 1))
+    packed = pl._Packed(k)
+    assert packed.verdict(terms) is True
+    word = max(terms)
+    terms[word] += 1
+    value, row = packed.sums(terms)
+    assert value != packed.reference[0] and row != packed.reference[1]
+    evaluations = []
+    evaluate = pl._evaluate
+    monkeypatch.setattr(pl, "_evaluate", lambda items, bound: evaluations.append(bound) or evaluate(items, bound))
+    assert packed.verdict(terms) is False
+    assert evaluations == [9]
 
 
 def test_a_sweep_caches_only_the_proper_tails_of_its_words(capsys):
@@ -948,36 +970,36 @@ def assert_line_is_the_dumped_record(c):
         assert relation_record(c, verified) == want
 
 
-def test_relation_line_is_the_dumped_record_on_every_small_kernel_relation(monkeypatch):
-    # One text cache for the whole run, as a process keeps one: an index
-    # met in an earlier relation is read back, not formatted again.  Each
-    # relation is also written from an empty cache.
-    texts = pl._TEXTS
+def test_relation_line_is_the_dumped_record_on_every_small_kernel_relation():
+    # Each relation is written by relation_line, and by a sweep of k,
+    # whose lines share one texts dict: an index met in an earlier
+    # relation of the sweep is read back, not formatted again.
     seen = 0
     for depth in range(4):
         for weight in range(7):
             for k in magnus.magnus_indices(depth, weight):
                 # One sigma per arrangement sigma(k): the relation depends on nothing else.
                 sigmas = {tuple(k.entries[i - 1] for i in sigma): sigma for sigma in itertools.permutations(range(1, depth + 2))}
-                for c in (kernel_element(k, s) for s in sigmas.values()):
+                for (line, ok), sigma in zip(pl._kernel_records(k, sigmas), sigmas.values()):
+                    c = kernel_element(k, sigma)
                     assert_line_is_the_dumped_record(c)
-                    monkeypatch.setattr(pl, "_TEXTS", {})
-                    assert_line_is_the_dumped_record(c)
-                    monkeypatch.setattr(pl, "_TEXTS", texts)
+                    assert ok and line == json.dumps(relation_record_by_dicts(c, True))
                     seen += 1
-    assert seen > 1000 and len(texts) > 100
+    assert seen > 1000
 
 
 def test_index_text_is_the_dumped_entries():
-    # The "index" text of _TEXTS, written without json.dumps, is the
-    # dumped entry list: for (), single entries, and random entries.
+    # The "index" text that _fragments writes into its texts dict,
+    # without json.dumps, is the dumped entry list: for (), single
+    # entries, and random entries.
     rng = random.Random(37)
     cases = [(), (0,), (1,), (9,), (10,), (123456789,)]
     cases += [tuple(rng.randrange(10 ** rng.randrange(1, 12)) for _ in range(rng.randrange(1, 9))) for _ in range(300)]
+    texts = {}
     for entries in cases:
-        relation_line(LinComb._trusted("Y", {entries: 1}), True)
-        assert pl._TEXTS[entries][1] == f'"index": {json.dumps(list(entries))}}}'
-    assert len(pl._TEXTS) == len(set(cases))
+        pl._fragments([(entries, 1)], texts)
+        assert texts[entries][1] == f'"index": {json.dumps(list(entries))}}}'
+    assert len(texts) == len(set(cases))
 
 
 def test_relation_line_is_the_dumped_record_on_edge_combinations():
