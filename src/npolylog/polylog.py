@@ -32,19 +32,21 @@ Magnus basis produce and certify them:
 verify_relation decides kernel membership by exact evaluation, twice:
 through the rational-function pipeline and through an independent
 series pipeline whose truncation bound comes from the input indices
-and decides the verdict on its own.  Disagreement between the two
-raises PipelineDisagreement instead of picking a winner.
-_kernel_records decides the relations of a slot-permutation sweep the
-same way, by arrangement: the relation of sigma is zero exactly when
-the closed forms of k and of sigma(k) have one value.  Every term of a
-sweep has the denominator (1-z)^D, D = weight + depth, so each index's
-numerator and series row are packed once into one int each (_Packed),
-and each closed form's value and row are two exact integer sums,
-compared with those of the product of k's depth-one values (Theorem
-main4).  Only a value that differs from k's, or a closed form too
-large for its slots, goes through _evaluate and is checked against its
-own row, so a correct sweep expands two series, whatever its length.
-verify_relation keeps _evaluate: its lines use most values once.
+and decides the verdict on its own.  One rule, _decide, makes every
+verdict here: both pipelines answer whether the terms are worth a
+reference value (zero for verify_relation), a value that is not the
+reference must have its own series, and disagreement raises
+PipelineDisagreement instead of picking a winner.  _kernel_records
+decides a slot-permutation sweep by arrangement: the relation of sigma
+is zero exactly when the closed forms of k and of sigma(k) have one
+value.  Every term of a sweep has the denominator (1-z)^D, D = weight
++ depth, so each index's numerator and series row are packed once into
+one int each (_Packed), and a closed form's value and row are two
+exact integer sums.  Sums equal to those of the product of k's
+depth-one values (Theorem main4) confirm that both pipelines give the
+product; any other closed form goes to _decide.  So a correct sweep
+expands one series, the product's, whatever its length.
+verify_relation packs nothing: its lines use most values once.
 
 Every Li value has integer numerator coefficients, so verify_relation
 evaluates a combination in integer arithmetic: its coefficients are
@@ -324,7 +326,7 @@ def _evaluate(terms: Collection[tuple[tuple[int, ...], int]], bound: int) -> tup
     """Li of sum a*Li(entries) over integer terms: its rational value and its series row z^0..z^bound.
 
     The two come from independent pipelines and are returned unchecked:
-    _check compares them.  Every slot of each row is summed, z^0
+    _decide compares them.  Every slot of each row is summed, z^0
     included, so a row that is wrong anywhere shows in the sum.
     """
     f = _combine([(a, _polylog_entries(e)) for e, a in terms])
@@ -336,10 +338,19 @@ def _evaluate(terms: Collection[tuple[tuple[int, ...], int]], bound: int) -> tup
     return f, direct
 
 
-def _check(f: RatFun, row: list[int]) -> None:
-    """Raise PipelineDisagreement unless the truncated series of f is row."""
-    if taylor_coeffs(f, len(row) - 1) != row:
+def _decide(terms: Collection[tuple[tuple[int, ...], int]], bound: int, value: RatFun, row: list[int]) -> tuple[bool, RatFun]:
+    """(verdict, f): f is Li of the integer terms, and verdict whether f is value, whose series to z^bound is row.
+
+    The one rule of every verdict: f and the series row of the terms
+    (_evaluate) each say whether the terms are worth value, and the two
+    must agree; an f other than value must also have that row as its
+    own series.  Raises PipelineDisagreement otherwise.
+    """
+    f, direct = _evaluate(terms, bound)
+    verdict = f == value
+    if verdict != (direct == row) or (not verdict and taylor_coeffs(f, bound) != direct):
         raise PipelineDisagreement(_DISAGREE)
+    return verdict, f
 
 
 def _depth_one_product(entries: tuple[int, ...]) -> RatFun:
@@ -359,25 +370,20 @@ def verify_relation(c: LinComb) -> tuple[bool, RatFun | None]:
     depth over the terms.  Every Li(s) is P(z)/(1-z)^d with
     deg P <= d <= weight + depth, so these coefficients decide on their
     own whether the value is zero.  The bound is read off the indices,
-    not off the rational result.  The truncated series of the rational
-    value must equal the direct series and give the same verdict; any
-    mismatch means one of the pipelines is broken and raises
-    PipelineDisagreement.  Returns (True, None) on kernel membership,
-    else (False, witness) with the nonzero rational value of c.
-    Each tail row is built once, and grown at most once per larger D,
-    for the life of the process.
+    not off the rational result.  _decide compares the two with zero:
+    they must agree whether the value is zero, and a nonzero value's
+    truncated series must be the direct series; any mismatch means a
+    pipeline is broken and raises PipelineDisagreement.  Returns
+    (True, None) on kernel membership, else (False, witness) with the
+    nonzero rational value of c.  Each tail row is built once, and
+    grown at most once per larger D, for the life of the process.
     """
     c_terms = _index_terms(c)
     scale = lcm(*(coef.denominator for coef in c_terms.values()))
     terms = [(entries, coef.numerator * (scale // coef.denominator)) for entries, coef in c_terms.items()]
     bound = max((sum(entries) + len(entries) for entries, _ in terms), default=0)
-    f, direct = _evaluate(terms, bound)
-    _check(f, direct)
-    if f.is_zero() == any(direct):
-        raise PipelineDisagreement(_DISAGREE)
-    if f.is_zero():
-        return True, None
-    return False, f * Fraction(1, scale)
+    verdict, f = _decide(terms, bound, RatFun(), [0] * (bound + 1))
+    return verdict, (None if verdict else f * Fraction(1, scale))
 
 
 def relation_line(c: LinComb, verified: bool) -> str:
@@ -505,23 +511,14 @@ class _Packed(dict):
         return value, row
 
     def verdict(self, terms: Mapping[tuple[int, ...], int]) -> bool:
-        """Whether the closed form terms has the product's value; raises PipelineDisagreement if only one of value and row is the product's.
+        """Whether the closed form terms has the product's value, decided as verify_relation decides (_decide).
 
-        Both are compared by two packed sums when those are exact and
-        not both false.  Otherwise the closed form is evaluated through
-        both pipelines, and a value that is not the product's is checked
-        against its own row.
+        Exact packed sums equal to the product's confirm that both
+        pipelines give its value and row, so they answer at once;
+        anything else is evaluated through both pipelines.
         """
         sums = self.sums(terms)
-        value, row = (sums[0] == self.reference[0], sums[1] == self.reference[1]) if sums else (False, False)
-        if not (value or row):
-            f, series = _evaluate(terms.items(), self.bound)
-            if f != self.product:
-                _check(f, series)
-            value, row = f == self.product, series == self.product_row
-        if value != row:
-            raise PipelineDisagreement(_DISAGREE)
-        return value
+        return sums is not None and sums == self.reference or _decide(terms.items(), self.bound, self.product, self.product_row)[0]
 
 
 def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> Iterator[tuple[str, bool]]:
@@ -542,16 +539,16 @@ def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> I
     (_Packed.verdict) against the product of its depth-one values, which
     Theorem main4 says it is worth, and refused if it is not.  Each
     distinct arrangement is then decided once against the same product,
-    now k's value and row.  An arrangement whose value is k's needs no
-    check of its own: its series is k's, already checked against k's
-    row, which is its row.  So the verdict is that of verify_relation
-    on the relation, and PipelineDisagreement is raised where checking
-    every value against its own row would raise it.  Each pair is
-    yielded before the next arrangement is evaluated.  Each index is
-    formatted once per sweep, into one dict (_fragments): k's terms up
-    front, and each record line is those of them that sigma(k)'s closed
-    form lacks and the formatted differences of its own terms,
-    assembled by _record.
+    now k's value and row, by the rule of verify_relation (_decide).  An
+    arrangement whose value is k's needs no series of its own: its
+    series is the product's, which is its row.  So the verdict is that
+    of verify_relation on the relation, and PipelineDisagreement is
+    raised where checking every value against its own row would raise
+    it.  Each pair is yielded before the next arrangement is evaluated.
+    Each index is formatted once per sweep, into one dict (_fragments):
+    k's terms up front, and each record line is those of them that
+    sigma(k)'s closed form lacks and the formatted differences of its
+    own terms, assembled by _record.
     """
     _require_magnus(k)
     zero = LinComb()

@@ -3,11 +3,11 @@
 import pytest
 
 import npolylog.polylog as pl
-from npolylog.ratpoly import RatFun
+from output_manifest import new_caches
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches(monkeypatch):
     """Empty Li and series-row caches for each test, as a new process starts with."""
-    monkeypatch.setattr(pl, "_LI", {(): RatFun.one()})
-    monkeypatch.setattr(pl, "_ROWS", {(): [1]})
+    for name, cache in new_caches().items():
+        monkeypatch.setattr(pl, name, cache)

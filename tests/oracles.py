@@ -19,6 +19,7 @@ import npolylog.polylog as pl
 from npolylog.polylog import LinComb
 from npolylog.ratpoly import RatFun, Scalar
 from npolylog.words import MultiIndex, _is_count, _letters_y_to_x, _require_plain
+from output_manifest import new_caches
 
 _X0 = NcPoly.monomial("X", (0,))
 _X1 = NcPoly.monomial("X", (1,))
@@ -304,10 +305,10 @@ def add_by_raising(f: RatFun, g: RatFun) -> RatFun:
 
 
 class RowLog(dict):
-    """A stand-in for polylog._ROWS, seeded as it is, that logs (entries, n) of every row stored or grown to reach z^n."""
+    """A stand-in for polylog._ROWS, seeded as new_caches seeds it, that logs (entries, n) of every row stored or grown to reach z^n."""
 
     def __init__(self):
-        super().__init__({(): [1]})
+        super().__init__(new_caches()["_ROWS"])
         self.stored = []
 
     def __setitem__(self, entries, row):

@@ -2,8 +2,8 @@
 
 For each command of the corpus, the manifest holds the sha256 of its
 stdout, the sha256 of its stderr and its exit code, each command run
-through the in-process cli.main with fresh Li, series-row and
-index-text caches, as a new process starts with.  The corpus is:
+through the in-process cli.main with fresh Li and series-row caches
+(new_caches), as a new process starts with.  The corpus is:
 
   * the 54 duality-check boxes of depth <= 5 and weight <= 8, each
     plain and with --json, and the box of depth <= 2 and weight <= 30,
@@ -137,10 +137,16 @@ def _split(tokens: list[str], sep: str) -> list[list[str]]:
     return parts
 
 
+def new_caches() -> dict[str, dict]:
+    """The caches of polylog as a new process starts with them, by attribute name; the tests' fresh caches too."""
+    return {"_LI": {(): RatFun.one()}, "_ROWS": {(): [1]}}
+
+
 def _call(argv: list[str], stdin: str, fresh: bool) -> tuple[str, str, int]:
     """stdout, stderr and exit code of one in-process command, fresh caches first if fresh is set."""
     if fresh:
-        pl._LI, pl._ROWS = {(): RatFun.one()}, {(): [1]}
+        for name, cache in new_caches().items():
+            setattr(pl, name, cache)
     out, err = io.StringIO(), io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO(stdin)
     try:

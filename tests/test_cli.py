@@ -278,11 +278,11 @@ def count_taylor_coeffs(monkeypatch):
 
 
 @pytest.mark.parametrize("index, distinct", [("(1,2,1,2,1;1)", 15), ("(3,1,2;2)", 12)])
-def test_a_correct_sweep_expands_two_truncated_series(capsys, monkeypatch, index, distinct):
-    # Once for the zero relation at D = 0 and once for the product of
-    # k's depth-one values at D = w + r, however many arrangements: k's
-    # packed row is compared with that series, and every other
-    # arrangement's packed row with k's.
+def test_a_correct_sweep_expands_one_truncated_series(capsys, monkeypatch, index, distinct):
+    # Once, for the product of k's depth-one values at D = w + r, however
+    # many arrangements: k's packed row is compared with that series, and
+    # every other arrangement's packed row with k's.  The zero relation's
+    # value is its own reference, so its series is not expanded.
     calls = count_taylor_coeffs(monkeypatch)
     sums = count_packed_sums(monkeypatch)
     evaluations = count_evaluations(monkeypatch)
@@ -292,7 +292,7 @@ def test_a_correct_sweep_expands_two_truncated_series(capsys, monkeypatch, index
     assert len(out.splitlines()) == math.factorial(k.depth + 1)
     assert len(sums) == distinct and all(exact for _, exact in sums)
     assert evaluations == [{}]
-    assert calls == [0, k.weight + k.depth + 1]
+    assert calls == [k.weight + k.depth + 1]
 
 
 def test_kernel_checks_the_closed_form_of_k_against_its_product(capsys, monkeypatch):
@@ -1121,6 +1121,20 @@ def test_warm_caches_print_the_manifest_bytes():
     again = output_manifest.manifest(verify, fresh=False)
     assert len(again) == 6 and again == {cmd: committed[cmd] for cmd in again}
     assert len(pl._LI) > 1 and len(pl._ROWS) > 1
+
+
+def test_new_caches_are_those_a_new_interpreter_starts_with():
+    # The manifest's fresh caches and the tests' are new_caches(): in a
+    # new interpreter, polylog's upper-case module dicts, its caches, are
+    # exactly those, so a new seed or a new cache cannot leave them behind.
+    child = (
+        "import sys, npolylog.polylog as pl, output_manifest; "
+        "caches = {name: v for name, v in vars(pl).items() if name.isupper() and isinstance(v, dict)}; "
+        "sys.exit(0 if caches == output_manifest.new_caches() else repr(caches))"
+    )
+    env = {**CLI_ENV, "PYTHONPATH": os.pathsep.join([CLI_ENV["PYTHONPATH"], str(Path(output_manifest.__file__).parent)])}
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_duality_check_rejects_negative_bounds(capsys):

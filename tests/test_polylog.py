@@ -671,25 +671,19 @@ def test_verify_relation_refuses_a_nonzero_value_with_a_zero_series(monkeypatch)
 
 
 def test_kernel_records_refuse_when_values_and_rows_disagree(monkeypatch):
-    # The packed sums are k's, then that of sigma(k) = (2,1).  The last
-    # value gains z^6 past D = 5: it would still match its own row, and
-    # that row is k's, but the value is not k's.
-    good, calls = pl._Packed.sums, []
-
-    def shifted(self, terms):
-        calls.append(terms)
-        value, row = good(self, terms)
-        if len(calls) == 2:
-            value += 1 << 6 * 8 * (self.value_width + len(self.pad))
-        return value, row
-
+    # A word of the closed form of sigma(k) = (2,1) that k's lacks gains
+    # z^6 in its value, past D = 5: the row of that closed form is still
+    # k's, but its value is not.  It is evaluated once, after the zero
+    # relation, and the two pipelines disagree.
+    k, arranged = magnus_index(1, 2), (2, 1)
+    terms = pl._product_terms(arranged)
+    raise_value(monkeypatch, min(set(terms) - set(pl._product_terms(k.entries))), 6)
     evaluations = []
     evaluate = pl._evaluate
-    monkeypatch.setattr(pl._Packed, "sums", shifted)
     monkeypatch.setattr(pl, "_evaluate", lambda terms, bound: evaluations.append(dict(terms)) or evaluate(terms, bound))
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
-        list(pl._kernel_records(magnus_index(1, 2), [(2, 1)]))
-    assert len(calls) == 2 and evaluations == [{}]
+        list(pl._kernel_records(k, [arranged]))
+    assert evaluations == [{}, terms]
 
 
 def test_kernel_records_refuse_a_corrupted_row_under_the_value_of_k(monkeypatch):
@@ -790,9 +784,8 @@ def test_a_sweep_sees_one_unit_in_any_slot(capsys, monkeypatch, raise_one, slot,
 def test_a_fault_at_a_level_is_seen_by_the_packed_sums_and_by_evaluate(raise_one, monkeypatch):
     # One unit at z^D of Li(2,2,2), a word of the closed form of (2,3,1):
     # the packed sums of that closed form differ from k's in exactly one
-    # of value and row, so its verdict raises, and the two pipelines of
-    # _evaluate, the fallback of a sweep and the evaluation of
-    # verify_relation, disagree.
+    # of value and row, so its verdict goes to _decide, the rule of a
+    # sweep and of verify_relation, whose two pipelines disagree.
     k, terms = magnus_index(1, 2, 3), pl._product_terms((2, 3, 1))
     raise_one(monkeypatch, (2, 2, 2), 9)
     packed = pl._Packed(k)
@@ -801,7 +794,7 @@ def test_a_fault_at_a_level_is_seen_by_the_packed_sums_and_by_evaluate(raise_one
     with pytest.raises(PipelineDisagreement, match="pipelines disagree"):
         packed.verdict(terms)
     with pytest.raises(PipelineDisagreement, match="pipelines disagree"):
-        pl._check(*pl._evaluate(terms.items(), 9))
+        pl._decide(terms.items(), 9, packed.product, packed.product_row)
 
 
 def test_a_closed_form_both_pipelines_find_wrong_gets_the_verdict_false(monkeypatch):
@@ -821,6 +814,33 @@ def test_a_closed_form_both_pipelines_find_wrong_gets_the_verdict_false(monkeypa
     monkeypatch.setattr(pl, "_evaluate", lambda items, bound: evaluations.append(bound) or evaluate(items, bound))
     assert packed.verdict(terms) is False
     assert evaluations == [9]
+
+
+def _outcome(decide):
+    """The verdict decide() returns, or "disagree" where it raises PipelineDisagreement."""
+    try:
+        return decide()
+    except PipelineDisagreement:
+        return "disagree"
+
+
+@pytest.mark.parametrize("fault, outcome", [("value", "disagree"), ("row", "disagree"), ("closed-form", False)])
+def test_one_fault_gets_one_verdict_from_verify_and_from_a_sweep(monkeypatch, fault, outcome):
+    # One unit at z^D in the value or the row of a word that only the
+    # closed form of sigma(k) = (3,2,1) holds, or one coefficient of that
+    # closed form off by one: verify_relation on the relation and the
+    # sweep decide it by one rule, so they refuse together, or agree that
+    # the relation is false.
+    k, sigma = magnus_index(1, 2, 3), (3, 2, 1)
+    arranged = pl._arranged(k, sigma)
+    exact = pl._product_terms
+    word = min(set(exact(arranged)) - set(exact(k.entries)))
+    if fault == "closed-form":
+        monkeypatch.setattr(pl, "_product_terms", lambda entries: {**exact(entries), word: exact(entries)[word] + 1} if entries == arranged else exact(entries))
+    else:
+        {"value": raise_value, "row": raise_row}[fault](monkeypatch, word, 9)
+    assert _outcome(lambda: verify_relation(kernel_element(k, sigma))[0]) == outcome
+    assert _outcome(lambda: next(pl._kernel_records(k, [arranged]))[1]) == outcome
 
 
 def test_a_sweep_caches_only_the_proper_tails_of_its_words(capsys):
