@@ -30,12 +30,12 @@ arrangement met to its record line and verdict, for one command call,
 and kernel prints the lines it yields.  The Li values and series rows
 are cached by polylog for the process, so the relations of one sweep
 or one verify file share them, and so do repeated main() calls in one
-process.  A sweep's packed words and index texts last one call, and
-only the words' proper tails are cached.  verify reads its one source,
-a path, "-" or the bundled file beside this module, a line at a time
-through _lines, and prints each verdict as soon as its line is
-decided: it holds one chunk of its input at a time, and a piped
-stream gets its verdicts as it is written.
+process.  A sweep's words are cached with their tails, and its index
+texts last one call.  verify reads its one source, a path, "-" or the
+bundled file beside this module, a line at a time through _lines, and
+prints each verdict as soon as its line is decided: it holds one chunk
+of its input at a time, and a piped stream gets its verdicts as it is
+written.
 
 Importing this module loads no dataclasses or typing, and no command
 loads importlib.resources: each command call is a new process, and

@@ -39,14 +39,10 @@ reference must have its own series, and disagreement raises
 PipelineDisagreement instead of picking a winner.  _kernel_records
 decides a slot-permutation sweep by arrangement: the relation of sigma
 is zero exactly when the closed forms of k and of sigma(k) have one
-value.  Every term of a sweep has the denominator (1-z)^D, D = weight
-+ depth, so each index's numerator and series row are packed once into
-one int each (_Packed), and a closed form's value and row are two
-exact integer sums.  Sums equal to those of the product of k's
-depth-one values (Theorem main4) confirm that both pipelines give the
-product; any other closed form goes to _decide.  So a correct sweep
-expands one series, the product's, whatever its length.
-verify_relation packs nothing: its lines use most values once.
+value.  Every term of a sweep has weight w and depth r, so D = w + r
+decides every closed form, and _decide compares each with the product
+of k's depth-one values (Theorem main4).  So a correct sweep expands
+one series, the product's, whatever its length.
 
 Every Li value has integer numerator coefficients, so verify_relation
 evaluates a combination in integer arithmetic: its coefficients are
@@ -63,18 +59,18 @@ argument.  Li values (_LI) and series rows (_ROWS) are cached with
 every tail, and a new one is built out from its longest cached tail,
 one level (_li_level, _row_level) at a time.  Each index has one row,
 whatever the bound: it is grown in place when a larger bound is read,
-and a smaller bound reads a prefix of it.  A sweep owns the rest of
-its state, in _kernel_records: one dict maps each arrangement sigma(k)
-met to its record line and verdict, one maps each index met to its
-text, and one _Packed holds the packed value and row of each word,
-built one level out from its tail's.  So each distinct arrangement is
-expanded, summed and written, and each index formatted, once per
-sweep, and _LI and _ROWS keep only proper tails.  kernel_element is
-the definition for one arrangement and keeps nothing.  _record is the
-one assembly of a record line; relation_record parses its text back.
-That closed form lives in magnus and nfold_product reads it; only
-magnus_product_identity derives it again, multiplying out the brackets
-of M(k) x1 in Q<X>, as the independent side of the identity it states.
+and a smaller bound reads a prefix of it.  A sweep's words are cached
+there too, so a later sweep builds none of them again.  A sweep owns
+the rest of its state, in _kernel_records: one dict maps each
+arrangement sigma(k) met to its record line and verdict, and one maps
+each index met to its text.  So each distinct arrangement is expanded,
+evaluated and written, and each index formatted, once per sweep.
+kernel_element is the definition for one arrangement and keeps
+nothing.  _record is the one assembly of a record line;
+relation_record parses its text back.  That closed form lives in
+magnus and nfold_product reads it; only magnus_product_identity
+derives it again, multiplying out the brackets of M(k) x1 in Q<X>, as
+the independent side of the identity it states.
 """
 
 from __future__ import annotations
@@ -84,7 +80,7 @@ import re
 import sys
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from operator import itemgetter
 
 from .freealg import NcPoly, _add_term, _term_key, poly_x_to_y
@@ -429,98 +425,6 @@ def _record(rows: list[_Fragment], verified: bool) -> str:
     return f'{{"terms": [{terms}], "verified": {flag}, "weight": {weight}, "depth": {depth}}}'
 
 
-class _Packed(dict):
-    """The Li values and series rows of one sweep, each index's packed into one int: entries -> (value, row).
-
-    Every term of the sweep of k has weight w and depth r, so its Li
-    value is P/(1-z)^D, D = w + r, and its row is read at z^0..z^D.
-    P and the row are each written once as little-endian slots of one
-    int, m bytes of coefficient and h >= (w+2)/8 bytes of headroom per
-    slot, so a closed form's value and row are sum(a*packed), one
-    multiply-add per term.
-
-    Bounds (r >= 1).  Li(s) is built from Li(()) = 1 by D steps, one
-    z/(1-z) per entry and one Euler step per unit of weight, each
-    raising d by 1 with deg P <= d.  The Euler step q_j = j P_j +
-    (d+1-j) P_(j-1) keeps coefficients >= 0 (j <= deg P + 1 <= d + 1)
-    and multiplies P(1) by d, z/(1-z) keeps P(1), and the Euler steps
-    take distinct d in 1..D-1: every coefficient lies in [0, (D-1)!].
-    The coefficient of z^n sums at most C(n-1, r-1) <= 2^(n-1) products
-    n1^s1...nr^sr <= n^w, so a row entry up to z^D lies in
-    [0, D^w 2^(D-1)].  The product Li(k1)...Li(kn) keeps both bounds
-    (P(1) = k1!...kn! <= (D-1)!), and a closed form's |coefficients|,
-    signed products of C(s_j, k_j) over 0 <= k_j <= s_j, sum to at
-    most 2^w.  m is sized by these bounds, so every correct index fits.
-
-    Exactness.  pack raises OverflowError for a coefficient outside
-    [0, 256^m) or a denominator other than (1-z)^D, and sums gives
-    nothing for a closed form holding such an index or whose
-    |coefficients| sum past 2^w.  A slot of a sum then has
-    |value| < 2^w 256^m <= 2^(S-2), S the slot's bits, and one of the
-    packed product lies in [0, 256^m), so two packed ints differ by
-    less than 2^S in each slot and are equal only when every slot is:
-    no carry hides a difference.
-    """
-
-    __slots__ = ("bound", "limit", "pad", "value_width", "row_width", "product", "product_row", "reference")
-
-    def __init__(self, k: MultiIndex) -> None:
-        super().__init__()
-        weight = sum(k.entries)
-        self.bound = bound = weight + len(k.entries)
-        self.limit = 2**weight
-        self.pad = bytes((weight + 9) // 8)
-        self.value_width = (factorial(bound - 1).bit_length() + 7) // 8
-        self.row_width = ((bound**weight << (bound - 1)).bit_length() + 7) // 8
-        # Theorem main4's value of k's closed form, and its series.
-        self.product = _depth_one_product(k.entries)
-        self.product_row = taylor_coeffs(self.product, bound)
-        try:
-            self.reference: tuple[int, int] | None = self.pack(self.product, self.product_row)
-        except OverflowError:
-            self.reference = None
-
-    def pack(self, f: RatFun, row: Sequence[int]) -> tuple[int, int]:
-        """The numerator of f and z^0..z^D of row, each in one int; raises OverflowError where a slot cannot hold them."""
-        bound, pad, width = self.bound, self.pad, self.value_width
-        if f.dpow != bound:
-            raise OverflowError(f"denominator power {f.dpow} is not {bound}")
-        value = int.from_bytes(pad.join([c.to_bytes(width, "little") for c in f.num]), "little")
-        width = self.row_width
-        return value, int.from_bytes(pad.join([c.to_bytes(width, "little") for c in row[: bound + 1]]), "little")
-
-    def __missing__(self, entries: tuple[int, ...]) -> tuple[int, int]:
-        # One level out from its tail's cached value and row; kept only here.
-        tail, bound = entries[1:], self.bound
-        value = _li_level(entries, _polylog_entries(tail))
-        packed = self[entries] = self.pack(value, _row_level(entries, _series_row(tail, bound - 1), [0], bound))
-        return packed
-
-    def sums(self, terms: Mapping[tuple[int, ...], int]) -> tuple[int, int] | None:
-        """The packed value and row of the closed form terms, or None where a packed verdict would not be exact."""
-        if self.reference is None or sum(map(abs, terms.values())) > self.limit:
-            return None
-        value = row = 0
-        try:
-            for entries, a in terms.items():
-                v, s = self[entries]
-                value += a * v
-                row += a * s
-        except OverflowError:
-            return None
-        return value, row
-
-    def verdict(self, terms: Mapping[tuple[int, ...], int]) -> bool:
-        """Whether the closed form terms has the product's value, decided as verify_relation decides (_decide).
-
-        Exact packed sums equal to the product's confirm that both
-        pipelines give its value and row, so they answer at once;
-        anything else is evaluated through both pipelines.
-        """
-        sums = self.sums(terms)
-        return sums is not None and sums == self.reference or _decide(terms.items(), self.bound, self.product, self.product_row)[0]
-
-
 def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> Iterator[tuple[str, bool]]:
     """(record line, verdict) of the relation of k and each arrangement of its entries in turn, lazily.
 
@@ -536,10 +440,10 @@ def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> I
     verify_relation.
 
     When the first other arrangement is met, k's closed form is decided
-    (_Packed.verdict) against the product of its depth-one values, which
-    Theorem main4 says it is worth, and refused if it is not.  Each
-    distinct arrangement is then decided once against the same product,
-    now k's value and row, by the rule of verify_relation (_decide).  An
+    by the rule of verify_relation (_decide) against the product of its
+    depth-one values, which Theorem main4 says it is worth, and refused
+    if it is not.  Each distinct arrangement is then decided once by the
+    same call against the same product, now k's value and row.  An
     arrangement whose value is k's needs no series of its own: its
     series is the product's, which is its row.  So the verdict is that
     of verify_relation on the relation, and PipelineDisagreement is
@@ -555,18 +459,22 @@ def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> I
     ok = verify_relation(zero)[0]
     records = {k.entries: (relation_line(zero, ok), ok)}
     base = _product_terms(k.entries)
+    bound = sum(k.entries) + len(k.entries)
     texts: dict[tuple[int, ...], _Fragment] = {}
-    packed: _Packed | None = None
+    own: dict[tuple[int, ...], _Fragment] | None = None
     for arranged in arrangements:
         if arranged not in records:
-            if packed is None:
-                packed, own = _Packed(k), dict(zip(base, _fragments(base.items(), texts)))
-                if not packed.verdict(base):
+            if own is None:
+                # Theorem main4's value of k's closed form, and its series.
+                product = _depth_one_product(k.entries)
+                product_row = taylor_coeffs(product, bound)
+                if not _decide(base.items(), bound, product, product_row)[0]:
                     raise PipelineDisagreement(
                         f"the closed form of {k} is not the product of its depth-one values; refusing to answer"
                     )
+                own = dict(zip(base, _fragments(base.items(), texts)))
             terms = _product_terms(arranged)
-            ok = packed.verdict(terms)
+            ok = _decide(terms.items(), bound, product, product_row)[0]
             rows = [row for w, row in own.items() if w not in terms]
             rows += _fragments([(w, c) for w, a in terms.items() if (c := base.get(w, 0) - a)], texts)
             records[arranged] = _record(rows, ok), ok

@@ -216,20 +216,6 @@ def count_evaluations(monkeypatch):
     return calls
 
 
-def count_packed_sums(monkeypatch):
-    """Log the terms of every closed form a sweep sums packed, in order, with whether its sums were exact."""
-    calls = []
-    good = pl._Packed.sums
-
-    def logged(self, terms):
-        sums = good(self, terms)
-        calls.append((dict(terms), sums is not None))
-        return sums
-
-    monkeypatch.setattr(pl._Packed, "sums", logged)
-    return calls
-
-
 @pytest.mark.parametrize(
     "argv, records, evaluations",
     [
@@ -246,10 +232,8 @@ def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, argv, 
     # 15 arrangements of {1,1,1,1,2,2}, or the 3 of {1,1,2}, identity
     # included.  The zero relation of sigma(k) = k is verify_relation's,
     # one evaluation of no word, once per sweep, whether or not a sigma
-    # arranges k as k; k is summed packed when another arrangement is
-    # met, then each other arrangement once, and every verdict is
-    # decided from exact packed sums, with no closed form evaluated.
-    sums = count_packed_sums(monkeypatch)
+    # arranges k as k; k's closed form is evaluated when another
+    # arrangement is met, then each other arrangement's once, in order.
     calls = count_evaluations(monkeypatch)
     code, out, err = run(capsys, "kernel", *argv)
     assert (code, err) == (0, "")
@@ -259,8 +243,7 @@ def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, argv, 
     others = [entries for entries in arrangements if entries != k.entries]
     closed_forms = [k.entries, *others] if others else []
     assert len(out.splitlines()) == records and len(closed_forms) == evaluations
-    assert sums == [(magnus._product_terms(entries), True) for entries in closed_forms]
-    assert calls == [{}]
+    assert calls == [{}, *map(magnus._product_terms, closed_forms)]
     one_by_one = []
     for sigma in sigmas:
         c = kernel_element(k, sigma)
@@ -280,18 +263,17 @@ def count_taylor_coeffs(monkeypatch):
 @pytest.mark.parametrize("index, distinct", [("(1,2,1,2,1;1)", 15), ("(3,1,2;2)", 12)])
 def test_a_correct_sweep_expands_one_truncated_series(capsys, monkeypatch, index, distinct):
     # Once, for the product of k's depth-one values at D = w + r, however
-    # many arrangements: k's packed row is compared with that series, and
-    # every other arrangement's packed row with k's.  The zero relation's
-    # value is its own reference, so its series is not expanded.
+    # many arrangements: each closed form's direct row is compared with
+    # that series, and one with the product's value needs no series of
+    # its own.  The zero relation's value is its own reference, so its
+    # series is not expanded.
     calls = count_taylor_coeffs(monkeypatch)
-    sums = count_packed_sums(monkeypatch)
     evaluations = count_evaluations(monkeypatch)
     code, out, err = run(capsys, "kernel", index, "--all-sigma")
     assert (code, err) == (0, "")
     k = parse_index(index)
     assert len(out.splitlines()) == math.factorial(k.depth + 1)
-    assert len(sums) == distinct and all(exact for _, exact in sums)
-    assert evaluations == [{}]
+    assert len(evaluations) == distinct + 1 and evaluations[0] == {}
     assert calls == [k.weight + k.depth + 1]
 
 
@@ -577,12 +559,11 @@ def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
     monkeypatch.setattr(pl, "_ROWS", log)
     code, sweep, err = run(capsys, "kernel", "(0,2;2)", "--all-sigma")
     assert code == 0 and err == "" and len(sweep.splitlines()) == 6
-    # Every proper tail of every word of each distinct arrangement's
-    # closed form, the empty tail included, at D - 1 = weight + depth - 1
-    # = 6: a word's own row is built one level out from its tail's to
-    # z^D, packed, and stored nowhere.
+    # Every word of each distinct arrangement's closed form and every
+    # proper tail of it, the empty tail included, at D = weight + depth
+    # = 7, the one bound of the sweep.
     words = [w for arranged in set(itertools.permutations((0, 2, 2))) for w in magnus._product_terms(arranged)]
-    wanted = {(w[i:], 6) for w in words for i in range(1, len(w) + 1)}
+    wanted = {(w[i:], 7) for w in words for i in range(len(w) + 1)}
     # The arrangements share words and tails, so a build per word and
     # proper tail would build some twice.
     assert sum(map(len, words)) > len(wanted)

@@ -42,7 +42,7 @@ def test_readme_api_table_names_every_public_name(module):
 
 def test_readme_names_no_removed_api():
     text = README.read_text(encoding="utf-8")
-    assert [name for name in ("kernel_elements", "magnus_to_word", "lie_bracket", "poly_y_to_x", "_TEXTS", "`_check`") if name in text] == []
+    assert [name for name in ("kernel_elements", "magnus_to_word", "lie_bracket", "poly_y_to_x", "_TEXTS", "`_check`", "_Packed") if name in text] == []
 
 
 def test_readme_quick_session_runs_as_a_doctest():

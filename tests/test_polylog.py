@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 import random
 import re
 import sys
@@ -32,6 +31,7 @@ from npolylog.polylog import (
 )
 from npolylog.ratpoly import RatFun, taylor_coeffs
 from npolylog.words import magnus_index, mpl_index
+from output_manifest import new_caches
 from oracles import (
     RowLog,
     nfold_product_by_choices,
@@ -482,15 +482,20 @@ def test_magnus_product_identity_examples():
 
 
 def test_magnus_product_identity_small_sweep():
-    for depth in range(3):
-        for entries in itertools.product(range(3), repeat=depth + 1):
-            k = magnus_index(*entries)
-            lhs, rhs = magnus_product_identity(k)
-            assert lhs == rhs
-            prod = RatFun.one()
-            for e in k.entries:
-                prod = prod * polylog_rational(mpl_index(e))
-            assert polylog_map(rhs) == prod
+    # Every entry up to 2 at depth up to 3, then every index of depth up
+    # to 4 and weight up to 8.  The product and Li(k) are P/(1-z)^D,
+    # D = weight + depth, the one bound of the sweep of k, whose closed
+    # form (lhs) is checked against the product.
+    small = [magnus_index(*entries) for depth in range(3) for entries in itertools.product(range(3), repeat=depth + 1)]
+    light = [k for depth in range(4) for weight in range(9) for k in magnus.magnus_indices(depth, weight)]
+    for k in small + light:
+        lhs, rhs = magnus_product_identity(k)
+        assert lhs == rhs
+        prod = RatFun.one()
+        for e in k.entries:
+            prod = prod * polylog_rational(mpl_index(e))
+        assert polylog_map(rhs) == prod
+        assert prod.dpow == polylog_rational(mpl_index(*k.entries)).dpow == sum(k.entries) + len(k.entries)
 
 
 def test_magnus_product_identity_catches_a_wrong_closed_form(monkeypatch):
@@ -674,7 +679,7 @@ def test_kernel_records_refuse_when_values_and_rows_disagree(monkeypatch):
     # A word of the closed form of sigma(k) = (2,1) that k's lacks gains
     # z^6 in its value, past D = 5: the row of that closed form is still
     # k's, but its value is not.  It is evaluated once, after the zero
-    # relation, and the two pipelines disagree.
+    # relation and k's closed form, and the two pipelines disagree.
     k, arranged = magnus_index(1, 2), (2, 1)
     terms = pl._product_terms(arranged)
     raise_value(monkeypatch, min(set(terms) - set(pl._product_terms(k.entries))), 6)
@@ -683,7 +688,7 @@ def test_kernel_records_refuse_when_values_and_rows_disagree(monkeypatch):
     monkeypatch.setattr(pl, "_evaluate", lambda terms, bound: evaluations.append(dict(terms)) or evaluate(terms, bound))
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         list(pl._kernel_records(k, [arranged]))
-    assert evaluations == [{}, terms]
+    assert evaluations == [{}, pl._product_terms(k.entries), terms]
 
 
 def test_kernel_records_refuse_a_corrupted_row_under_the_value_of_k(monkeypatch):
@@ -733,43 +738,15 @@ def test_kernel_records_check_a_value_that_is_not_k_against_its_own_row(monkeypa
         list(pl._kernel_records(k, [arranged]))
 
 
-def test_packed_slots_hold_every_small_index():
-    # The bounds a sweep's slots are sized by, on every index of depth
-    # r <= 4 and weight w <= 8, D = w + r: Li is P/(1-z)^D with every
-    # coefficient of P in [0, (D-1)!], z^0..z^D of its row lie in
-    # [0, D^w 2^(D-1)], and so do those of the product of depth-one
-    # values; a closed form's |coefficients| sum to at most 2^w.
-    seen = 0
-    for depth in range(1, 5):
-        for weight in range(9):
-            bound = weight + depth
-            top_value, top_row = math.factorial(bound - 1), bound**weight << (bound - 1)
-            for k in magnus.magnus_indices(depth - 1, weight):
-                entries = k.entries
-                f = polylog_rational(mpl_index(*entries))
-                assert f.dpow == bound and all(0 <= c <= top_value for c in f.num), entries
-                assert all(0 <= c <= top_row for c in series_coeffs(mpl_index(*entries), bound)), entries
-                product = pl._depth_one_product(entries)
-                assert product.dpow == bound and all(0 <= c <= top_value for c in product.num), entries
-                assert all(0 <= c <= top_row for c in taylor_coeffs(product, bound)), entries
-                assert sum(map(abs, pl._product_terms(entries).values())) <= 2**weight, entries
-                packed = pl._Packed(k)
-                assert 256**packed.value_width > top_value and 256**packed.row_width > top_row
-                assert 8 * len(packed.pad) >= weight + 2
-                assert packed.reference is not None and packed.sums(pl._product_terms(entries)) == packed.reference
-                seen += 1
-    assert seen == sum(math.comb(w + r - 1, r - 1) for r in range(1, 5) for w in range(9))
-
-
 @pytest.mark.parametrize("raise_one", [raise_value, raise_row], ids=["value", "row"])
 @pytest.mark.parametrize("slot", ["bottom", "top"])
 @pytest.mark.parametrize("where, records", [("k", 1), ("arrangement", 3)])
 def test_a_sweep_sees_one_unit_in_any_slot(capsys, monkeypatch, raise_one, slot, where, records):
     # One coefficient of one index 1 too large, at z^0 or at z^D, D = 9:
     # the index is a word of k's closed form, or Li(2,2,2), which first
-    # occurs in the fourth arrangement of (1,2;3).  The packed sums of
-    # the closed form that holds it then differ from k's in exactly one
-    # of value and row, whichever slot the unit is in: no carry hides it.
+    # occurs in the fourth arrangement of (1,2;3).  The value and the row
+    # of the closed form that holds it then differ from k's in exactly
+    # one of the two, whichever slot the unit is in.
     k = magnus_index(1, 2, 3)
     index = next(iter(pl._product_terms(k.entries))) if where == "k" else (2, 2, 2)
     raise_one(monkeypatch, index, {"bottom": 0, "top": 9}[slot])
@@ -781,39 +758,32 @@ def test_a_sweep_sees_one_unit_in_any_slot(capsys, monkeypatch, raise_one, slot,
 
 
 @pytest.mark.parametrize("raise_one", [raise_value, raise_row], ids=["value", "row"])
-def test_a_fault_at_a_level_is_seen_by_the_packed_sums_and_by_evaluate(raise_one, monkeypatch):
+def test_a_fault_at_a_level_is_seen_by_decide(raise_one, monkeypatch):
     # One unit at z^D of Li(2,2,2), a word of the closed form of (2,3,1):
-    # the packed sums of that closed form differ from k's in exactly one
-    # of value and row, so its verdict goes to _decide, the rule of a
-    # sweep and of verify_relation, whose two pipelines disagree.
+    # that closed form's value and row differ from the product's in
+    # exactly one of the two, so _decide, the rule of a sweep and of
+    # verify_relation, finds its two pipelines disagree.
     k, terms = magnus_index(1, 2, 3), pl._product_terms((2, 3, 1))
     raise_one(monkeypatch, (2, 2, 2), 9)
-    packed = pl._Packed(k)
-    value, row = packed.sums(terms)
-    assert (value == packed.reference[0], row == packed.reference[1]) == ((False, True) if raise_one is raise_value else (True, False))
+    product = pl._depth_one_product(k.entries)
+    row = taylor_coeffs(product, 9)
+    value, direct = pl._evaluate(terms.items(), 9)
+    assert (value == product, direct == row) == ((False, True) if raise_one is raise_value else (True, False))
     with pytest.raises(PipelineDisagreement, match="pipelines disagree"):
-        packed.verdict(terms)
-    with pytest.raises(PipelineDisagreement, match="pipelines disagree"):
-        pl._decide(terms.items(), 9, packed.product, packed.product_row)
+        pl._decide(terms.items(), 9, product, row)
 
 
-def test_a_closed_form_both_pipelines_find_wrong_gets_the_verdict_false(monkeypatch):
+def test_a_closed_form_both_pipelines_find_wrong_gets_the_verdict_false():
     # One coefficient of the closed form of (2,3,1) one too large: its
-    # packed value and row both differ from the product's, so it goes
-    # through _evaluate, whose two pipelines agree on its value.  The
-    # verdict is False, and nothing is raised.
+    # value and row both differ from the product's, and its value's
+    # series is its row.  The verdict is False, and nothing is raised.
     k, terms = magnus_index(1, 2, 3), pl._product_terms((2, 3, 1))
-    packed = pl._Packed(k)
-    assert packed.verdict(terms) is True
-    word = max(terms)
-    terms[word] += 1
-    value, row = packed.sums(terms)
-    assert value != packed.reference[0] and row != packed.reference[1]
-    evaluations = []
-    evaluate = pl._evaluate
-    monkeypatch.setattr(pl, "_evaluate", lambda items, bound: evaluations.append(bound) or evaluate(items, bound))
-    assert packed.verdict(terms) is False
-    assert evaluations == [9]
+    product = pl._depth_one_product(k.entries)
+    row = taylor_coeffs(product, 9)
+    assert pl._decide(terms.items(), 9, product, row)[0] is True
+    terms[max(terms)] += 1
+    verdict, value = pl._decide(terms.items(), 9, product, row)
+    assert verdict is False and value != product
 
 
 def _outcome(decide):
@@ -824,58 +794,78 @@ def _outcome(decide):
         return "disagree"
 
 
-@pytest.mark.parametrize("fault, outcome", [("value", "disagree"), ("row", "disagree"), ("closed-form", False)])
+@pytest.mark.parametrize(
+    "fault, outcome",
+    [("value", "disagree"), ("row", "disagree"), ("denominator", "disagree"), ("closed-form", False), ("scaled-closed-form", False)],
+)
 def test_one_fault_gets_one_verdict_from_verify_and_from_a_sweep(monkeypatch, fault, outcome):
     # One unit at z^D in the value or the row of a word that only the
-    # closed form of sigma(k) = (3,2,1) holds, or one coefficient of that
-    # closed form off by one: verify_relation on the relation and the
-    # sweep decide it by one rule, so they refuse together, or agree that
-    # the relation is false.
+    # closed form of sigma(k) = (3,2,1) holds, Li(2,2,2), another such
+    # word, given the value Li(2,2,2)/(1-z) over (1-z)^10, or that closed
+    # form with one coefficient off by one or scaled by 2^w + 1, w = 6:
+    # verify_relation on the relation and the sweep decide it by one
+    # rule, so they refuse together, or write the same false record.
     k, sigma = magnus_index(1, 2, 3), (3, 2, 1)
     arranged = pl._arranged(k, sigma)
     exact = pl._product_terms
     word = min(set(exact(arranged)) - set(exact(k.entries)))
     if fault == "closed-form":
         monkeypatch.setattr(pl, "_product_terms", lambda entries: {**exact(entries), word: exact(entries)[word] + 1} if entries == arranged else exact(entries))
+    elif fault == "scaled-closed-form":
+        monkeypatch.setattr(pl, "_product_terms", lambda entries: {w: 65 * a for w, a in exact(entries).items()} if entries == arranged else exact(entries))
+    elif fault == "denominator":
+        assert (2, 2, 2) in set(exact(arranged)) - set(exact(k.entries))
+        good = pl._li_level
+        monkeypatch.setattr(pl, "_li_level", lambda entries, tail: good(entries, tail) * RatFun((1,), 1) if entries == (2, 2, 2) else good(entries, tail))
     else:
         {"value": raise_value, "row": raise_row}[fault](monkeypatch, word, 9)
-    assert _outcome(lambda: verify_relation(kernel_element(k, sigma))[0]) == outcome
-    assert _outcome(lambda: next(pl._kernel_records(k, [arranged]))[1]) == outcome
+    c = kernel_element(k, sigma)
+    assert _outcome(lambda: verify_relation(c)[0]) == outcome
+    record = outcome if outcome == "disagree" else (relation_line(c, outcome), outcome)
+    assert _outcome(lambda: next(pl._kernel_records(k, [arranged]))) == record
 
 
-def test_a_sweep_caches_only_the_proper_tails_of_its_words(capsys):
-    # Each word of the sweep is built one level out from its tail, and
-    # packed; its own value and row stay out of _LI and _ROWS.
-    assert cli.main(["kernel", "(0,2;2)", "--all-sigma"]) == 0
-    words = {w for arranged in itertools.permutations((0, 2, 2)) for w in pl._product_terms(arranged)}
-    tails = {w[i:] for w in words for i in range(1, len(w) + 1)}
-    assert set(pl._LI) == set(pl._ROWS) == tails
+def test_a_sweep_builds_no_value_or_row_an_earlier_sweep_built(capsys, monkeypatch):
+    # A sweep caches each word it builds with its tails, so a later sweep
+    # of (0,2;2) in the same process builds none of them again: not after
+    # the same sweep, nor after (1;3), whose words are all proper tails
+    # of words of (0,2;2).  A row grown to a larger bound builds only its
+    # new slots.  The later sweep prints what it prints alone.
+    values, slots = [], []
+    li_level, row_level = pl._li_level, pl._row_level
 
+    def row_grown(entries, tail, row, n):
+        slots.extend((entries, m) for m in range(len(row), n + 1))
+        return row_level(entries, tail, row, n)
 
-def test_an_oversized_closed_form_is_decided_by_evaluate(monkeypatch):
-    # The closed form of (3,2,1) scaled by 2^w + 1, w = 6: past the sum
-    # of |coefficients| that its packed sums are exact for, so it is
-    # evaluated through both pipelines, and its relation is false, as
-    # verify_relation says.
-    k, arranged, scale = magnus_index(1, 2, 3), (3, 2, 1), 2**6 + 1
-    exact = pl._product_terms
-    monkeypatch.setattr(pl, "_product_terms", lambda entries: {w: scale * a for w, a in exact(entries).items()} if entries == arranged else exact(entries))
-    evaluations, evaluate = [], pl._evaluate
-    monkeypatch.setattr(pl, "_evaluate", lambda terms, bound: evaluations.append(dict(terms)) or evaluate(terms, bound))
-    sums = []
-    good = pl._Packed.sums
-    monkeypatch.setattr(pl._Packed, "sums", lambda self, terms: sums.append(good(self, terms)) or sums[-1])
-    [(line, ok)] = pl._kernel_records(k, [arranged])
-    assert evaluations == [{}, pl._product_terms(arranged)]
-    assert sums[0] is not None and sums[1] is None
-    c = LinComb._trusted("Y", exact(k.entries)) - LinComb._trusted("Y", pl._product_terms(arranged))
-    assert (ok, line) == (False, relation_line(c, False)) and verify_relation(c)[0] is False
+    monkeypatch.setattr(pl, "_li_level", lambda entries, tail: values.append(entries) or li_level(entries, tail))
+    monkeypatch.setattr(pl, "_row_level", row_grown)
+
+    def sweep(entries):
+        values.clear()
+        slots.clear()
+        assert cli.main(["kernel", str(magnus_index(*entries)), "--all-sigma"]) == 0
+        return capsys.readouterr().out, set(values), set(slots)
+
+    def words(entries):
+        return {w for arranged in itertools.permutations(entries) for w in pl._product_terms(arranged)}
+
+    alone = sweep((0, 2, 2))
+    for first in [(0, 2, 2), (1, 3)]:
+        for name, cache in new_caches().items():
+            monkeypatch.setattr(pl, name, cache)
+        earlier = sweep(first)
+        later = sweep((0, 2, 2))
+        assert later[0] == alone[0]
+        assert not earlier[1] & later[1] and not earlier[2] & later[2]
+        assert words(first) <= earlier[1]
+        assert words(first) <= {w[i:] for w in words((0, 2, 2)) for i in range(len(w))}
 
 
 def test_oversized_closed_forms_and_product_are_decided_by_evaluate(monkeypatch):
     # Every closed form and the product of k's depth-one values scaled
-    # by 2^w + 1: the product fits no slot, so nothing is packed, every
-    # closed form is evaluated, and every relation is still true.
+    # by 2^w + 1: every closed form is evaluated once, against the scaled
+    # product, and every relation is still true.
     k, scale = magnus_index(1, 2, 3), 2**6 + 1
     exact, product = pl._product_terms, pl._depth_one_product
     monkeypatch.setattr(pl, "_product_terms", lambda entries: {w: scale * a for w, a in exact(entries).items()})
@@ -885,21 +875,6 @@ def test_oversized_closed_forms_and_product_are_decided_by_evaluate(monkeypatch)
     arrangements = list(itertools.permutations(k.entries))
     assert [ok for _, ok in pl._kernel_records(k, arrangements)] == [True] * 6
     assert evaluations == [{}] + [pl._product_terms(a) for a in arrangements]
-
-
-def test_a_denominator_other_than_the_sweeps_is_not_packed(monkeypatch):
-    # Li(2,2,2) given the value Li(2,2,2)/(1-z), with (1-z)^10 where the
-    # sweep of (1,2;3) packs (1-z)^9: its closed form is evaluated, its
-    # value is not k's while its row is, and the sweep refuses.
-    good = pl._li_level
-    monkeypatch.setattr(pl, "_li_level", lambda entries, tail: good(entries, tail) * RatFun((1,), 1) if entries == (2, 2, 2) else good(entries, tail))
-    sums, packed_sums = [], pl._Packed.sums
-    monkeypatch.setattr(pl._Packed, "sums", lambda self, terms: sums.append(packed_sums(self, terms)) or sums[-1])
-    records = pl._kernel_records(magnus_index(1, 2, 3), itertools.permutations((1, 2, 3)))
-    assert [next(records)[1] for _ in range(3)] == [True] * 3
-    with pytest.raises(PipelineDisagreement, match="pipelines disagree"):
-        next(records)
-    assert None not in sums[:-1] and sums[-1] is None
 
 
 def test_kernel_elements_are_nfold_differences():
