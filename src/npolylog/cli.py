@@ -8,11 +8,13 @@ product expansion), kernel (functional equations from slot
 permutations, emitted as JSON lines), verify (recheck a relation
 file), and duality-check (basis-change sweeps).  All output is
 byte-deterministic.  Exit codes: 0 success, 1 verification failure,
-2 parse or usage error, 3 the two evaluation pipelines disagreed and
-the relation was left undecided, 141 (128 + SIGPIPE, what the shell
-reports for a process killed by SIGPIPE) the reader closed stdout,
-with nothing on stderr.  A closed stderr drops the error line, and
-argparse's usage line with it, and keeps the code.  Every count
+2 parse or usage error, or an index entry or count past sys.maxsize,
+which no list can be sized by (OverflowError), 3 the two evaluation
+pipelines disagreed and the relation was left undecided, 141
+(128 + SIGPIPE, what the shell reports for a process killed by
+SIGPIPE) the reader closed stdout, with nothing on stderr.  A closed
+stderr drops the error line, and argparse's usage line with it, and
+keeps the code.  Every count
 argument is read by one rule, as an index entry is: ASCII digits and
 no sign, so "-0" is refused as "-1" is, with one message.  magnus and
 product print the product identity through one renderer.
@@ -374,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         # writes to devnull and cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         _error(f"error: {exc}")
         return 2
     except PipelineDisagreement as exc:

@@ -64,13 +64,15 @@ there too, so a later sweep builds none of them again.  A sweep owns
 the rest of its state, in _kernel_records: one dict maps each
 arrangement sigma(k) met to its record line and verdict, and one maps
 each index met to its text.  So each distinct arrangement is expanded,
-evaluated and written, and each index formatted, once per sweep.
-kernel_element is the definition for one arrangement and keeps
-nothing.  _record is the one assembly of a record line;
-relation_record parses its text back.  That closed form lives in
-magnus and nfold_product reads it; only magnus_product_identity
-derives it again, multiplying out the brackets of M(k) x1 in Q<X>, as
-the independent side of the identity it states.
+evaluated and written, and each index formatted, once per sweep.  Its
+relation is k's closed form minus sigma(k)'s, the terms of
+kernel_element, which is the definition for one arrangement and keeps
+nothing.  _record is the one writer of a record line, for
+relation_line and a sweep alike; relation_record parses its text
+back.  The closed form lives in magnus and nfold_product reads it;
+only magnus_product_identity derives it again, multiplying out the
+brackets of M(k) x1 in Q<X>, as the independent side of the identity
+it states.
 """
 
 from __future__ import annotations
@@ -389,40 +391,34 @@ def relation_line(c: LinComb, verified: bool) -> str:
     Weight and depth are the common values over all terms, or null when
     the combination is not homogeneous (products of depth-one values
     reduce to lower weight, so mixed records are legitimate).  The text
-    is json.dumps of relation_record, assembled by _record; its index
+    is json.dumps of relation_record, written by _record; its index
     texts are formatted into a dict of the call's own.
     """
-    return _record(_fragments(_index_terms(c).items(), {}), verified)
+    return _record(_index_terms(c).items(), verified, {})
 
 
-# (_term_key, text, weight, depth) of one term of a record line, or, in a
-# texts dict, of one index, its text then '"index": [..]}'.
-_Fragment = tuple[tuple[int, ...], str, int, int]
+def _record(terms: Iterable[tuple[tuple[int, ...], Scalar]], verified: bool, texts: dict[tuple[int, ...], tuple]) -> str:
+    """The record line of the relation with terms (entries, coef), in any order; sorts them.
 
-
-def _fragments(terms: Iterable[tuple[tuple[int, ...], Scalar]], texts: dict[tuple[int, ...], _Fragment]) -> list[_Fragment]:
-    """The _Fragment of each term; its index's is read from texts, or formatted into it as json.dumps writes the list."""
-    out = []
+    texts maps each index to its _term_key, its '"index": [..]}' text,
+    weight and depth; an index not in it is formatted into it, the
+    entries joined as json.dumps writes the list.
+    """
+    rows = []
     for entries, coef in terms:
         t = texts.get(entries)
         if t is None:
             text = '"index": [' + ", ".join(map(str, entries)) + "]}"
-            t = texts[entries] = (_term_key("Y", entries), text, sum(entries), len(entries))
-        out.append((t[0], f'{{"coef": "{coef!s}", {t[1]}', t[2], t[3]))
-    return out
-
-
-def _record(rows: list[_Fragment], verified: bool) -> str:
-    """The record line of the relation whose terms are rows (_fragments), in any order; sorts rows."""
+            t = texts[entries] = _term_key("Y", entries), text, sum(entries), len(entries)
+        rows.append((t[0], f'{{"coef": "{coef!s}", {t[1]}', t[2], t[3]))
     # Distinct entries have distinct sort keys, so each row orders by its key.
     rows.sort(key=itemgetter(0))
     weights = {row[2] for row in rows}
     depths = {row[3] for row in rows}
-    terms = ", ".join([row[1] for row in rows])
-    flag = "true" if verified else "false"
+    joined = ", ".join([row[1] for row in rows])
     weight = str(weights.pop()) if len(weights) == 1 else "null"
     depth = str(depths.pop()) if len(depths) == 1 else "null"
-    return f'{{"terms": [{terms}], "verified": {flag}, "weight": {weight}, "depth": {depth}}}'
+    return f'{{"terms": [{joined}], "verified": {"true" if verified else "false"}, "weight": {weight}, "depth": {depth}}}'
 
 
 def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> Iterator[tuple[str, bool]]:
@@ -449,10 +445,10 @@ def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> I
     of verify_relation on the relation, and PipelineDisagreement is
     raised where checking every value against its own row would raise
     it.  Each pair is yielded before the next arrangement is evaluated.
-    Each index is formatted once per sweep, into one dict (_fragments):
-    k's terms up front, and each record line is those of them that
-    sigma(k)'s closed form lacks and the formatted differences of its
-    own terms, assembled by _record.
+    Each relation is a copy of k's closed form with sigma(k)'s
+    subtracted term by term, the terms kernel_element holds, and _record
+    writes it through one texts dict per sweep, so each index is
+    formatted once per sweep.
     """
     _require_magnus(k)
     zero = LinComb()
@@ -460,11 +456,11 @@ def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> I
     records = {k.entries: (relation_line(zero, ok), ok)}
     base = _product_terms(k.entries)
     bound = sum(k.entries) + len(k.entries)
-    texts: dict[tuple[int, ...], _Fragment] = {}
-    own: dict[tuple[int, ...], _Fragment] | None = None
+    texts: dict[tuple[int, ...], tuple] = {}
+    product = None
     for arranged in arrangements:
         if arranged not in records:
-            if own is None:
+            if product is None:
                 # Theorem main4's value of k's closed form, and its series.
                 product = _depth_one_product(k.entries)
                 product_row = taylor_coeffs(product, bound)
@@ -472,12 +468,12 @@ def _kernel_records(k: MultiIndex, arrangements: Iterable[tuple[int, ...]]) -> I
                     raise PipelineDisagreement(
                         f"the closed form of {k} is not the product of its depth-one values; refusing to answer"
                     )
-                own = dict(zip(base, _fragments(base.items(), texts)))
             terms = _product_terms(arranged)
             ok = _decide(terms.items(), bound, product, product_row)[0]
-            rows = [row for w, row in own.items() if w not in terms]
-            rows += _fragments([(w, c) for w, a in terms.items() if (c := base.get(w, 0) - a)], texts)
-            records[arranged] = _record(rows, ok), ok
+            relation = dict(base)
+            for w, a in terms.items():
+                _add_term(relation, w, -a)
+            records[arranged] = _record(relation.items(), ok, texts), ok
         yield records[arranged]
 
 

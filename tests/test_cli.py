@@ -39,6 +39,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_same_lines(got, want):
+    """Assert got == want as strictly, reporting the first differing (index, line) pair and the line counts.
+
+    A failure shows two lines, not pytest's diff of two whole outputs,
+    which takes minutes on a sweep of megabytes.
+    """
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    pairs = zip(enumerate(got_lines), enumerate(want_lines))
+    assert next((pair for pair in pairs if pair[0] != pair[1]), None) is None
+    assert len(got_lines) == len(want_lines)
+
+
 def test_eval_text(capsys):
     code, out, err = run(capsys, "eval", "(1,1)")
     assert code == 0 and err == ""
@@ -249,7 +261,7 @@ def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, argv, 
         c = kernel_element(k, sigma)
         ok, _ = pl.verify_relation(c)
         one_by_one.append(json.dumps(relation_record(c, ok)) + "\n")
-    assert out == "".join(one_by_one)
+    assert_same_lines(out, "".join(one_by_one))
 
 
 def count_taylor_coeffs(monkeypatch):
@@ -571,28 +583,29 @@ def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
 
 
 def test_kernel_formats_each_index_once_per_sweep(capsys, monkeypatch):
-    built, lines = [], []
-    key, record = pl._term_key, pl._record
+    built = []
+    key = pl._term_key
     monkeypatch.setattr(pl, "_term_key", lambda alphabet, letters: built.append(letters) or key(alphabet, letters))
-    monkeypatch.setattr(pl, "_record", lambda rows, ok: lines.append(rows) or record(rows, ok))
     sweeps = []
     for _ in range(2):
         built.clear()
-        lines.clear()
         code, sweep, err = run(capsys, "kernel", "(1,2,1,2,1;1)", "--all-sigma")
         assert (code, err) == (0, "")
-        # One record line per distinct relation: the zero one and 14 others.
-        assert len(lines) == 15
+        # One distinct record line per distinct relation: the zero one and 14 others.
+        assert len(set(sweep.splitlines())) == 15
         sweeps.append((sweep, list(built)))
     (sweep, first), (again, second) = sweeps
     terms = [tuple(t["index"]) for record in sweep.splitlines() for t in json.loads(record)["terms"]]
-    # Indices recur across the 15 distinct relations; each is formatted
-    # once, and the terms of k's closed form are formatted up front.
-    formatted = set(terms) | set(magnus._product_terms((1, 2, 1, 2, 1, 1)))
-    assert len(terms) > len(set(terms)) and sorted(first) == sorted(formatted)
+    # Indices recur across the 15 distinct relations, and each printed
+    # index is formatted once.  Every term of k's closed form is printed
+    # in some relation, so those are formatted too.
+    formatted = set(terms)
+    assert set(magnus._product_terms((1, 2, 1, 2, 1, 1))) <= formatted and len(formatted) == 256
+    assert len(terms) > len(formatted) and sorted(first) == sorted(formatted)
     # The texts last one sweep: the same sweep again formats each index
     # once again and prints the same bytes.
-    assert sorted(second) == sorted(first) and again == sweep
+    assert sorted(second) == sorted(first)
+    assert_same_lines(again, sweep)
 
 
 @pytest.mark.parametrize(
@@ -803,6 +816,24 @@ def test_verify_of_a_deep_index_exits_1_without_traceback(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "-")
     assert code == 1 and err == ""
     assert out == "line 1: FAIL witness=z^1200/(1-z)^1200\nchecked 1 relations: 0 ok, 1 failed\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, printed",
+    [
+        (["verify", "-"], GOOD_LINE + "\n" + json.dumps({"terms": [{"coef": "1", "index": [sys.maxsize + 1]}]}) + "\n", "line 1: ok\n"),
+        (["eval", "(1,2)", "--series", str(10 * sys.maxsize)], "", ""),
+    ],
+    ids=["verify-index-entry", "eval-series"],
+)
+def test_a_count_past_maxsize_exits_2_with_one_error_line(capsys, monkeypatch, argv, stdin, printed):
+    # No list can be sized by such a count (OverflowError): a usage error,
+    # not a traceback and exit 1, the code of a false relation.  verify
+    # keeps the verdicts it printed before the line.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, printed)
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_parse_error(capsys, monkeypatch):

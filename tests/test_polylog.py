@@ -984,7 +984,7 @@ def test_relation_line_is_the_dumped_record_on_every_small_kernel_relation():
 
 
 def test_index_text_is_the_dumped_entries():
-    # The "index" text that _fragments writes into its texts dict,
+    # The "index" text that _record writes into its texts dict,
     # without json.dumps, is the dumped entry list: for (), single
     # entries, and random entries.
     rng = random.Random(37)
@@ -992,7 +992,7 @@ def test_index_text_is_the_dumped_entries():
     cases += [tuple(rng.randrange(10 ** rng.randrange(1, 12)) for _ in range(rng.randrange(1, 9))) for _ in range(300)]
     texts = {}
     for entries in cases:
-        pl._fragments([(entries, 1)], texts)
+        pl._record([(entries, 1)], True, texts)
         assert texts[entries][1] == f'"index": {json.dumps(list(entries))}}}'
     assert len(texts) == len(set(cases))
 
