@@ -73,6 +73,15 @@ back.  The closed form lives in magnus and nfold_product reads it;
 only magnus_product_identity derives it again, multiplying out the
 brackets of M(k) x1 in Q<X>, as the independent side of the identity
 it states.
+
+Test seams.  Tests put faults into the evaluation, and count its work,
+at four names only: the value level _li_level, the row level
+_row_level, the closed form _product_terms and the product
+_depth_one_product.  They count verdicts at _decide, and replace the
+two caches only whole, with the caches a new process starts with.  So
+the code between the seams may be merged, renamed or rewritten with
+no test restated, as long as every value and row is still built one
+level at a time through the two levels.
 """
 
 from __future__ import annotations
@@ -320,31 +329,23 @@ class PipelineDisagreement(RuntimeError):
 _DISAGREE = "rational and series pipelines disagree; refusing to answer"
 
 
-def _evaluate(terms: Collection[tuple[tuple[int, ...], int]], bound: int) -> tuple[RatFun, list[int]]:
-    """Li of sum a*Li(entries) over integer terms: its rational value and its series row z^0..z^bound.
+def _decide(terms: Collection[tuple[tuple[int, ...], int]], bound: int, value: RatFun, row: list[int]) -> tuple[bool, RatFun]:
+    """(verdict, f): f is Li of the integer terms, and verdict whether f is value, whose series to z^bound is row.
 
-    The two come from independent pipelines and are returned unchecked:
-    _decide compares them.  Every slot of each row is summed, z^0
-    included, so a row that is wrong anywhere shows in the sum.
+    The one rule of every verdict.  Two independent pipelines evaluate
+    the terms: the rational one sums their values into f, and the
+    series one sums their rows into direct, z^0..z^bound, every slot of
+    each row included, so a row that is wrong anywhere shows in the sum.
+    f and direct each say whether the terms are worth value, and the
+    two must agree; an f other than value must also have direct as its
+    own series.  Raises PipelineDisagreement otherwise.
     """
     f = _combine([(a, _polylog_entries(e)) for e, a in terms])
     direct = [0] * (bound + 1)
     for entries, a in terms:
-        row = _series_row(entries, bound)
+        own = _series_row(entries, bound)
         for n in range(bound + 1):
-            direct[n] += a * row[n]
-    return f, direct
-
-
-def _decide(terms: Collection[tuple[tuple[int, ...], int]], bound: int, value: RatFun, row: list[int]) -> tuple[bool, RatFun]:
-    """(verdict, f): f is Li of the integer terms, and verdict whether f is value, whose series to z^bound is row.
-
-    The one rule of every verdict: f and the series row of the terms
-    (_evaluate) each say whether the terms are worth value, and the two
-    must agree; an f other than value must also have that row as its
-    own series.  Raises PipelineDisagreement otherwise.
-    """
-    f, direct = _evaluate(terms, bound)
+            direct[n] += a * own[n]
     verdict = f == value
     if verdict != (direct == row) or (not verdict and taylor_coeffs(f, bound) != direct):
         raise PipelineDisagreement(_DISAGREE)

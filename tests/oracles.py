@@ -4,16 +4,55 @@ Each follows its definition literally and is meant for small inputs only.
 lie_bracket and poly_y_to_x, first, are definitions that the library
 itself does not use: the bracket of the recursion x1^(n+1) =
 [x0, x1^(n)], and the inverse of poly_x_to_y.
-RowLog stands in for the series-row cache of polylog in the tests that
-count the rows built or grown, and raise_value and raise_row, last,
-inject one unit where polylog builds a value or a row.
+depth_one_by_stirling is the classical form of the depth-one values.
+The helpers at the end reach polylog's evaluation only at its test
+seams, where faults go in and work is counted; test_package fails when
+a test names another private name of polylog.  For each seam: its
+helpers, a mutation of the code at it, and tests that the mutation
+fails (in brackets, how many tier-1 tests it fails); each named test
+must keep failing under its mutation.
+
+  _li_level, the value level: raise_value, log_levels.
+      One unit at z^0 of the numerator of Li(1,2) [96]:
+      test_tail_built_values_match_the_fold,
+      test_rational_against_series_dp,
+      test_verify_relation_rejects_nonrelations,
+      test_kernel_records_refuse_when_values_and_rows_disagree.
+  _row_level, the row level: raise_row, log_levels.
+      One unit at the top slot of every build of the row of Li(1,2) [68]:
+      test_series_dp_against_chain_enumeration,
+      test_series_rows_built_on_one_shared_dict_match_chain_enumeration,
+      test_verify_relation_accepts_kernel_elements,
+      test_verify_bundled.
+  _product_terms, the closed form: perturb_closed_form.
+      The first coefficient of the closed form of (2,1) one too large [33]:
+      test_nfold_product_matches_the_sum_over_choices,
+      test_kernel_element_examples,
+      test_magnus_product_identity_small_sweep,
+      test_walk_gives_each_index_its_closed_form_and_row.
+  _depth_one_product, the product: scale_product.
+      The product scaled by 2 [40]:
+      test_kernel_verifies_each_distinct_relation_once,
+      test_a_closed_form_both_pipelines_find_wrong_gets_the_verdict_false,
+      test_a_fault_at_a_level_is_seen_by_decide,
+      test_kernel_records_are_the_verified_relations_of_every_small_index.
+  _decide, the one rule of every verdict: log_decisions.
+      The comparison of the series row with the reference's skipped [19]:
+      test_verify_relation_refuses_on_pipeline_disagreement,
+      test_a_fault_at_a_level_is_seen_by_decide[row],
+      test_verify_relation_refuses_every_relation_with_a_corrupted_shared_row,
+      test_pipeline_disagreement_exits_3.
+
+reset_caches gives polylog the caches of new_caches, as the tests'
+fixture does.
 """
 
 import itertools
-from math import comb
+from math import comb, factorial
 from typing import Sequence
 
 from npolylog.freealg import NcPoly, _add_term
+from npolylog import magnus
 from npolylog.magnus import _dual_array_binom, lie_power
 import npolylog.polylog as pl
 from npolylog.polylog import LinComb
@@ -304,16 +343,23 @@ def add_by_raising(f: RatFun, g: RatFun) -> RatFun:
     return RatFun(out, d)
 
 
-class RowLog(dict):
-    """A stand-in for polylog._ROWS, seeded as new_caches seeds it, that logs (entries, n) of every row stored or grown to reach z^n."""
+def depth_one_by_stirling(n: int) -> list[int]:
+    """The coefficients of G_n(u) = sum_(k<=n) k! S(n+1, k+1) u^k, S the Stirling numbers of the second kind.
 
-    def __init__(self):
-        super().__init__(new_caches()["_ROWS"])
-        self.stored = []
+    Li(n) = u G_n(u) at u = z/(1-z), the classical form of Li at a
+    non-positive integer; an oracle for the depth-one values, built
+    from S(m, j) = j S(m-1, j) + S(m-1, j-1) alone.
+    """
+    row = [1]
+    for m in range(1, n + 2):
+        row = [0] + [j * (row[j] if j < len(row) else 0) + row[j - 1] for j in range(1, m + 1)]
+    return [factorial(k) * row[k + 1] for k in range(n + 1)]
 
-    def __setitem__(self, entries, row):
-        self.stored.append((entries, len(row) - 1))
-        super().__setitem__(entries, row)
+
+def reset_caches(monkeypatch):
+    """Give polylog the caches a new process starts with, those of new_caches."""
+    for name, cache in new_caches().items():
+        monkeypatch.setattr(pl, name, cache)
 
 
 def raise_value(monkeypatch, index, slot):
@@ -332,13 +378,77 @@ def raise_value(monkeypatch, index, slot):
 
 
 def raise_row(monkeypatch, index, slot):
-    """Make the series row of index 1 larger at z^slot (-1: the top slot built), at _row_level, where every row is built."""
+    """Make the series row of index 1 larger at z^slot, at _row_level, where every row is built.
+
+    Slot -1 is the top slot of every build or growth of the row; any
+    other slot is raised once, by the first build that reaches it, so a
+    row grown later keeps its one wrong slot, and a row built again in
+    fresh caches is right.
+    """
     good = pl._row_level
+    raised = False
 
     def lying(entries, tail, row, n):
+        nonlocal raised
         row = good(entries, tail, row, n)
-        if entries == index:
+        if entries == index and not raised and len(row) > slot:
             row[slot] += 1
+            raised = slot >= 0
         return row
 
     monkeypatch.setattr(pl, "_row_level", lying)
+
+
+def perturb_closed_form(monkeypatch, change, entries=None):
+    """Make the closed form of the product at entries (at every entries when None) change(terms), at _product_terms.
+
+    change gets a fresh dict of the exact closed form, and may edit it
+    in place.  Both modules that read the closed form see the change.
+    """
+    exact = pl._product_terms
+
+    def perturbed(at):
+        terms = exact(at)
+        return change(terms) if entries is None or at == entries else terms
+
+    monkeypatch.setattr(pl, "_product_terms", perturbed)
+    monkeypatch.setattr(magnus, "_product_terms", perturbed)
+
+
+def scale_product(monkeypatch, scale):
+    """Make the product of depth-one values that a sweep decides k's closed form against scale times itself, at _depth_one_product."""
+    exact = pl._depth_one_product
+    monkeypatch.setattr(pl, "_depth_one_product", lambda entries: scale * exact(entries))
+
+
+def log_levels(monkeypatch):
+    """Log the work of polylog at its two levels: (values, slots), appended to in order.
+
+    values gets the entries of every Li value built at _li_level, and
+    slots the (entries, m) of every slot z^m that _row_level appends to
+    a row; slot z^0 of a row, and the row of Li(()) = 1, are seeded,
+    not built.
+    """
+    values, slots = [], []
+    li_level, row_level = pl._li_level, pl._row_level
+
+    def row_grown(entries, tail, row, n):
+        slots.extend((entries, m) for m in range(len(row), n + 1))
+        return row_level(entries, tail, row, n)
+
+    monkeypatch.setattr(pl, "_li_level", lambda entries, tail: values.append(entries) or li_level(entries, tail))
+    monkeypatch.setattr(pl, "_row_level", row_grown)
+    return values, slots
+
+
+def log_decisions(monkeypatch):
+    """Log the terms, as a dict, of every verdict polylog._decide makes, in order."""
+    calls = []
+    decide = pl._decide
+
+    def logged(terms, bound, value, row):
+        calls.append(dict(terms))
+        return decide(terms, bound, value, row)
+
+    monkeypatch.setattr(pl, "_decide", logged)
+    return calls

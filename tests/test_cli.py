@@ -19,7 +19,7 @@ from npolylog import cli, magnus
 from npolylog.polylog import _parse_coef, kernel_element, nfold_product, relation_from_record, relation_record
 from npolylog.words import parse_index
 import output_manifest
-from oracles import RowLog, raise_row
+from oracles import log_decisions, log_levels, perturb_closed_form, raise_row, reset_caches, scale_product
 
 GOOD_LINE = (
     '{"terms": [{"coef": "-1", "index": [2, 1]}, {"coef": "3", "index": [1, 2]},'
@@ -215,19 +215,6 @@ def test_kernel_prints_each_record_before_the_next_is_verified(capsys, monkeypat
     assert [json.loads(line)["verified"] for line in out.splitlines()] == [True, True, True]
 
 
-def count_evaluations(monkeypatch):
-    """Log the terms of every evaluation polylog._evaluate makes, in order."""
-    calls = []
-    good = pl._evaluate
-
-    def logged(terms, bound):
-        calls.append(dict(terms))
-        return good(terms, bound)
-
-    monkeypatch.setattr(pl, "_evaluate", logged)
-    return calls
-
-
 @pytest.mark.parametrize(
     "argv, records, evaluations",
     [
@@ -246,7 +233,7 @@ def test_kernel_verifies_each_distinct_relation_once(capsys, monkeypatch, argv, 
     # one evaluation of no word, once per sweep, whether or not a sigma
     # arranges k as k; k's closed form is evaluated when another
     # arrangement is met, then each other arrangement's once, in order.
-    calls = count_evaluations(monkeypatch)
+    calls = log_decisions(monkeypatch)
     code, out, err = run(capsys, "kernel", *argv)
     assert (code, err) == (0, "")
     k = parse_index(argv[0])
@@ -280,7 +267,7 @@ def test_a_correct_sweep_expands_one_truncated_series(capsys, monkeypatch, index
     # its own.  The zero relation's value is its own reference, so its
     # series is not expanded.
     calls = count_taylor_coeffs(monkeypatch)
-    evaluations = count_evaluations(monkeypatch)
+    evaluations = log_decisions(monkeypatch)
     code, out, err = run(capsys, "kernel", index, "--all-sigma")
     assert (code, err) == (0, "")
     k = parse_index(index)
@@ -293,7 +280,7 @@ def test_kernel_checks_the_closed_form_of_k_against_its_product(capsys, monkeypa
     # With every closed form emptied, every relation is zero and every
     # arrangement has one value; only the product of the depth-one
     # values of k tells that the closed forms are wrong.
-    monkeypatch.setattr(pl, "_product_terms", lambda entries: {})
+    perturb_closed_form(monkeypatch, lambda terms: {})
     code, out, err = run(capsys, "kernel", "(1,2;3)", "--all-sigma")
     assert (code, out) == (3, pl.relation_line(pl.LinComb(), True) + "\n")
     assert err == "error: the closed form of (1,2;3) is not the product of its depth-one values; refusing to answer\n"
@@ -302,15 +289,8 @@ def test_kernel_checks_the_closed_form_of_k_against_its_product(capsys, monkeypa
 def test_kernel_refuses_a_perturbed_closed_form_of_k(capsys, monkeypatch):
     # One coefficient of the closed form of k is 1 too large.  Before
     # the product check, the sweep printed every other relation as false.
-    good = pl._product_terms
-
-    def perturbed(entries):
-        terms = good(entries)
-        if entries == (1, 2, 3):
-            terms[next(iter(terms))] += 1
-        return terms
-
-    monkeypatch.setattr(pl, "_product_terms", perturbed)
+    first = next(iter(pl._product_terms((1, 2, 3))))
+    perturb_closed_form(monkeypatch, lambda terms: {**terms, first: terms[first] + 1}, (1, 2, 3))
     code, out, err = run(capsys, "kernel", "(1,2;3)", "--all-sigma")
     assert code == 3 and len(out.splitlines()) == 1
     assert err.startswith("error: the closed form of (1,2;3) is not the product")
@@ -322,7 +302,7 @@ def test_a_sweep_of_k_alone_checks_no_product(capsys, monkeypatch):
     products = []
     good = pl._depth_one_product
     monkeypatch.setattr(pl, "_depth_one_product", lambda entries: products.append(entries) or good(entries))
-    calls = count_evaluations(monkeypatch)
+    calls = log_decisions(monkeypatch)
     code, out, err = run(capsys, "kernel", "(1,1;1)", "--all-sigma")
     assert (code, err) == (0, "") and len(out.splitlines()) == 6
     assert calls == [{}] and products == []
@@ -333,8 +313,7 @@ def test_a_sweep_of_k_alone_checks_no_product(capsys, monkeypatch):
 def test_kernel_exits_1_when_a_relation_is_refused(capsys, monkeypatch):
     # With the closed form of (2,1) emptied, the relation of sigma = (2,1)
     # is the closed form of k alone, whose value is not zero.
-    good = pl._product_terms
-    monkeypatch.setattr(pl, "_product_terms", lambda entries: {} if entries == (2, 1) else good(entries))
+    perturb_closed_form(monkeypatch, lambda terms: {}, (2, 1))
     code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", "2 1")
     assert (code, err) == (1, "")
     assert json.loads(out)["verified"] is False
@@ -344,15 +323,8 @@ def test_kernel_refuses_only_the_relations_of_a_broken_arrangement(capsys, monke
     # One block word dropped from the closed form of (2,1,1): its value is
     # no longer that of k = (1,1,2), and the relations of sigma = (3,1,2)
     # and (3,2,1), which arrange k as (2,1,1), are false.
-    good = pl._product_terms
-
-    def dropped(entries):
-        terms = good(entries)
-        if entries == (2, 1, 1):
-            terms.pop(next(iter(terms)))
-        return terms
-
-    monkeypatch.setattr(pl, "_product_terms", dropped)
+    first = next(iter(pl._product_terms((2, 1, 1))))
+    perturb_closed_form(monkeypatch, lambda terms: {w: a for w, a in terms.items() if w != first}, (2, 1, 1))
     code, out, err = run(capsys, "kernel", "(1,1;2)", "--all-sigma")
     assert (code, err) == (1, "")
     records = [json.loads(line) for line in out.splitlines()]
@@ -541,45 +513,44 @@ def test_kernel_verify_round_trip(tmp_path, capsys):
     assert out == "line 1: ok\nline 2: ok\nchecked 2 relations: 2 ok, 0 failed\n"
 
 
-def series_rows(sweep):
-    """The (tail, bound) series rows the relations of a sweep build: every tail of every term, the empty one included."""
+def series_slots(sweep):
+    """The (tail, m) series-row slots the relations of a sweep build: z^1..z^D of every non-empty tail of every term."""
     wanted = set()
     for line in sweep.splitlines():
         entries = relation_from_record(json.loads(line))._terms
         bound = max((sum(e) + len(e) for e in entries), default=0)
-        wanted |= {(e[i:], bound) for e in entries for i in range(len(e) + 1)}
+        wanted |= {(e[i:], m) for e in entries for i in range(len(e)) for m in range(1, bound + 1)}
     return wanted
 
 
 def test_verify_reads_each_series_row_once_per_file(capsys, monkeypatch):
     _, sweep, _ = run(capsys, "kernel", "(1,2;1)", "--all-sigma")
     # The sweep's own rows are dropped, so verify builds every row it reads.
-    log = RowLog()
-    monkeypatch.setattr(pl, "_ROWS", log)
+    reset_caches(monkeypatch)
+    _, slots = log_levels(monkeypatch)
     for _ in range(2):
         monkeypatch.setattr(sys, "stdin", io.StringIO(sweep))
         code, out, err = run(capsys, "verify", "-")
         assert code == 0 and out.endswith("checked 6 relations: 6 ok, 0 failed\n")
-        # One row per index, stored once at the sweep's one bound D = 7,
-        # the row of Li(()) = 1 grown to it.  The rows outlive the call:
-        # the second verify of the file builds and grows none.
-        assert sorted(log.stored) == sorted(series_rows(sweep))
+        # One row per index, each slot built once, to the sweep's one
+        # bound D = 7.  The rows outlive the call: the second verify of
+        # the file builds and grows none.
+        assert sorted(slots) == sorted(series_slots(sweep))
 
 
 def test_kernel_reads_each_series_row_once(capsys, monkeypatch):
-    log = RowLog()
-    monkeypatch.setattr(pl, "_ROWS", log)
+    _, slots = log_levels(monkeypatch)
     code, sweep, err = run(capsys, "kernel", "(0,2;2)", "--all-sigma")
     assert code == 0 and err == "" and len(sweep.splitlines()) == 6
     # Every word of each distinct arrangement's closed form and every
-    # proper tail of it, the empty tail included, at D = weight + depth
-    # = 7, the one bound of the sweep.
+    # proper tail of it, each slot built once, to D = weight + depth = 7,
+    # the one bound of the sweep.
     words = [w for arranged in set(itertools.permutations((0, 2, 2))) for w in magnus._product_terms(arranged)]
-    wanted = {(w[i:], 7) for w in words for i in range(len(w) + 1)}
+    rows = {w[i:] for w in words for i in range(len(w))}
     # The arrangements share words and tails, so a build per word and
     # proper tail would build some twice.
-    assert sum(map(len, words)) > len(wanted)
-    assert sorted(log.stored) == sorted(wanted)
+    assert sum(map(len, words)) > len(rows)
+    assert sorted(slots) == sorted((t, m) for t in rows for m in range(1, 8))
 
 
 def test_kernel_formats_each_index_once_per_sweep(capsys, monkeypatch):
@@ -1009,11 +980,10 @@ def test_kernel_prints_values_past_the_digit_limit(capsys, monkeypatch, digit_li
     # and each coefficient is written past the limit by the real record.
     # The product of depth-one values that k's closed form is checked
     # against is scaled with them.
-    good, scale = pl._product_terms, 7 * 10**699
+    scale = 7 * 10**699
     c = scale * kernel_element(parse_index("(1;2)"), (2, 1))
-    monkeypatch.setattr(pl, "_product_terms", lambda entries: {w: scale * a for w, a in good(entries).items()})
-    product = pl._depth_one_product
-    monkeypatch.setattr(pl, "_depth_one_product", lambda entries: scale * product(entries))
+    perturb_closed_form(monkeypatch, lambda terms: {w: scale * a for w, a in terms.items()})
+    scale_product(monkeypatch, scale)
     code, out, err = run(capsys, "kernel", "(1;2)", "--sigma", "2 1")
     assert (code, err) == (0, "")
     with cli._unlimited_digits():
@@ -1118,7 +1088,7 @@ def test_verify_eval_expand_magnus_and_product_bytes_match_the_manifest():
     assert output_manifest.manifest(commands) == committed
 
 
-def test_warm_caches_print_the_manifest_bytes():
+def test_warm_caches_print_the_manifest_bytes(monkeypatch):
     # The manifest runs each command with fresh caches, as a new process
     # starts with.  Run in one pass that shares the caches of every earlier
     # command, each command prints the same bytes.  The verify commands
@@ -1126,13 +1096,19 @@ def test_warm_caches_print_the_manifest_bytes():
     # series rows that an earlier verify grew to D = 5, 6, 11, 15 and 20.
     committed = json.loads(output_manifest.PATH.read_text(encoding="utf-8"))
     commands = [argv for argv in output_manifest.corpus() if " ".join(argv) not in LEFT_TO_CI]
+    values, slots = log_levels(monkeypatch)
     assert output_manifest.manifest(commands, fresh=False) == {
         cmd: rec for cmd, rec in committed.items() if cmd not in LEFT_TO_CI
     }
+    assert values and slots
     verify = [argv for argv in commands if output_manifest.recorded_command(argv) == "verify"]
+    values.clear()
+    slots.clear()
     again = output_manifest.manifest(verify, fresh=False)
     assert len(again) == 6 and again == {cmd: committed[cmd] for cmd in again}
-    assert len(pl._LI) > 1 and len(pl._ROWS) > 1
+    # The caches stayed warm: every value and row the second pass reads
+    # was built by the first.
+    assert values == slots == []
 
 
 def test_new_caches_are_those_a_new_interpreter_starts_with():

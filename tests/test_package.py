@@ -1,5 +1,6 @@
 """The package namespace, its annotations, what importing the CLI loads, and the README session."""
 
+import ast
 import doctest
 import inspect
 import subprocess
@@ -12,12 +13,29 @@ import pytest
 import npolylog
 from npolylog import cli, freealg, magnus, polylog, ratpoly, words
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 SRC = Path(npolylog.__file__).resolve().parents[1]
 
 # Standard-library modules that importing the CLI must not load: each
 # costs milliseconds of start-up for every command call.
 UNLOADED = ["dataclasses", "inspect", "typing", "importlib.resources"]
+
+# The private names of polylog that tests may read or patch: the four
+# test seams (value level, row level, closed form, product), the one
+# rule of every verdict and the sweep, and the record-path helpers.
+POLYLOG_SEAMS = {
+    "_li_level",
+    "_row_level",
+    "_product_terms",
+    "_depth_one_product",
+    "_decide",
+    "_kernel_records",
+    "_record",
+    "_arranged",
+    "_term_key",
+    "_parse_coef",
+}
 
 
 def test_every_module_export_is_the_same_object_on_the_package():
@@ -42,7 +60,41 @@ def test_readme_api_table_names_every_public_name(module):
 
 def test_readme_names_no_removed_api():
     text = README.read_text(encoding="utf-8")
-    assert [name for name in ("kernel_elements", "magnus_to_word", "lie_bracket", "poly_y_to_x", "_TEXTS", "`_check`", "_Packed", "_fragments", "_Fragment") if name in text] == []
+    assert [name for name in ("kernel_elements", "magnus_to_word", "lie_bracket", "poly_y_to_x", "_TEXTS", "`_check`", "_Packed", "_fragments", "_Fragment", "_evaluate") if name in text] == []
+
+
+def _polylog_names(tree):
+    """The private names of polylog that tree reads as <alias>.<name>, patches as setattr(<alias>, "<name>", ...), or imports."""
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name == "npolylog.polylog" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "npolylog":
+            aliases |= {a.asname or a.name for a in node.names if a.name == "polylog"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "npolylog.polylog":
+            names |= {a.name for a in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "setattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id in aliases
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            names.add(node.args[1].value)
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def test_tests_name_only_the_seams_of_polylog():
+    # A test that reaches polylog's evaluation past its seams breaks when
+    # that code is merged or renamed, though no behaviour changes.
+    assert all(hasattr(polylog, name) for name in POLYLOG_SEAMS)
+    named = {path.name: _polylog_names(ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(TESTS.glob("*.py"))}
+    assert {name: sorted(used - POLYLOG_SEAMS) for name, used in named.items() if used - POLYLOG_SEAMS} == {}
+    assert set().union(*named.values()) >= {"_li_level", "_row_level", "_product_terms", "_depth_one_product", "_decide"}
 
 
 def test_readme_quick_session_runs_as_a_doctest():

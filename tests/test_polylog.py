@@ -31,15 +31,19 @@ from npolylog.polylog import (
 )
 from npolylog.ratpoly import RatFun, taylor_coeffs
 from npolylog.words import magnus_index, mpl_index
-from output_manifest import new_caches
 from oracles import (
-    RowLog,
+    depth_one_by_stirling,
+    log_decisions,
+    log_levels,
     nfold_product_by_choices,
+    perturb_closed_form,
     polylog_by_fold,
     product_letter_word,
     raise_row,
     raise_value,
     relation_record_by_dicts,
+    reset_caches,
+    scale_product,
     series_coeffs_by_chains,
 )
 
@@ -89,6 +93,16 @@ def test_depth_one_matches_eulerian_closed_form():
         assert all(type(c) is int for c in f.num)
 
 
+def test_depth_one_matches_the_stirling_form():
+    # Li(n) = u G_n(u) at u = z/(1-z), with G_n(u) = sum_k k! S(n+1, k+1)
+    # u^k; G_n(-1) = 0 for n >= 1, so u = -1, z = infinity, is a root.
+    u = RatFun((0, 1), 1)
+    for n in range(16):
+        g = depth_one_by_stirling(n)
+        assert polylog_rational(mpl_index(n)) == sum((c * u ** (k + 1) for k, c in enumerate(g)), RatFun.zero())
+        assert n == 0 or sum((-1) ** k * c for k, c in enumerate(g)) == 0
+
+
 def test_integer_invariants_of_values():
     count = 0
     for depth in range(5):
@@ -107,14 +121,16 @@ def test_rational_against_series_dp():
         assert taylor_coeffs(polylog_rational(s), 25) == series_coeffs(s, 25)
 
 
-def test_tail_built_values_match_the_fold():
+def test_tail_built_values_match_the_fold(monkeypatch):
     # The test's fresh cache, filled in a shuffled order, so that some
     # tails are cached when their index is reached and some are not.
     indices = [mpl_index(*e) for r in range(5) for e in itertools.product(range(7), repeat=r)]
     random.Random(6).shuffle(indices)
+    values, _ = log_levels(monkeypatch)
     for s in indices:
         assert polylog_rational(s) == polylog_by_fold(s)
-    assert len(pl._LI) == len(indices)
+    # Each index is built once, Li(()) = 1 being seeded.
+    assert sorted(values) == sorted(s.entries for s in indices if s.entries)
 
 
 def test_series_dp_against_chain_enumeration():
@@ -125,7 +141,7 @@ def test_series_dp_against_chain_enumeration():
     )
 
 
-def test_series_rows_built_on_one_shared_dict_match_chain_enumeration():
+def test_series_rows_built_on_one_shared_dict_match_chain_enumeration(monkeypatch):
     # Indices of mixed depth whose tails overlap, read at rising and
     # falling bounds in a seeded order into the test's fresh row cache:
     # a row is built from its cached tails, grown in place from the
@@ -133,32 +149,32 @@ def test_series_rows_built_on_one_shared_dict_match_chain_enumeration():
     indices = [e for r in range(5) for e in itertools.product(range(3), repeat=r)]
     reads = [(e, n) for e in indices for n in (0, 3, 7, 11)]
     random.Random(18).shuffle(reads)
+    _, slots = log_levels(monkeypatch)
     for entries, n in reads:
         assert series_coeffs(mpl_index(*entries), n) == series_coeffs_by_chains(mpl_index(*entries), n), (entries, n)
     # One row per index, each reaching the largest bound read at it or
-    # at an index it is a tail of.
+    # at an index it is a tail of: each of its slots is built once.
     reach = {}
     for entries, n in reads:
-        for i in range(len(entries) + 1):
+        for i in range(len(entries)):
             reach[entries[i:]] = max(reach.get(entries[i:], 0), n)
-    assert {e: len(row) - 1 for e, row in pl._ROWS.items()} == reach
+    assert sorted(slots) == sorted((e, m) for e, n in reach.items() for m in range(1, n + 1))
 
 
 def test_a_row_read_below_its_reach_builds_nothing(monkeypatch):
-    log = RowLog()
-    monkeypatch.setattr(pl, "_ROWS", log)
+    _, slots = log_levels(monkeypatch)
     s = mpl_index(1, 0, 2)
     series_coeffs(s, 12)
-    # Every tail is stored once at z^12, the row of Li(()) = 1 grown to it.
-    assert sorted(log.stored) == sorted((e, 12) for e in tails(s.entries) + [()])
-    log.stored.clear()
+    # Every tail's row is built once to z^12.
+    assert sorted(slots) == sorted((e, m) for e in tails(s.entries) for m in range(1, 13))
+    slots.clear()
     for n in (12, 3, 0, 7):
         assert series_coeffs(s, n) == series_coeffs_by_chains(s, n)
         assert series_coeffs(mpl_index(0, 2), n) == series_coeffs_by_chains(mpl_index(0, 2), n)
-    assert log.stored == []
+    assert slots == []
     # A larger bound grows each row once, innermost first.
     series_coeffs(s, 15)
-    assert log.stored == [((), 15), ((2,), 15), ((0, 2), 15), ((1, 0, 2), 15)]
+    assert slots == [(e, m) for e in [(2,), (0, 2), (1, 0, 2)] for m in (13, 14, 15)]
 
 
 def test_verify_reads_only_up_to_its_bound_of_a_longer_row():
@@ -172,11 +188,12 @@ def test_verify_reads_only_up_to_its_bound_of_a_longer_row():
     assert [ok for _, ok in pl._kernel_records(magnus_index(1, 2), [(1, 2), (2, 1)])] == [True, True]
 
 
-def test_li_values_keep_int_coefficients_after_a_sweep(capsys):
+def test_li_values_keep_int_coefficients_after_a_sweep(capsys, monkeypatch):
+    values, _ = log_levels(monkeypatch)
     assert cli.main(["kernel", "(1,0,2;3)", "--all-sigma"]) == 0
     capsys.readouterr()
-    assert len(pl._LI) > 20
-    assert {type(c) for f in pl._LI.values() for c in f.num} == {int}
+    assert len(values) > 20
+    assert {type(c) for entries in values for c in polylog_rational(mpl_index(*entries)).num} == {int}
 
 
 def test_series_coeffs_returns_a_copy_of_the_cached_row():
@@ -199,7 +216,7 @@ def test_rational_values_from_an_empty_cache_match_the_fold():
         for entries in itertools.product(range(9), repeat=depth):
             if sum(entries) <= 8:
                 assert polylog_rational(mpl_index(*entries)) == polylog_by_fold(mpl_index(*entries)), entries
-                assert {type(c) for c in pl._polylog_entries(entries).num} == {int}, entries
+                assert {type(c) for c in polylog_rational(mpl_index(*entries)).num} == {int}, entries
                 count += 1
     assert count == 715
 
@@ -501,16 +518,7 @@ def test_magnus_product_identity_small_sweep():
 def test_magnus_product_identity_catches_a_wrong_closed_form(monkeypatch):
     # The closed form is perturbed wherever it is read; the right side
     # multiplies out the brackets and must not follow it.
-    exact = pl._product_terms
-
-    def perturbed(entries):
-        terms = exact(entries)
-        if entries == (1, 1):
-            terms[entries] += 1
-        return terms
-
-    monkeypatch.setattr(pl, "_product_terms", perturbed)
-    monkeypatch.setattr(magnus, "_product_terms", perturbed)
+    perturb_closed_form(monkeypatch, lambda terms: {**terms, (1, 1): terms[(1, 1)] + 1}, (1, 1))
     lhs, rhs = magnus_product_identity(magnus_index(1, 1))
     assert lhs != rhs
     assert rhs == LinComb({mpl_index(1, 1): 1, mpl_index(0, 2): -1})
@@ -608,42 +616,15 @@ def test_combination_readers_refuse_anything_but_a_polynomial_over_y(read):
 
 
 def test_verify_relation_refuses_on_pipeline_disagreement(monkeypatch):
-    good = pl._series_row
-
-    def lying(entries, n_max):
-        out = list(good(entries, n_max))
-        if entries == (1, 2):
-            out[-1] += 1
-        return out
-
-    monkeypatch.setattr(pl, "_series_row", lying)
+    raise_row(monkeypatch, (1, 2), -1)
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
     assert issubclass(PipelineDisagreement, RuntimeError)
 
 
-def corrupt_series(monkeypatch, index, position):
-    """Make every row of Li(index) that verify_relation reads 1 too large at z^position.
-
-    The stored rows stay clean; returns the list of bounds read.
-    """
-    good = pl._series_row
-    bounds = []
-
-    def lying(entries, n_max):
-        bounds.append(n_max)
-        out = list(good(entries, n_max))
-        if entries == index.entries and n_max >= position:
-            out[position] += 1
-        return out
-
-    monkeypatch.setattr(pl, "_series_row", lying)
-    return bounds
-
-
 def test_verify_relation_checks_past_forty_coefficients(monkeypatch):
     # Li(45) has d = 46, so z^46 takes part in the verdict.
-    corrupt_series(monkeypatch, mpl_index(45), 46)
+    raise_row(monkeypatch, (45,), 46)
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         verify_relation(LinComb({mpl_index(45): 1, mpl_index(2, 1): -3}))
 
@@ -651,7 +632,9 @@ def test_verify_relation_checks_past_forty_coefficients(monkeypatch):
 def test_verify_relation_bound_is_weight_plus_depth(monkeypatch):
     # The terms of this relation have weight 3 and depth 2, so D = 5:
     # z^5 is read, and nothing past it.
-    bounds = corrupt_series(monkeypatch, mpl_index(1, 2), 5)
+    raise_row(monkeypatch, (1, 2), 5)
+    bounds, row_level = [], pl._row_level
+    monkeypatch.setattr(pl, "_row_level", lambda entries, tail, row, n: bounds.append(n) or row_level(entries, tail, row, n))
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
     assert set(bounds) == {5}
@@ -661,7 +644,7 @@ def test_verify_relation_bound_is_weight_plus_depth(monkeypatch):
 def test_verify_sees_one_unit_in_any_row_slot(monkeypatch, slot):
     # Li(1,2) has no term below z^2, but a row that is wrong there is
     # still wrong: every slot of every row takes part in the sum.
-    corrupt_series(monkeypatch, mpl_index(1, 2), slot)
+    raise_row(monkeypatch, (1, 2), slot)
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
 
@@ -669,8 +652,8 @@ def test_verify_sees_one_unit_in_any_row_slot(monkeypatch, slot):
 def test_verify_relation_refuses_a_nonzero_value_with_a_zero_series(monkeypatch):
     # z^6 vanishes to order D = 5 but is not zero: the rational verdict
     # would be "false relation", the series verdict "true relation".
-    good = pl._combine
-    monkeypatch.setattr(pl, "_combine", lambda pairs: good(pairs) + RatFun((0,) * 6 + (1,)))
+    # Li(1,2) = P/(1-z)^5 gains z^6 in P, and holds coefficient 3.
+    raise_value(monkeypatch, (1, 2), 6)
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         verify_relation(kernel_element(magnus_index(1, 2), (2, 1)))
 
@@ -683,9 +666,7 @@ def test_kernel_records_refuse_when_values_and_rows_disagree(monkeypatch):
     k, arranged = magnus_index(1, 2), (2, 1)
     terms = pl._product_terms(arranged)
     raise_value(monkeypatch, min(set(terms) - set(pl._product_terms(k.entries))), 6)
-    evaluations = []
-    evaluate = pl._evaluate
-    monkeypatch.setattr(pl, "_evaluate", lambda terms, bound: evaluations.append(dict(terms)) or evaluate(terms, bound))
+    evaluations = log_decisions(monkeypatch)
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         list(pl._kernel_records(k, [arranged]))
     assert evaluations == [{}, pl._product_terms(k.entries), terms]
@@ -713,27 +694,13 @@ def test_kernel_records_check_a_value_that_is_not_k_against_its_own_row(monkeypa
     # the closed form of k, is 1 too large at z^D.  Only the series of
     # its own value tells.
     k, arranged = magnus_index(1, 2, 3), (3, 2, 1)
-    exact = pl._product_terms
-    own = sorted(set(exact(arranged)) - set(exact(k.entries)))
+    own = sorted(set(pl._product_terms(arranged)) - set(pl._product_terms(k.entries)))
     assert len(own) >= 2
-
-    def dropped(entries):
-        terms = exact(entries)
-        if entries == arranged:
-            del terms[own[0]]
-        return terms
-
-    good = pl._series_row
-
-    def lying(entries, n_max):
-        out = list(good(entries, n_max))
-        if entries == own[1]:
-            out[-1] += 1
-        return out
-
-    monkeypatch.setattr(pl, "_product_terms", dropped)
+    perturb_closed_form(monkeypatch, lambda terms: {w: a for w, a in terms.items() if w != own[0]}, arranged)
     assert [ok for _, ok in pl._kernel_records(k, [arranged])] == [False]
-    monkeypatch.setattr(pl, "_series_row", lying)
+    # The same sweep from new caches, with the row built wrong.
+    reset_caches(monkeypatch)
+    raise_row(monkeypatch, own[1], -1)
     with pytest.raises(PipelineDisagreement, match="refusing to answer"):
         list(pl._kernel_records(k, [arranged]))
 
@@ -767,7 +734,8 @@ def test_a_fault_at_a_level_is_seen_by_decide(raise_one, monkeypatch):
     raise_one(monkeypatch, (2, 2, 2), 9)
     product = pl._depth_one_product(k.entries)
     row = taylor_coeffs(product, 9)
-    value, direct = pl._evaluate(terms.items(), 9)
+    value = polylog_map(LinComb._trusted("Y", terms))
+    direct = [sum(a * series_coeffs(mpl_index(*e), 9)[n] for e, a in terms.items()) for n in range(10)]
     assert (value == product, direct == row) == ((False, True) if raise_one is raise_value else (True, False))
     with pytest.raises(PipelineDisagreement, match="pipelines disagree"):
         pl._decide(terms.items(), 9, product, row)
@@ -807,14 +775,14 @@ def test_one_fault_gets_one_verdict_from_verify_and_from_a_sweep(monkeypatch, fa
     # rule, so they refuse together, or write the same false record.
     k, sigma = magnus_index(1, 2, 3), (3, 2, 1)
     arranged = pl._arranged(k, sigma)
-    exact = pl._product_terms
-    word = min(set(exact(arranged)) - set(exact(k.entries)))
+    own = set(pl._product_terms(arranged)) - set(pl._product_terms(k.entries))
+    word = min(own)
     if fault == "closed-form":
-        monkeypatch.setattr(pl, "_product_terms", lambda entries: {**exact(entries), word: exact(entries)[word] + 1} if entries == arranged else exact(entries))
+        perturb_closed_form(monkeypatch, lambda terms: {**terms, word: terms[word] + 1}, arranged)
     elif fault == "scaled-closed-form":
-        monkeypatch.setattr(pl, "_product_terms", lambda entries: {w: 65 * a for w, a in exact(entries).items()} if entries == arranged else exact(entries))
+        perturb_closed_form(monkeypatch, lambda terms: {w: 65 * a for w, a in terms.items()}, arranged)
     elif fault == "denominator":
-        assert (2, 2, 2) in set(exact(arranged)) - set(exact(k.entries))
+        assert (2, 2, 2) in own
         good = pl._li_level
         monkeypatch.setattr(pl, "_li_level", lambda entries, tail: good(entries, tail) * RatFun((1,), 1) if entries == (2, 2, 2) else good(entries, tail))
     else:
@@ -831,15 +799,7 @@ def test_a_sweep_builds_no_value_or_row_an_earlier_sweep_built(capsys, monkeypat
     # the same sweep, nor after (1;3), whose words are all proper tails
     # of words of (0,2;2).  A row grown to a larger bound builds only its
     # new slots.  The later sweep prints what it prints alone.
-    values, slots = [], []
-    li_level, row_level = pl._li_level, pl._row_level
-
-    def row_grown(entries, tail, row, n):
-        slots.extend((entries, m) for m in range(len(row), n + 1))
-        return row_level(entries, tail, row, n)
-
-    monkeypatch.setattr(pl, "_li_level", lambda entries, tail: values.append(entries) or li_level(entries, tail))
-    monkeypatch.setattr(pl, "_row_level", row_grown)
+    values, slots = log_levels(monkeypatch)
 
     def sweep(entries):
         values.clear()
@@ -852,8 +812,7 @@ def test_a_sweep_builds_no_value_or_row_an_earlier_sweep_built(capsys, monkeypat
 
     alone = sweep((0, 2, 2))
     for first in [(0, 2, 2), (1, 3)]:
-        for name, cache in new_caches().items():
-            monkeypatch.setattr(pl, name, cache)
+        reset_caches(monkeypatch)
         earlier = sweep(first)
         later = sweep((0, 2, 2))
         assert later[0] == alone[0]
@@ -862,16 +821,14 @@ def test_a_sweep_builds_no_value_or_row_an_earlier_sweep_built(capsys, monkeypat
         assert words(first) <= {w[i:] for w in words((0, 2, 2)) for i in range(len(w))}
 
 
-def test_oversized_closed_forms_and_product_are_decided_by_evaluate(monkeypatch):
+def test_oversized_closed_forms_and_product_are_decided_by_decide(monkeypatch):
     # Every closed form and the product of k's depth-one values scaled
-    # by 2^w + 1: every closed form is evaluated once, against the scaled
+    # by 2^w + 1: every closed form is decided once, against the scaled
     # product, and every relation is still true.
     k, scale = magnus_index(1, 2, 3), 2**6 + 1
-    exact, product = pl._product_terms, pl._depth_one_product
-    monkeypatch.setattr(pl, "_product_terms", lambda entries: {w: scale * a for w, a in exact(entries).items()})
-    monkeypatch.setattr(pl, "_depth_one_product", lambda entries: scale * product(entries))
-    evaluations, evaluate = [], pl._evaluate
-    monkeypatch.setattr(pl, "_evaluate", lambda terms, bound: evaluations.append(dict(terms)) or evaluate(terms, bound))
+    perturb_closed_form(monkeypatch, lambda terms: {w: scale * a for w, a in terms.items()})
+    scale_product(monkeypatch, scale)
+    evaluations = log_decisions(monkeypatch)
     arrangements = list(itertools.permutations(k.entries))
     assert [ok for _, ok in pl._kernel_records(k, arrangements)] == [True] * 6
     assert evaluations == [{}] + [pl._product_terms(a) for a in arrangements]
@@ -890,26 +847,32 @@ def tails(entries):
     return [entries[i:] for i in range(len(entries))]
 
 
+def row_slots(entries, bound):
+    """The (tail, m) slots of the rows of every non-empty tail of each entries, built to z^bound."""
+    return sorted({(t, m) for e in entries for t in tails(e) for m in range(1, bound + 1)})
+
+
 def test_verify_relation_reads_each_row_once_per_shared_dict(monkeypatch):
     k = magnus_index(1, 2, 3, 4)
     cs = [kernel_element(k, s) for s in itertools.permutations(range(1, 5))]
-    log = RowLog()
-    monkeypatch.setattr(pl, "_ROWS", log)
+    _, slots = log_levels(monkeypatch)
     bound = k.weight + k.depth + 1
-    wanted = {(t, bound) for c in cs for e in c._terms for t in tails(e) + [()]}
-    # One build per tail: each tail row is stored once and read by every
+    wanted = row_slots([e for c in cs for e in c._terms], bound)
+    # One build per tail: each tail row is built once and read by every
     # row built on it, at the one bound of the piece.  The rows outlive
     # the calls, so a second pass over the relations builds none.
     for _ in range(2):
         assert all(verify_relation(c)[0] for c in cs)
-        assert sorted(log.stored) == sorted(wanted)
-    # A fresh cache per call builds the tails of each relation again.
-    fresh = [RowLog() for _ in cs]
-    for c, own in zip(cs, fresh):
-        monkeypatch.setattr(pl, "_ROWS", own)
+        assert sorted(slots) == wanted
+    # Fresh caches per call build the tails of each relation again.
+    built = 0
+    for c in cs:
+        reset_caches(monkeypatch)
+        slots.clear()
         verify_relation(c)
-        assert sorted(own.stored) == sorted({(t, bound) for e in c._terms for t in tails(e) + [()]})
-    assert sum(len(own.stored) for own in fresh) > len(wanted)
+        assert sorted(slots) == row_slots(c._terms, bound)
+        built += len(slots)
+    assert built > len(wanted)
 
 
 def test_verify_relation_refuses_every_relation_with_a_corrupted_shared_row(monkeypatch):
@@ -920,20 +883,20 @@ def test_verify_relation_refuses_every_relation_with_a_corrupted_shared_row(monk
     clean = [c for c in cs if not c.coefficient(bad)]
     assert len(hit) >= 2 and clean
     # The row cache holds the row of Li(2,2,2) at the piece's D = 9 from
-    # the start, corrupted at z^7, with its clean tails; the clean
-    # relations fill it further, and then every relation that holds the
-    # corrupted index is refused, not only the first.
+    # the start, corrupted at z^7 where it is built, with its clean
+    # tails; the clean relations fill it further, and then every relation
+    # that holds the corrupted index is refused, not only the first.
     bound = k.weight + k.depth + 1
-    pl._series_row(bad.entries, bound)
-    pl._ROWS[bad.entries][7] += 1
+    raise_row(monkeypatch, bad.entries, 7)
+    series_coeffs(bad, bound)
     assert [verify_relation(d)[0] for d in clean] == [True] * len(clean)
     for c in hit:
         with pytest.raises(PipelineDisagreement, match="refusing to answer"):
             verify_relation(c)
     # Grown to a larger bound, the row keeps its corrupted prefix.
     assert series_coeffs(bad, 12)[7] == series_coeffs_by_chains(bad, 12)[7] + 1
-    # A fresh cache builds fresh rows and verifies cleanly.
-    monkeypatch.setattr(pl, "_ROWS", {(): [1]})
+    # Fresh caches build fresh rows and verify cleanly.
+    reset_caches(monkeypatch)
     assert all(verify_relation(c)[0] for c in cs)
 
 
